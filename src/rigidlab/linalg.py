@@ -1,14 +1,17 @@
 """Dense linear algebra over two scalar backends.
 
-Matrices are plain numpy arrays.  dtype object means the exact backend
-(entries are fractions.Fraction, all algorithms are exact elimination);
+Matrices are plain numpy arrays.  dtype object means the exact backend;
 any float dtype means the float64 backend (rank decisions go through an
 SVD with a relative tolerance).  Mixing backends in one call is a bug.
+Exact entries are fractions.Fraction at the boundary only: every exact
+rank, nullspace, solve and inverse runs _rref_exact, which is Bareiss
+fraction-free Gauss-Jordan elimination on Python ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -80,7 +83,7 @@ def ones_vector(n: int, exact: bool = True) -> np.ndarray:
 
 
 def to_float(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m, dtype=float) if is_exact(m) else np.asarray(m, dtype=float)
+    return np.asarray(m, dtype=float)
 
 
 def is_zero_matrix(m: np.ndarray, tol: float | None = None, scale: float = 1.0) -> bool:
@@ -93,32 +96,47 @@ def is_zero_matrix(m: np.ndarray, tol: float | None = None, scale: float = 1.0) 
 
 
 def _rref_exact(rows: list[list[Fraction]], ncols: int):
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    rows = [list(r) for r in rows]
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+
+    Each row is scaled by the lcm of its denominators, which keeps the
+    row space, and Bareiss fraction-free Gauss-Jordan runs on the
+    integer rows.  After k pivots every entry is a k x k minor, so the
+    division by the previous pivot is exact provided every other row,
+    whatever its entry in the pivot column, is updated at every step.
+    Pivot rows become Fractions only at the end, divided by their pivot.
+    """
+    mat = []
+    for row in rows:
+        # A set, not a generator: a resized *args tuple lands in another
+        # size's tuple freelist on CPython, and peak RSS creeps up per call.
+        d = lcm(*{v.denominator for v in row})
+        mat.append([v.numerator * (d // v.denominator) for v in row])
     pivots: list[int] = []
     lead = 0
+    prev = 1
     for col in range(ncols):
         piv = None
-        for i in range(lead, len(rows)):
-            if rows[i][col] != 0:
+        for i in range(lead, len(mat)):
+            if mat[i][col]:
                 piv = i
                 break
         if piv is None:
             continue
-        rows[lead], rows[piv] = rows[piv], rows[lead]
-        inv = Fraction(1) / rows[lead][col]
-        if inv != 1:
-            rows[lead] = [e * inv for e in rows[lead]]
-        for i in range(len(rows)):
-            f = rows[i][col]
-            if i != lead and f != 0:
-                base = rows[lead]
-                rows[i] = [a - f * b for a, b in zip(rows[i], base)]
+        mat[lead], mat[piv] = mat[piv], mat[lead]
+        base = mat[lead]
+        p = base[col]
+        for i in range(len(mat)):
+            if i != lead:
+                f = mat[i][col]
+                mat[i] = [(a * p - f * b) // prev for a, b in zip(mat[i], base)]
+        prev = p
         pivots.append(col)
         lead += 1
-        if lead == len(rows):
+        if lead == len(mat):
             break
-    return rows[:lead], pivots
+    reduced = [[Fraction(v, row[pc]) for v in row]
+               for row, pc in zip(mat, pivots)]
+    return reduced, pivots
 
 
 def _as_rows(m: np.ndarray) -> list[list[Fraction]]:

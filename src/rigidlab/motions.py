@@ -88,11 +88,6 @@ def take_points(mat: np.ndarray, ids) -> np.ndarray:
     return mat[:, cols]
 
 
-def permute_columns(mat: np.ndarray, perm) -> np.ndarray:
-    """Relabel points: column i of the result is column perm[i] of the input."""
-    return take_points(mat, perm)
-
-
 def flatten_motion(u: np.ndarray) -> np.ndarray:
     return np.asarray(u).flatten(order="F")
 
@@ -115,14 +110,6 @@ def skew_basis(n: int, exact: bool = True) -> list[np.ndarray]:
             a[j, i] = -one
             out.append(a)
     return out
-
-
-def is_skew_symmetric(m: np.ndarray, tol: float | None = None) -> bool:
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        return False
-    scale = 1.0 if is_exact(m) else float(np.abs(m.astype(float)).max() or 1.0)
-    return linalg.is_zero_matrix(m + m.T, tol, scale)
 
 
 def is_infinitesimal_isometry(p: PointConfiguration, u: np.ndarray,

@@ -138,8 +138,9 @@ def flex_space(fw: Framework, tol: float | None = None) -> MotionSpace:
 def analyze(fw: Framework, tol: float | None = None) -> RigidityReport:
     """Flex dimension, trivial dimension, and isostaticity of a framework.
 
-    Isostatic means rigid with every edge load-bearing; each of the
-    edge_count single-edge deletions is tested outright.
+    Isostatic means rigid with every edge load-bearing, which holds
+    exactly when the edge rows are independent: one rank decides both.
+    On the exact backend that rank is integer elimination (see linalg).
     """
     p = fw.config
     total = p.dim * p.count
@@ -147,13 +148,7 @@ def analyze(fw: Framework, tol: float | None = None) -> RigidityReport:
     base_rank = linalg.rank(r, tol)
     flex_dim = total - base_rank
     trivial_dim = trivial_motion_space(p, tol).dim
-    isostatic = flex_dim == trivial_dim
-    if isostatic:
-        for idx in range(r.shape[0]):
-            keep = [k for k in range(r.shape[0]) if k != idx]
-            if linalg.rank(r[keep], tol) != base_rank - 1:
-                isostatic = False
-                break
+    isostatic = flex_dim == trivial_dim and base_rank == r.shape[0]
     return RigidityReport(flex_dim=flex_dim, trivial_dim=trivial_dim,
                           is_isostatic=isostatic)
 

@@ -2,10 +2,12 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigidlab.errors import OnAffineSpanError, SingularMatrixError
-from rigidlab.linalg import (Subspace, exact_matrix, frac, identity, invert,
-                             nullspace_rows, ones_vector, rank,
+from rigidlab.linalg import (Subspace, _rref_exact, exact_matrix, frac,
+                             identity, invert, nullspace_rows, ones_vector, rank,
                              sherman_morrison_inverse, solve,
                              subspace_intersection, zeros)
 from rigidlab.sampling import random_exact_matrix, random_rational_matrix, subrng
@@ -131,3 +133,82 @@ def test_zeros_and_ones_dtypes():
     zf = zeros((2, 3), exact=False)
     assert zf.dtype == float
     assert ones_vector(4).sum() == 4
+
+
+def reference_rref(rows, ncols):
+    """Gauss-Jordan on Fractions: the kernel before integer elimination."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    lead = 0
+    for col in range(ncols):
+        piv = None
+        for i in range(lead, len(rows)):
+            if rows[i][col] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        rows[lead], rows[piv] = rows[piv], rows[lead]
+        inv = Fraction(1) / rows[lead][col]
+        if inv != 1:
+            rows[lead] = [e * inv for e in rows[lead]]
+        for i in range(len(rows)):
+            f = rows[i][col]
+            if i != lead and f != 0:
+                base = rows[lead]
+                rows[i] = [a - f * b for a, b in zip(rows[i], base)]
+        pivots.append(col)
+        lead += 1
+        if lead == len(rows):
+            break
+    return rows[:lead], pivots
+
+
+def _entries(max_den):
+    return st.one_of(st.just(Fraction(0)), st.integers(-9, 9).map(Fraction),
+                     st.fractions(-10 ** 6, 10 ** 6, max_denominator=max_den))
+
+
+def _grid(draw, nrows, ncols, max_den):
+    return [draw(st.lists(_entries(max_den), min_size=ncols, max_size=ncols))
+            for _ in range(nrows)]
+
+
+@st.composite
+def rational_matrices(draw):
+    """(rows, ncols): plain or low-rank products A @ B, with some rows and
+    columns zeroed, 0 to 6 rows, 0 to 7 columns, denominators up to 1e6."""
+    nrows = draw(st.integers(0, 6))
+    ncols = draw(st.integers(0, 7))
+    max_den = draw(st.sampled_from([1, 12, 10 ** 6]))
+    if nrows and ncols and draw(st.booleans()):
+        inner = draw(st.integers(1, min(nrows, ncols)))
+        a = _grid(draw, nrows, inner, max_den)
+        b = _grid(draw, inner, ncols, max_den)
+        rows = [[sum((a[i][t] * b[t][j] for t in range(inner)), Fraction(0))
+                 for j in range(ncols)] for i in range(nrows)]
+    else:
+        rows = _grid(draw, nrows, ncols, max_den)
+    for i in draw(st.sets(st.integers(0, max(nrows - 1, 0)), max_size=2)):
+        if i < nrows:
+            rows[i] = [Fraction(0)] * ncols
+    for j in draw(st.sets(st.integers(0, max(ncols - 1, 0)), max_size=2)):
+        if j < ncols:
+            for row in rows:
+                row[j] = Fraction(0)
+    return rows, ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices())
+def test_rref_matches_fraction_reference(case):
+    rows, ncols = case
+    red, pivots = _rref_exact(rows, ncols)
+    want_red, want_pivots = reference_rref(rows, ncols)
+    assert pivots == want_pivots
+    assert red == want_red
+    assert all(type(v) is Fraction for row in red for v in row)
+    m = np.empty((len(rows), ncols), dtype=object)
+    for i, row in enumerate(rows):
+        m[i, :] = row
+    assert rank(m) == len(want_pivots)

@@ -3,7 +3,7 @@ import pytest
 
 from rigidlab.errors import BadSupportError
 from rigidlab.linalg import exact_matrix, rank
-from rigidlab.motions import PointConfiguration
+from rigidlab.motions import PointConfiguration, trivial_motion_space
 from rigidlab.rigidity import (Framework, Graph, analyze, double_banana,
                                find_implied_k4, flex_space, henneberg_extend,
                                implied_pairs, is_generically_rigid,
@@ -131,3 +131,45 @@ def test_rank_of_rigidity_matrix_counts_constraints():
     m = rigidity_matrix(Framework(g, p))
     assert m.shape == (10, 15)
     assert rank(m) == 9
+
+
+def _octahedron() -> Graph:
+    antipodal = {(1, 2), (3, 4), (5, 6)}
+    return Graph.from_edges(6, [e for e in Graph.complete(6).sorted_edges()
+                                if e not in antipodal])
+
+
+K5E = Graph.complete(5).without_edges([(4, 5)])
+ISOSTATIC_CASES = [
+    ("K4", Graph.complete(4), True),
+    ("K5-e", K5E, True),
+    ("K5", Graph.complete(5), False),
+    ("octahedron", _octahedron(), True),
+    ("double-banana", double_banana(), False),
+    ("K5-e+0ext", henneberg_extend(K5E, [1, 2, 4], [], 3), True),
+]
+
+
+def _isostatic_by_deletion(fw: Framework) -> bool:
+    """Rigid, and deleting any one edge drops the rank."""
+    r = rigidity_matrix(fw)
+    base = rank(r)
+    p = fw.config
+    if p.dim * p.count - base != trivial_motion_space(p).dim:
+        return False
+    return all(rank(np.delete(r, idx, axis=0)) == base - 1
+               for idx in range(r.shape[0]))
+
+
+@pytest.mark.parametrize("scale", [None, 1e-3, 1.0, 1e3],
+                         ids=["exact", "float-1e-3", "float-1", "float-1e3"])
+@pytest.mark.parametrize("name, g, expected", ISOSTATIC_CASES,
+                         ids=[c[0] for c in ISOSTATIC_CASES])
+def test_isostatic_equals_edge_deletion_definition(name, g, expected, scale):
+    rng = subrng(2, "iso-def-" + name, 0)
+    if scale is None:
+        p = random_config(3, g.vertex_count, rng)
+    else:
+        p = random_config(3, g.vertex_count, rng, exact=False, bound=scale)
+    fw = Framework(g, p)
+    assert analyze(fw).is_isostatic == _isostatic_by_deletion(fw) == expected
