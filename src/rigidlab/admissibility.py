@@ -14,18 +14,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
 
 import numpy as np
 
 from . import linalg
 from .errors import (DegenerateConfigError, HypothesisViolatedError,
                      OnAffineSpanError, ParallelSpanError, SingularMatrixError)
-from .linalg import Subspace, diag_vector, frac, invert, ones_vector
+from .linalg import (Subspace, diag_vector, frac, invert, is_zero, ones_vector,
+                     sym_outer_rows)
 from .motions import (MotionSpace, PointConfiguration, affine_motion_parts,
                       linear_motion_matrix, p_equivalent, take_points,
                       trivial_motion_space)
-from .pins import PinContext, limit_velocity, pin_velocity
+from .pins import PinContext, pin_velocity, scale_factor
 from .sampling import (DEFAULT_BOUND, random_exact_vector, random_float_vector,
                        subrng)
 
@@ -87,15 +87,29 @@ class AdmissibilityReport:
     witness_failures: list = field(default_factory=list)
 
 
-def _sample_pin_positions(p: PointConfiguration, samples: int, seed: int,
-                          tag: str):
-    """Yield up to 10*samples candidate pin positions."""
+def _pin_samples(p: PointConfiguration, samples: int, seed: int, tag: str,
+                 evaluate):
+    """Yield (x, evaluate(x)) at the first `samples` valid pin positions.
+
+    Positions are drawn in R^p.dim from up to 10*samples (seed, tag)
+    substreams; a position where evaluate raises OnAffineSpanError is
+    skipped without being counted.
+    """
+    tested = 0
     for idx in range(10 * samples):
+        if tested == samples:
+            return
         rng = subrng(seed, tag, idx)
-        if p.exact:
-            yield random_exact_vector(3, rng)
-        else:
-            yield random_float_vector(3, rng, float(DEFAULT_BOUND))
+        x = (random_exact_vector(p.dim, rng) if p.exact
+             else random_float_vector(p.dim, rng, float(DEFAULT_BOUND)))
+        try:
+            value = evaluate(x)
+        except OnAffineSpanError:
+            continue
+        tested += 1
+        yield x, value
+    if tested < samples:
+        raise DegenerateConfigError("could not collect enough valid pin samples")
 
 
 def check_admissibility(p: PointConfiguration, s: MotionSpace,
@@ -113,27 +127,18 @@ def check_admissibility(p: PointConfiguration, s: MotionSpace,
         raise ValueError("candidate subspace must have positive dimension")
     triv = trivial_motion_space(p, tol)
     intersects = s.subspace.intersection(triv.subspace, tol).dim > 0
-    tested = 0
     ranks: list = []
     failures: list = []
-    for x in _sample_pin_positions(p, samples, seed, "pin-sample"):
-        if tested == samples:
-            break
-        try:
-            m = pin_mismatch_map(p, s, x, tol)
-        except OnAffineSpanError:
-            continue
-        tested += 1
+    for x, m in _pin_samples(p, samples, seed, "pin-sample",
+                             lambda x: pin_mismatch_map(p, s, x, tol)):
         rk = linalg.rank(m, tol)
         ranks.append(rk)
         if rk >= s.dim:
             failures.append(x)
-    if tested < samples:
-        raise DegenerateConfigError("could not collect enough valid pin samples")
     return AdmissibilityReport(
         candidate_dim=s.dim,
         intersects_trivial=intersects,
-        samples_tested=tested,
+        samples_tested=len(ranks),
         max_mismatch_rank=max(ranks),
         admissible=(not intersects) and not failures,
         sample_ranks=ranks,
@@ -157,7 +162,7 @@ def proportional_pair_space(p: PointConfiguration, k) -> MotionSpace:
     to the chord p1 - p2, and points 3,4,5 fixed."""
     _require_five_points(p)
     chord = p.point(1) - p.point(2)
-    if linalg.is_zero_matrix(chord):
+    if is_zero(chord):
         raise DegenerateConfigError("points 1 and 2 coincide")
     scale = frac(k) if p.exact else float(k)
     plane = linalg.nullspace_rows(chord.reshape(1, 3))
@@ -192,9 +197,7 @@ def sufficient_check(p: PointConfiguration, s: MotionSpace,
     for u in s.basis_motions():
         if linear_motion_matrix(p, u, tol) is None:
             return False
-        gap = _stress_gap(p, u, sides)
-        scale = 1.0 if p.exact else float(np.abs(u.astype(float)).max() or 1.0)
-        if not linalg.is_zero_matrix(gap, tol, scale):
+        if not is_zero(_stress_gap(p, u, sides), tol, u):
             return False
     return True
 
@@ -283,12 +286,9 @@ def projected_limit_mismatch(p: PointConfiguration, u: np.ndarray,
     c = side_r.q_inv.T @ ones - side_q.q_inv.T @ ones
     w_r = w @ side_r.q_inv
     bmat = (w_r - v @ side_q.q_inv).T
-    s = (side_r.q_inv @ x) @ ones
-    if p.exact:
-        if s == 0:
-            raise ParallelSpanError("x is parallel to the affine span of the r block")
-    elif abs(float(s)) <= linalg._tol(tol):
-        raise ParallelSpanError("x is (numerically) parallel to the affine span")
+    s = scale_factor(side_r, x)
+    if is_zero(s, tol):
+        raise ParallelSpanError("x is parallel to the affine span of the r block")
     quad = x @ (w_r.T @ x)
     return bmat @ x - c * (quad / s)
 
@@ -320,24 +320,10 @@ def one_dim_space_inadmissible(p: PointConfiguration, u: np.ndarray,
                             take_points(u, ids_r))
     except SingularMatrixError as exc:
         raise DegenerateConfigError(f"pin block is singular: {exc}") from exc
-    tested = 0
-    for idx in range(10 * samples):
-        if tested == samples:
-            break
-        rng = subrng(seed, "one-dim", idx)
-        x = (random_exact_vector(n, rng) if p.exact
-             else random_float_vector(n, rng, float(DEFAULT_BOUND)))
-        try:
-            delta = pin_velocity(side_q, x, tol) - pin_velocity(side_r, x, tol)
-        except OnAffineSpanError:
-            continue
-        tested += 1
-        scale = 1.0 if p.exact else float(np.abs(delta.astype(float)).max() or 1.0)
-        if linalg.is_zero_matrix(delta, tol, scale):
-            return False
-    if tested < samples:
-        raise DegenerateConfigError("could not collect enough valid pin samples")
-    return True
+    deltas = _pin_samples(
+        p, samples, seed, "one-dim",
+        lambda x: pin_velocity(side_q, x, tol) - pin_velocity(side_r, x, tol))
+    return not any(is_zero(delta, tol) for _, delta in deltas)
 
 
 class ClassificationKind(Enum):
@@ -382,24 +368,6 @@ def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sym_solve_rows(k_vec: np.ndarray):
-    """Rows of the linear system Sym(l k^T) = given, unknown l in R^3."""
-    rows = []
-    index = []
-    for a in range(3):
-        for b in range(a, 3):
-            coeff = [Fraction(0)] * 3
-            half = Fraction(1, 2) if isinstance(k_vec[0], Fraction) else 0.5
-            if a == b:
-                coeff[a] = k_vec[a]
-            else:
-                coeff[a] = k_vec[b] * half
-                coeff[b] = k_vec[a] * half
-            rows.append(coeff)
-            index.append((a, b))
-    return rows, index
-
-
 def classify_admissible(p: PointConfiguration, s: MotionSpace,
                         tol: float | None = None) -> Classification:
     """Normal form of an admissible 2-dimensional subspace.
@@ -425,8 +393,7 @@ def classify_admissible(p: PointConfiguration, s: MotionSpace,
     exact = p.exact
     ones = ones_vector(3, exact)
     c = r_inv.T @ ones - q_inv.T @ ones
-    scale_c = 1.0 if exact else float(np.abs(c.astype(float)).max() or 1.0)
-    if linalg.is_zero_matrix(c, tol, 1.0 if exact else scale_c):
+    if is_zero(c, tol):
         raise HypothesisViolatedError(
             "the two pin blocks have equal inverse-transpose row sums "
             "(coplanar configuration)")
@@ -438,7 +405,7 @@ def classify_admissible(p: PointConfiguration, s: MotionSpace,
 
     q1 = q[:, 0]
     d = _cross3(q1, c)
-    if linalg.is_zero_matrix(d, tol):
+    if is_zero(d, tol):
         raise HypothesisViolatedError("first point is zero or aligned with the "
                                       "row-sum gap; translate the configuration")
     cd = np.empty((3, 2), dtype=object if exact else float)
@@ -469,7 +436,7 @@ def classify_admissible(p: PointConfiguration, s: MotionSpace,
     rhs: list = []
     for k_vec, w_t in zip(k_vecs, w_shifted):
         target = (w_t @ r_inv).T
-        srows, index = _sym_solve_rows(k_vec)
+        srows, index = sym_outer_rows(k_vec)
         for row, (a, b) in zip(srows, index):
             rows.append(row)
             half = frac("1/2") if exact else 0.5
@@ -490,13 +457,7 @@ def classify_admissible(p: PointConfiguration, s: MotionSpace,
     weights[2] = front[2]
     weights[3] = rear[1]
     weights[4] = rear[2]
-    seam = front[0] - rear[0]
-    if exact:
-        seam_zero = seam == 0
-    else:
-        seam_zero = abs(float(seam)) <= linalg._tol(tol) * max(
-            1.0, abs(float(front[0])), abs(float(rear[0])))
-    if not seam_zero:
+    if not is_zero(front[0] - rear[0], tol, np.array([front[0], rear[0]])):
         return Classification(
             ClassificationKind.ANOMALY, None, None,
             "weight consistency across the shared point failed")

@@ -90,17 +90,10 @@ def affine_poly_dependence(l1, q1, l2, q2) -> PolyDependence:
     # Sym(outer(m, l_i)) == q_i, a linear system in m's coefficients.
     rows: list[list] = []
     rhs: list = []
-    half = frac("1/2")
     for l_vec, q_mat in ((l1, q1), (l2, q2)):
-        for a, b in tri:
-            coeff = [frac(0)] * (nvars + 1)
-            if a == b:
-                coeff[a] = l_vec[a]
-            else:
-                coeff[a] = l_vec[b] * half
-                coeff[b] = l_vec[a] * half
-            rows.append(coeff)
-            rhs.append(q_mat[a, b])
+        srows, index = linalg.sym_outer_rows(l_vec)
+        rows += srows
+        rhs += [q_mat[a, b] for a, b in index]
     solution = linalg.solve(np.array(rows, dtype=object),
                             np.array(rhs, dtype=object))
     if solution is not None:

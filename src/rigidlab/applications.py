@@ -18,9 +18,9 @@ from . import linalg
 from .errors import NotIsostaticError
 from .linalg import Subspace
 from .motions import PointConfiguration, skew_basis
-from .rigidity import (Framework, Graph, analyze, henneberg_extend,
-                       implied_pairs, is_generically_rigid, normalize_edge)
-from .sampling import random_config, subrng
+from .rigidity import (Graph, complete_quadruple, henneberg_extend,
+                       implied_pairs, is_generically_isostatic,
+                       is_generically_rigid, normalize_edge)
 
 
 def edge_conic_space(p: PointConfiguration, edges,
@@ -84,21 +84,6 @@ class ExtensionReport:
     consistent: bool
 
 
-def _is_generically_isostatic(g: Graph, n: int, seed: int) -> bool:
-    for idx in range(2):
-        p = random_config(n, g.vertex_count, subrng(seed, "isostatic", idx))
-        if analyze(Framework(g, p)).is_isostatic:
-            return True
-    return False
-
-
-def _find_implied_k4_in(implied: set, xs: list[int]):
-    for quad in combinations(xs, 4):
-        if all(pair in implied for pair in combinations(quad, 2)):
-            return quad
-    return None
-
-
 def _find_implied_probe(implied: set, xs: list[int]):
     """Triangle plus a pendant edge, all four edges implied; returns
     ((a, b, c), (t, d)) or None."""
@@ -125,7 +110,7 @@ def two_extension_report(g: Graph, x, e, f, n: int = 3,
     edges, or when a triangle-plus-pendant-edge subgraph is implied
     inside x.  The actual verdict comes from the generic-rank oracle.
     """
-    if not _is_generically_isostatic(g, n, seed):
+    if not is_generically_isostatic(g, n, seed):
         raise NotIsostaticError("base graph is not generically isostatic")
     e = normalize_edge(*e)
     f = normalize_edge(*f)
@@ -137,7 +122,7 @@ def two_extension_report(g: Graph, x, e, f, n: int = 3,
     support_edges = g.edges_within(xs)
     reduced = g.without_edges([e, f])
     implied = implied_pairs(reduced, combinations(xs, 2), n, seed)
-    k4 = _find_implied_k4_in(implied, xs)
+    k4 = complete_quadruple(implied, xs)
     probe = _find_implied_probe(implied, xs)
 
     predicted = None

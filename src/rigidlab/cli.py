@@ -401,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--backend", choices=("exact", "float"), default="exact",
                         help="arithmetic backend (default exact)")
     common.add_argument("--tol", type=float, default=None,
-                        help="rank tolerance for the float backend")
+                        help="float-backend zero and rank tolerance, in (0, 1)")
     common.add_argument("--format", dest="fmt", choices=("text", "jsonl"),
                         default="text", help="output format (default text)")
 
@@ -483,6 +483,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.samples is not None and args.samples < 1:
         parser.error("--samples must be a positive integer")
+    if args.tol is not None and not 0 < args.tol < 1:
+        parser.error("--tol must be a number in (0, 1)")
     out = Output(args.fmt)
     try:
         return args.func(args, out)

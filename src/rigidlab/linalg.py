@@ -1,11 +1,13 @@
 """Dense linear algebra over two scalar backends.
 
 Matrices are plain numpy arrays.  dtype object means the exact backend;
-any float dtype means the float64 backend (rank decisions go through an
-SVD with a relative tolerance).  Mixing backends in one call is a bug.
-Exact entries are fractions.Fraction at the boundary only: every exact
-rank, nullspace, solve and inverse runs _rref_exact, which is Bareiss
-fraction-free Gauss-Jordan elimination on Python ints.
+any float dtype means the float64 backend.  Mixing backends in one call
+is a bug.  is_zero holds the zero rule of each backend: exact values are
+zero when every entry == 0, float values when max|value| <= tol *
+max(scale, 1); float ranks count singular values above tol times the
+largest.  Exact entries are fractions.Fraction at the boundary only:
+every exact rank, nullspace, solve and inverse runs _rref_exact, which
+is Bareiss fraction-free Gauss-Jordan elimination on Python ints.
 """
 
 from __future__ import annotations
@@ -49,10 +51,6 @@ def exact_matrix(data) -> np.ndarray:
     return flat.reshape(arr.shape)
 
 
-def float_matrix(data) -> np.ndarray:
-    return np.array(data, dtype=float)
-
-
 def is_exact(m: np.ndarray) -> bool:
     return np.asarray(m).dtype == object
 
@@ -86,13 +84,25 @@ def to_float(m: np.ndarray) -> np.ndarray:
     return np.asarray(m, dtype=float)
 
 
-def is_zero_matrix(m: np.ndarray, tol: float | None = None, scale: float = 1.0) -> bool:
-    m = np.asarray(m)
-    if m.size == 0:
-        return True
-    if is_exact(m):
-        return all(v == 0 for v in m.reshape(-1))
-    return float(np.abs(m).max()) <= _tol(tol) * max(scale, 1.0)
+def is_zero(value, tol: float | None = None, scale=1.0) -> bool:
+    """The zero rule of both backends, for a scalar or an array.
+
+    Exact values (a Fraction, or an object array) are zero when every
+    entry == 0; scale is ignored.  Float values are zero when
+    max|value| <= tol * max(scale, 1), where scale is a number or an
+    array whose largest |entry| is used.  An empty array is zero.
+    """
+    if isinstance(value, float):
+        size = abs(value)
+    elif not isinstance(value, np.ndarray):
+        return value == 0
+    elif value.size == 0 or value.dtype == object:
+        return all(v == 0 for v in value.flat)
+    else:
+        size = float(np.abs(value).max())
+    if isinstance(scale, np.ndarray):
+        scale = float(np.abs(scale).max()) if scale.size else 0.0
+    return size <= _tol(tol) * max(scale, 1.0)
 
 
 def _rref_exact(rows: list[list[Fraction]], ncols: int):
@@ -139,6 +149,13 @@ def _rref_exact(rows: list[list[Fraction]], ncols: int):
     return reduced, pivots
 
 
+def _svd_rank(s: np.ndarray, tol: float | None) -> int:
+    """Count of singular values (largest first) above tol times the largest."""
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(s > _tol(tol) * s[0]))
+
+
 def _as_rows(m: np.ndarray) -> list[list[Fraction]]:
     return [[frac(v) for v in row] for row in np.atleast_2d(m)]
 
@@ -152,10 +169,7 @@ def rank(m: np.ndarray, tol: float | None = None) -> int:
     if is_exact(m):
         _, pivots = _rref_exact(_as_rows(m), m.shape[1])
         return len(pivots)
-    s = np.linalg.svd(m.astype(float), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > _tol(tol) * s[0]))
+    return _svd_rank(np.linalg.svd(m.astype(float), compute_uv=False), tol)
 
 
 def nullspace_rows(m: np.ndarray, tol: float | None = None) -> np.ndarray:
@@ -176,9 +190,7 @@ def nullspace_rows(m: np.ndarray, tol: float | None = None) -> np.ndarray:
     if m.size == 0:
         return np.eye(n)
     _, s, vh = np.linalg.svd(m.astype(float))
-    cutoff = _tol(tol) * (s[0] if s.size else 0.0)
-    r = int(np.count_nonzero(s > cutoff)) if s.size else 0
-    return vh[r:].copy()
+    return vh[_svd_rank(s, tol):].copy()
 
 
 def invert(m: np.ndarray, tol: float | None = None) -> np.ndarray:
@@ -244,6 +256,26 @@ def diag_vector(b: np.ndarray) -> np.ndarray:
     return np.array([b[i, i] for i in range(b.shape[0])], dtype=b.dtype)
 
 
+def sym_outer_rows(vec: np.ndarray):
+    """Rows of the linear system Sym(y vec^T) = S in the unknown y, one per
+    entry (a, b) of S with a <= b in row-major order, and those (a, b)."""
+    n = len(vec)
+    zero, half = (Fraction(0), Fraction(1, 2)) if is_exact(vec) else (0.0, 0.5)
+    rows = []
+    index = []
+    for a in range(n):
+        for b in range(a, n):
+            coeff = [zero] * n
+            if a == b:
+                coeff[a] = vec[a]
+            else:
+                coeff[a] = vec[b] * half
+                coeff[b] = vec[a] * half
+            rows.append(coeff)
+            index.append((a, b))
+    return rows, index
+
+
 def sherman_morrison_inverse(q: np.ndarray, x: np.ndarray,
                              tol: float | None = None) -> np.ndarray:
     """Inverse of (1 x^T - q^T) computed from q^{-1} by a rank-one update.
@@ -270,11 +302,8 @@ def _sherman_morrison_from_inverse(q_inv: np.ndarray, x: np.ndarray,
     ones = ones_vector(n, exact)
     qx = q_inv @ x
     denom = (Fraction(1) if exact else 1.0) - qx @ ones
-    if exact:
-        if denom == 0:
-            raise OnAffineSpanError("x lies on the affine span of the columns of q")
-    elif abs(float(denom)) <= _tol(tol) * max(1.0, float(np.abs(qx).max())):
-        raise OnAffineSpanError("x lies (numerically) on the affine span of q's columns")
+    if is_zero(denom, tol, qx):
+        raise OnAffineSpanError("x lies on the affine span of the columns of q")
     eye = identity(n, exact)
     return -(q_inv.T @ (eye + np.outer(ones, qx) / denom))
 
@@ -321,8 +350,7 @@ class Subspace:
         if not stacked.any():
             return cls(n, np.zeros((0, n)))
         _, s, vh = np.linalg.svd(stacked)
-        r = int(np.count_nonzero(s > _tol(tol) * s[0])) if s.size and s[0] > 0 else 0
-        return cls(n, vh[:r].copy())
+        return cls(n, vh[:_svd_rank(s, tol)].copy())
 
     @property
     def dim(self) -> int:
@@ -337,7 +365,7 @@ class Subspace:
         if v.shape[0] != self.ambient_dim:
             raise ValueError("vector does not match ambient dimension")
         if self.dim == 0:
-            return is_zero_matrix(v, tol)
+            return is_zero(v, tol)
         stacked = np.vstack([self.basis, v.reshape(1, -1)])
         return rank(stacked, tol) == self.dim
 
@@ -379,8 +407,3 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
-
-
-def subspace_intersection(a: Subspace, b: Subspace,
-                          tol: float | None = None) -> Subspace:
-    return a.intersection(b, tol)

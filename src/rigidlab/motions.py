@@ -14,7 +14,7 @@ from itertools import combinations
 import numpy as np
 
 from . import linalg
-from .linalg import Subspace, is_exact, zeros
+from .linalg import Subspace, is_exact, is_zero, zeros
 
 
 class PointConfiguration:
@@ -27,13 +27,6 @@ class PointConfiguration:
         if points.ndim != 2:
             raise ValueError("points must be an n x k matrix")
         self.points = points
-
-    @classmethod
-    def from_rows(cls, rows) -> "PointConfiguration":
-        """Build from a sequence of k points, each a length-n coordinate row."""
-        arr = np.array(rows, dtype=object if any(
-            is_exact(np.asarray(r)) for r in rows) else None)
-        return cls(np.asarray(arr).T)
 
     @property
     def dim(self) -> int:
@@ -51,12 +44,6 @@ class PointConfiguration:
         if not 1 <= i <= self.count:
             raise ValueError(f"point index {i} out of range 1..{self.count}")
         return self.points[:, i - 1]
-
-    def affine_span_dim(self, tol: float | None = None) -> int:
-        if self.count <= 1:
-            return 0
-        diffs = self.points[:, 1:] - self.points[:, [0]]
-        return linalg.rank(diffs.T, tol)
 
     def is_general_position(self, tol: float | None = None) -> bool:
         """True when every subset of at most dim+1 points is affinely independent."""
@@ -112,26 +99,27 @@ def skew_basis(n: int, exact: bool = True) -> list[np.ndarray]:
     return out
 
 
+def _preserves_distances(p: PointConfiguration, u: np.ndarray, ids,
+                         tol: float | None) -> bool:
+    """True when (u_a - u_b) . (p_a - p_b) is zero for every pair of the
+    1-based points ids; a float pair is scaled by |u_a - u_b| |p_a - p_b|."""
+    pts = p.points
+    for a, b in combinations(ids, 2):
+        du = u[:, a - 1] - u[:, b - 1]
+        dp = pts[:, a - 1] - pts[:, b - 1]
+        scale = 1.0 if p.exact else float(np.linalg.norm(du) * np.linalg.norm(dp))
+        if not is_zero(du @ dp, tol, scale):
+            return False
+    return True
+
+
 def is_infinitesimal_isometry(p: PointConfiguration, u: np.ndarray,
                               tol: float | None = None) -> bool:
     """True when u preserves every pairwise distance to first order."""
     u = np.asarray(u)
     if u.shape != p.points.shape:
         raise ValueError("motion shape does not match configuration")
-    pts = p.points
-    for i in range(p.count):
-        for j in range(i + 1, p.count):
-            du = u[:, i] - u[:, j]
-            dp = pts[:, i] - pts[:, j]
-            val = du @ dp
-            if p.exact:
-                if val != 0:
-                    return False
-            else:
-                scale = float(np.linalg.norm(du) * np.linalg.norm(dp))
-                if abs(float(val)) > linalg._tol(tol) * max(scale, 1.0):
-                    return False
-    return True
+    return _preserves_distances(p, u, range(1, p.count + 1), tol)
 
 
 class MotionSpace:
@@ -235,17 +223,4 @@ def restricts_to_isometry(p: PointConfiguration, s: MotionSpace, subset,
             raise ValueError(f"point index {i} out of range 1..{p.count}")
     if s.config != p:
         raise ValueError("motion space does not belong to this configuration")
-    pts = p.points
-    for u in s.basis_motions():
-        for a, b in combinations(ids, 2):
-            du = u[:, a - 1] - u[:, b - 1]
-            dp = pts[:, a - 1] - pts[:, b - 1]
-            val = du @ dp
-            if p.exact:
-                if val != 0:
-                    return False
-            else:
-                scale = float(np.linalg.norm(du) * np.linalg.norm(dp))
-                if abs(float(val)) > linalg._tol(tol) * max(scale, 1.0):
-                    return False
-    return True
+    return all(_preserves_distances(p, u, ids, tol) for u in s.basis_motions())

@@ -9,14 +9,11 @@ cone vertex recedes to infinity along a ray.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
-from . import linalg
 from .errors import ParallelSpanError
 from .linalg import (_sherman_morrison_from_inverse, diag_vector, invert,
-                     is_exact, ones_vector)
+                     is_exact, is_zero, ones_vector)
 
 
 class PinContext:
@@ -76,15 +73,11 @@ def limit_velocity(ctx: PinContext, x: np.ndarray,
     x = np.asarray(x)
     if x.shape != (ctx.size,):
         raise ValueError("x must be a vector matching the pin block")
-    exact = ctx.exact
-    ones = ones_vector(ctx.size, exact)
+    ones = ones_vector(ctx.size, ctx.exact)
     qx = ctx.q_inv @ x
     s = qx @ ones
-    if exact:
-        if s == 0:
-            raise ParallelSpanError("x is parallel to the affine span of q's columns")
-    elif abs(float(s)) <= linalg._tol(tol) * max(1.0, float(np.abs(qx.astype(float)).max())):
-        raise ParallelSpanError("x is (numerically) parallel to the affine span")
+    if is_zero(s, tol, qx):
+        raise ParallelSpanError("x is parallel to the affine span of q's columns")
     vtx = ctx.v.T @ x
     core = vtx - ones * ((qx @ vtx) / s)
     return -(ctx.q_inv.T @ core)
@@ -94,9 +87,3 @@ def scale_factor(ctx: PinContext, x: np.ndarray):
     """(q^{-1} x)^T 1, the denominator governing limit_velocity."""
     ones = ones_vector(ctx.size, ctx.exact)
     return (ctx.q_inv @ x) @ ones
-
-
-def pin_denominator(ctx: PinContext, x: np.ndarray):
-    """1 - (q^{-1} x)^T 1; zero exactly when x lies on the affine span."""
-    one = Fraction(1) if ctx.exact else 1.0
-    return one - scale_factor(ctx, x)

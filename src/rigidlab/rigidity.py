@@ -153,36 +153,42 @@ def analyze(fw: Framework, tol: float | None = None) -> RigidityReport:
                           is_isostatic=isostatic)
 
 
-def is_generically_rigid(g: Graph, n: int, seed: int = 0) -> bool:
-    """Rigidity of g in R^n at generic configurations.
-
-    One rigid witness decides; "not rigid" needs both samples to agree.
-    """
+def _generic_witness(g: Graph, n: int, seed: int, tag: str, holds) -> bool:
+    """True when holds(analyze(...)) at one of two random configurations:
+    one witness decides, a negative answer needs both samples to agree."""
     for idx in range(2):
-        p = random_config(n, g.vertex_count, subrng(seed, "generic-rigid", idx))
-        if analyze(Framework(g, p)).is_rigid:
+        p = random_config(n, g.vertex_count, subrng(seed, tag, idx))
+        if holds(analyze(Framework(g, p))):
             return True
     return False
 
 
+def is_generically_rigid(g: Graph, n: int, seed: int = 0) -> bool:
+    """Rigidity of g in R^n at generic configurations."""
+    return _generic_witness(g, n, seed, "generic-rigid", lambda r: r.is_rigid)
+
+
+def is_generically_isostatic(g: Graph, n: int, seed: int = 0) -> bool:
+    """Isostaticity of g in R^n at generic configurations."""
+    return _generic_witness(g, n, seed, "isostatic", lambda r: r.is_isostatic)
+
+
 def _implied_pairs_at(g: Graph, p: PointConfiguration, candidates) -> set:
-    """Pairs whose edge row already lies in the rigidity row space at p."""
-    pts = p.points
-    rows = [_edge_row(pts, i, j, True) for i, j in g.sorted_edges()]
-    ncols = p.dim * p.count
-    red, pivots = linalg._rref_exact(rows, ncols) if rows else ([], [])
-    out = set()
-    for pair in candidates:
-        if pair in g.edges:
-            out.add(pair)
-            continue
-        row = _edge_row(pts, pair[0], pair[1], True)
-        for ri, pc in enumerate(pivots):
-            f = row[pc]
-            if f != 0:
-                base = red[ri]
-                row = [a - f * b for a, b in zip(row, base)]
-        if all(v == 0 for v in row):
+    """Pairs whose edge row already lies in the rigidity row space at p.
+
+    One elimination of the columns [edge rows | new-pair rows]: a new
+    pair is implied when its column is no pivot and has no component
+    along a pivot column of another new pair.
+    """
+    out = {pair for pair in candidates if pair in g.edges}
+    new = [pair for pair in candidates if pair not in g.edges]
+    cols = [_edge_row(p.points, i, j, True) for i, j in g.sorted_edges() + new]
+    red, pivots = linalg._rref_exact(list(zip(*cols)), len(cols))
+    first = g.edge_count
+    blocking = [row for row, pc in zip(red, pivots) if pc >= first]
+    pivot_set = set(pivots)
+    for col, pair in enumerate(new, start=first):
+        if col not in pivot_set and all(row[col] == 0 for row in blocking):
             out.add(pair)
     return out
 
@@ -216,9 +222,14 @@ def find_implied_k4(g: Graph, x, n: int, seed: int = 0):
             raise ValueError(f"vertex {v} out of range 1..{g.vertex_count}")
     if len(xs) < 4:
         return None
-    implied = implied_pairs(g, combinations(xs, 2), n, seed)
+    return complete_quadruple(implied_pairs(g, combinations(xs, 2), n, seed), xs)
+
+
+def complete_quadruple(pairs: set, xs):
+    """First 4-subset of the sorted vertices xs (lexicographic) whose six
+    pairs all lie in pairs, or None."""
     for quad in combinations(xs, 4):
-        if all(pair in implied for pair in combinations(quad, 2)):
+        if all(pair in pairs for pair in combinations(quad, 2)):
             return quad
     return None
 

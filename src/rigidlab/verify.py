@@ -28,7 +28,7 @@ from .errors import OnAffineSpanError, ParallelSpanError, SingularMatrixError
 from .linalg import invert, ones_vector, sherman_morrison_inverse
 from .motions import (MotionSpace, PointConfiguration, p_equivalent,
                       restricts_to_isometry, trivial_motion_space)
-from .pins import PinContext, limit_velocity, pin_velocity
+from .pins import PinContext, limit_velocity, pin_velocity, scale_factor
 from .rigidity import (Framework, Graph, analyze, double_banana,
                        is_implied_edge)
 from .sampling import (random_config, random_exact_matrix,
@@ -83,8 +83,7 @@ def _pin_instance(seed: int, tag: str, idx: int, rational: bool = False):
             ctx = PinContext(q, v)
         except SingularMatrixError:
             continue
-        ones = ones_vector(3)
-        if (ctx.q_inv @ x) @ ones == 1:
+        if scale_factor(ctx, x) == 1:
             continue
         return ctx, x
     raise RuntimeError("could not sample a valid pin instance")

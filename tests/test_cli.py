@@ -218,3 +218,19 @@ def test_samples_must_be_positive(capsys):
         main(["verify", "--samples", "0"])
     assert excinfo.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "1", "2"])
+@pytest.mark.parametrize("command", ["analyze", "admissible"])
+def test_tol_must_lie_in_open_unit_interval(tmp_path, capsys, command, tol):
+    if command == "analyze":
+        argv = ["analyze", _graph_file(tmp_path, "k5e.json",
+                                       Graph.complete(5).without_edges([(4, 5)]))]
+    else:
+        argv = ["admissible", "--builtin", "example1", "--backend", "float"]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + ["--tol", tol])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tol" in captured.err

@@ -1,15 +1,17 @@
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rigidlab import linalg
 from rigidlab.errors import OnAffineSpanError, SingularMatrixError
 from rigidlab.linalg import (Subspace, _rref_exact, exact_matrix, frac,
-                             identity, invert, nullspace_rows, ones_vector, rank,
-                             sherman_morrison_inverse, solve,
-                             subspace_intersection, zeros)
+                             identity, invert, is_zero, nullspace_rows,
+                             ones_vector, rank, sherman_morrison_inverse, solve,
+                             zeros)
 from rigidlab.sampling import random_exact_matrix, random_rational_matrix, subrng
 
 
@@ -94,7 +96,7 @@ def test_subspace_intersection_and_join():
     b_only = random_exact_matrix(1, 5, rng, 9)[0]
     a = Subspace.from_spanning([shared, a_only], 5)
     b = Subspace.from_spanning([shared, b_only], 5)
-    meet = subspace_intersection(a, b)
+    meet = a.intersection(b)
     assert meet.dim == 1
     assert meet.contains(shared)
     join = a.join(b)
@@ -133,6 +135,38 @@ def test_zeros_and_ones_dtypes():
     zf = zeros((2, 3), exact=False)
     assert zf.dtype == float
     assert ones_vector(4).sum() == 4
+
+
+def test_is_zero_exact_values():
+    assert not is_zero(Fraction(1, 10**40))
+    assert is_zero(Fraction(0))
+    assert is_zero(exact_matrix([[0, 0], [0, 0]]))
+    assert not is_zero(exact_matrix([0, Fraction(1, 10**40)]))
+    # the scale never enters an exact decision
+    assert not is_zero(Fraction(1, 10**40), scale=10**60)
+
+
+def test_is_zero_empty_array():
+    assert is_zero(np.zeros(0))
+    assert is_zero(zeros((0, 3)))
+
+
+def test_is_zero_float_values():
+    assert is_zero(1e-10)
+    assert not is_zero(1e-8)
+    assert is_zero(np.float64(-1e-10))
+    assert is_zero(np.array([1e-10, -5e-10]))
+    assert not is_zero(np.array([1e-10, -1e-8]))
+    assert is_zero(1e-8, scale=100)
+    assert is_zero(1e-8, scale=np.array([100, -3]))
+    assert is_zero(np.array([1e-8]), scale=np.array([-100.0]))
+    assert not is_zero(1e-8, scale=np.array([0.5, -3]))
+    # a scale below 1 does not shrink the tolerance
+    assert is_zero(5e-10, scale=1e-3)
+    assert is_zero(np.array([5e-10]), scale=np.array([1e-3]))
+    assert not is_zero(2e-9, scale=1e-3)
+    assert is_zero(1e-6, tol=1e-5)
+    assert not is_zero(1e-6, tol=1e-7)
 
 
 def reference_rref(rows, ncols):
@@ -212,3 +246,10 @@ def test_rref_matches_fraction_reference(case):
     for i, row in enumerate(rows):
         m[i, :] = row
     assert rank(m) == len(want_pivots)
+
+
+def test_zero_rule_lives_in_linalg():
+    src = Path(linalg.__file__).parent
+    offenders = [path.name for path in sorted(src.glob("*.py"))
+                 if path.name != "linalg.py" and "_tol" in path.read_text()]
+    assert offenders == []

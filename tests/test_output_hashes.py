@@ -1,7 +1,8 @@
 """Byte-stability guard: --format jsonl output on fixed inputs.
 
-The sha256 digests were recorded from the Fraction-based elimination
-kernel; the integer kernel must reproduce them byte for byte.  Input
+The sha256 digests were recorded before the code they cover was
+refactored (the elimination kernel, the zero rule, the shared sampling
+and search helpers); the code must reproduce them byte for byte.  Input
 files are written under fixed relative names, because the manifest
 record echoes the paths it was given.
 """
@@ -34,6 +35,21 @@ CASES = [
      "db25d1278ea922867436c58691a60f9cabf7fb8fb417699bc6932f564d1963ad"),
     (["conic", "--probe", "triangle-and-path"], 0,
      "8d087452683c6b5ed3018b73b7f3d46f8223867008c9e2feebd86ee4c881fbcf"),
+    # Float zero tests: the c, d and seam tests of the classification.
+    (["admissible", "--builtin", "example1", "--backend", "float"], 0,
+     "31f0ee36ad7a4d28a74ba99a56205e2bc6a6cbb7864b281c69880b06c42d1bb4"),
+    (["admissible", "--builtin", "example2:3/7", "--backend", "float"], 0,
+     "451ef877aee340d725e91b6c91a068f48d4b2181cae9c75a992ed9b006d8eb1f"),
+    (["admissible", "--builtin", "constructed:1", "--backend", "float"], 0,
+     "0fa64e9336bebb0df78232405a2937aa1a9f1c2ebb55c4e5a7229b8eb8434480"),
+    (["conic", "--probe", "triangle-and-path", "--backend", "float"], 0,
+     "7711ceae647c3fa379696bc86035b9934c4f865ddc9cf9c3e29f479b7f1404c2"),
+    (["implied", "k5e.json", "--pair", "4", "5"], 0,
+     "675251048d667f72e9361fcb0d72a33d9017545bd43f0acff579aa72bc44b54a"),
+    # The isometry, pin-sample, two-sample and K4 helpers.
+    (["verify", "--checks", "admissible-family", "one-dim-inadmissible",
+      "extension-predictions", "--samples", "5", "--seed", "0"], 0,
+     "a69d4ca5d66ac66f985647664c2ff5dc8684daa179f72d5cb22142fba37b4d62"),
 ]
 
 

@@ -5,8 +5,8 @@ import pytest
 
 from rigidlab.errors import OnAffineSpanError, ParallelSpanError
 from rigidlab.linalg import exact_matrix, ones_vector, rank
-from rigidlab.pins import (PinContext, limit_velocity, pin_denominator,
-                           pin_velocity, scale_factor)
+from rigidlab.pins import (PinContext, limit_velocity, pin_velocity,
+                           scale_factor)
 from rigidlab.sampling import (random_exact_matrix, random_exact_vector,
                                random_float_matrix, random_float_vector, subrng)
 
@@ -20,7 +20,7 @@ def _instance(tag, idx, bound=100):
         if rank(q) < 3:
             continue
         ctx = PinContext(q, v)
-        if pin_denominator(ctx, x) == 0:
+        if 1 - scale_factor(ctx, x) == 0:
             continue
         return ctx, x
     raise AssertionError("sampling failed")
@@ -81,7 +81,7 @@ def test_affine_span_rejected():
     ctx, _ = _instance("span", 0)
     lam = exact_matrix([Fraction(1, 2), Fraction(1, 3), Fraction(1, 6)])
     on_span = ctx.q @ lam
-    assert pin_denominator(ctx, on_span) == 0
+    assert 1 - scale_factor(ctx, on_span) == 0
     with pytest.raises(OnAffineSpanError):
         pin_velocity(ctx, on_span)
 

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from rigidlab.errors import BadSupportError
-from rigidlab.linalg import exact_matrix, rank
+from rigidlab.linalg import _rref_exact, exact_matrix, rank
 from rigidlab.motions import PointConfiguration, trivial_motion_space
-from rigidlab.rigidity import (Framework, Graph, analyze, double_banana,
-                               find_implied_k4, flex_space, henneberg_extend,
-                               implied_pairs, is_generically_rigid,
-                               is_implied_edge, rigidity_matrix)
+from rigidlab.rigidity import (Framework, Graph, _edge_row, _implied_pairs_at,
+                               analyze, double_banana, find_implied_k4,
+                               flex_space, henneberg_extend, implied_pairs,
+                               is_generically_rigid, is_implied_edge,
+                               rigidity_matrix)
 from rigidlab.sampling import random_config, subrng
 
 
@@ -173,3 +174,45 @@ def test_isostatic_equals_edge_deletion_definition(name, g, expected, scale):
         p = random_config(3, g.vertex_count, rng, exact=False, bound=scale)
     fw = Framework(g, p)
     assert analyze(fw).is_isostatic == _isostatic_by_deletion(fw) == expected
+
+
+def _implied_pairs_by_row_reduction(g: Graph, p: PointConfiguration,
+                                    candidates) -> set:
+    """Reference: reduce each candidate's row against the RREF of the edge
+    rows in Fraction arithmetic; implied when nothing is left."""
+    pts = p.points
+    rows = [_edge_row(pts, i, j, True) for i, j in g.sorted_edges()]
+    red, pivots = _rref_exact(rows, p.dim * p.count) if rows else ([], [])
+    out = set()
+    for pair in candidates:
+        if pair in g.edges:
+            out.add(pair)
+            continue
+        row = _edge_row(pts, pair[0], pair[1], True)
+        for ri, pc in enumerate(pivots):
+            f = row[pc]
+            if f != 0:
+                row = [a - f * b for a, b in zip(row, red[ri])]
+        if all(v == 0 for v in row):
+            out.add(pair)
+    return out
+
+
+IMPLIED_CASES = [
+    ("double-banana", double_banana()),
+    ("octahedron", _octahedron()),
+    ("octahedron-minus-edge", _octahedron().without_edges([(1, 3)])),
+    ("K5-e", K5E),
+    ("K6-minus-matching-14-25-36",
+     Graph.complete(6).without_edges([(1, 4), (2, 5), (3, 6)])),
+]
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("name, g", IMPLIED_CASES, ids=[c[0] for c in IMPLIED_CASES])
+def test_implied_pairs_at_matches_row_reduction(name, g, seed):
+    p = random_config(3, g.vertex_count, subrng(seed, "implied-ref-" + name, 0))
+    vertices = range(1, g.vertex_count + 1)
+    candidates = [(i, j) for i in vertices for j in vertices if i < j]
+    assert _implied_pairs_at(g, p, candidates) == \
+        _implied_pairs_by_row_reduction(g, p, candidates)
