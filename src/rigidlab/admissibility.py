@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from fractions import Fraction
 
 import numpy as np
 
@@ -70,10 +69,7 @@ def pin_mismatch_map(p: PointConfiguration, s: MotionSpace, x: np.ndarray,
         delta = (pin_velocity(side_q.with_motion(v), x, tol)
                  - pin_velocity(side_r.with_motion(w), x, tol))
         cols.append(delta)
-    out = np.empty((3, len(cols)), dtype=object if p.exact else float)
-    for j, col in enumerate(cols):
-        out[:, j] = col
-    return out
+    return linalg.array(cols, p.exact).T
 
 
 @dataclass
@@ -150,9 +146,10 @@ def single_vertex_space(p: PointConfiguration) -> MotionSpace:
     """Motions moving point 1 in the span of e1, e2 and fixing the rest."""
     _require_five_points(p)
     basis = []
+    eye = linalg.identity(3, p.exact)
     for axis in (0, 1):
         u = linalg.zeros((3, 5), p.exact)
-        u[axis, 0] = frac(1) if p.exact else 1.0
+        u[:, 0] = eye[axis]
         basis.append(u)
     return MotionSpace.from_motions(p, basis)
 
@@ -215,18 +212,13 @@ def stress_matched_linear_space(p: PointConfiguration,
     sides = _pin_sides(p)
     gens = []
     gaps = []
-    one = frac(1) if p.exact else 1.0
     for a in range(3):
         for b in range(3):
-            m = linalg.zeros((3, 3), p.exact)
-            m[a, b] = one
-            u = m @ p.points
+            u = linalg.zeros((3, 5), p.exact)
+            u[a] = p.points[b]
             gens.append(u)
             gaps.append(_stress_gap(p, u, sides))
-    constraint = np.empty((3, 9), dtype=object if p.exact else float)
-    for j, gap in enumerate(gaps):
-        constraint[:, j] = gap
-    coeff_basis = linalg.nullspace_rows(constraint, tol)
+    coeff_basis = linalg.nullspace_rows(linalg.array(gaps, p.exact).T, tol)
     motions = []
     for coeffs in coeff_basis:
         u = linalg.zeros((3, 5), p.exact)
@@ -251,10 +243,8 @@ def construct_admissible_family(p: PointConfiguration, trials: int = 20,
     while len(out) < trials and attempt < limit:
         rng = subrng(seed, "family", attempt)
         attempt += 1
-        coeffs = [[frac(rng.randint(-9, 9)) for _ in range(space.dim)]
-                  for _ in range(2)]
-        if not p.exact:
-            coeffs = [[float(c) for c in row] for row in coeffs]
+        coeffs = linalg.array([[frac(rng.randint(-9, 9)) for _ in range(space.dim)]
+                               for _ in range(2)], p.exact)
         vecs = [sum((c * b for c, b in zip(row, basis)),
                     linalg.zeros(space.subspace.ambient_dim, p.exact))
                 for row in coeffs]
@@ -353,10 +343,10 @@ def _normalize_weights(z: np.ndarray) -> np.ndarray:
     """
     values = list(z)
     best = max(values, key=lambda v: (values.count(v), -values.index(v)))
-    shifted = np.array([v - best for v in values], dtype=object)
+    shifted = linalg.array([v - best for v in values])
     for v in shifted:
         if v != 0:
-            return shifted * (Fraction(1) / Fraction(v))
+            return shifted / v
     return shifted
 
 
@@ -408,9 +398,7 @@ def classify_admissible(p: PointConfiguration, s: MotionSpace,
     if is_zero(d, tol):
         raise HypothesisViolatedError("first point is zero or aligned with the "
                                       "row-sum gap; translate the configuration")
-    cd = np.empty((3, 2), dtype=object if exact else float)
-    cd[:, 0] = c
-    cd[:, 1] = d
+    cd = linalg.array([c, d], exact).T
 
     k_vecs = []
     w_shifted = []
@@ -423,7 +411,7 @@ def classify_admissible(p: PointConfiguration, s: MotionSpace,
                 ClassificationKind.ANOMALY, None, None,
                 "mismatch columns leave the plane orthogonal to p1")
         shift = -coeffs[0]
-        k_vecs.append(np.array(list(coeffs[1]), dtype=object if exact else float))
+        k_vecs.append(coeffs[1])
         w_shifted.append(w + np.outer(shift, ones))
 
     plane = Subspace.from_spanning(k_vecs, 3, tol)
@@ -439,24 +427,16 @@ def classify_admissible(p: PointConfiguration, s: MotionSpace,
         srows, index = sym_outer_rows(k_vec)
         for row, (a, b) in zip(srows, index):
             rows.append(row)
-            half = frac("1/2") if exact else 0.5
-            value = target[a, b] if a == b else (target[a, b] + target[b, a]) * half
-            rhs.append(value)
-    lhs = np.array(rows, dtype=object if exact else float)
-    lvec = linalg.solve(lhs, np.array(rhs, dtype=object if exact else float), tol)
+            rhs.append(target[a, b] if a == b else (target[a, b] + target[b, a]) / 2)
+    lvec = linalg.solve(linalg.array(rows, exact), linalg.array(rhs, exact), tol)
     if lvec is None:
         return Classification(
             ClassificationKind.ANOMALY, None, None,
             "no common linear part solves the symmetric-part equations")
 
-    weights = np.empty(5, dtype=object if exact else float)
     front = r.T @ lvec
     rear = q.T @ (lvec - d)
-    weights[0] = front[0]
-    weights[1] = front[1]
-    weights[2] = front[2]
-    weights[3] = rear[1]
-    weights[4] = rear[2]
+    weights = linalg.array([*front, *rear[1:]], exact)
     if not is_zero(front[0] - rear[0], tol, np.array([front[0], rear[0]])):
         return Classification(
             ClassificationKind.ANOMALY, None, None,

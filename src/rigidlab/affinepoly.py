@@ -28,8 +28,7 @@ class PolyDependence(Enum):
 
 
 def _as_linear(l) -> np.ndarray:
-    arr = exact_matrix(np.asarray(l, dtype=object).reshape(-1))
-    return arr
+    return exact_matrix(l).reshape(-1)
 
 
 def _as_quadratic(q, nvars: int) -> np.ndarray:
@@ -50,7 +49,7 @@ def linear_value(l: np.ndarray, z) -> object:
 
 
 def quadratic_value(q: np.ndarray, z) -> object:
-    zhat = np.array([frac(1)] + [frac(v) for v in z], dtype=object)
+    zhat = linalg.array([frac(v) for v in (1, *z)])
     return zhat @ (exact_matrix(q) @ zhat)
 
 
@@ -76,9 +75,9 @@ def affine_poly_dependence(l1, q1, l2, q2) -> PolyDependence:
     q2 = _as_quadratic(q2, nvars)
 
     tri = [(a, b) for a in range(nvars + 1) for b in range(a, nvars + 1)]
-    long1 = np.array(list(l1) + [q1[a, b] for a, b in tri], dtype=object)
-    long2 = np.array(list(l2) + [q2[a, b] for a, b in tri], dtype=object)
-    if linalg.rank(np.vstack([long1, long2])) <= 1:
+    longs = linalg.array([[*l, *(q[a, b] for a, b in tri)]
+                          for l, q in ((l1, q1), (l2, q2))])
+    if linalg.rank(longs) <= 1:
         return PolyDependence.DEPENDENT_PAIR
 
     zero1 = all(v == 0 for v in l1)
@@ -94,8 +93,6 @@ def affine_poly_dependence(l1, q1, l2, q2) -> PolyDependence:
         srows, index = linalg.sym_outer_rows(l_vec)
         rows += srows
         rhs += [q_mat[a, b] for a, b in index]
-    solution = linalg.solve(np.array(rows, dtype=object),
-                            np.array(rhs, dtype=object))
-    if solution is not None:
+    if linalg.solve(linalg.array(rows), linalg.array(rhs)) is not None:
         return PolyDependence.COMMON_LINEAR_FACTOR
     return PolyDependence.NONE

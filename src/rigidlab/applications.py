@@ -47,10 +47,7 @@ def edge_conic_space(p: PointConfiguration, edges,
         rows.append(np.outer(d, d).reshape(-1))
     if not rows:
         return Subspace(n * n, linalg.identity(n * n, p.exact))
-    mat = np.empty((len(rows), n * n), dtype=object if p.exact else float)
-    for r, row in enumerate(rows):
-        mat[r, :] = row
-    return Subspace(n * n, linalg.nullspace_rows(mat, tol))
+    return Subspace(n * n, linalg.nullspace_rows(linalg.array(rows, p.exact), tol))
 
 
 def skew_matrix_space(n: int = 3, exact: bool = True) -> Subspace:

@@ -28,11 +28,8 @@ from .admissibility import (check_admissibility, classify_admissible,
                             construct_admissible_family,
                             proportional_pair_space, single_vertex_space)
 from .applications import conic_probe_graphs, edge_conic_space, skew_matrix_space
-from .errors import (BadSupportError, DegenerateConfigError,
-                     HypothesisViolatedError, NotIsostaticError,
-                     OnAffineSpanError, ParallelSpanError, ParseError,
-                     SingularMatrixError)
-from .linalg import frac
+from .errors import BadSupportError, ParseError, RigidLabError
+from .linalg import zeros
 from .motions import MotionSpace, PointConfiguration
 from .rigidity import (Framework, Graph, analyze, henneberg_extend,
                        implied_pairs, is_generically_rigid, is_implied_edge)
@@ -47,11 +44,6 @@ exit codes:
   3  an input file or builtin token failed to parse
   4  the input is degenerate for the requested computation
 """
-
-DEGENERATE_ERRORS = (DegenerateConfigError, HypothesisViolatedError,
-                     NotIsostaticError, OnAffineSpanError, ParallelSpanError,
-                     SingularMatrixError)
-
 
 @dataclass
 class Manifest:
@@ -141,20 +133,15 @@ def load_graph(path: str) -> Graph:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _parse_scalar(value, exact: bool, where: str):
-    if isinstance(value, bool):
+def _parse_scalar(value, where: str) -> Fraction:
+    """An int, a finite float (read from its shortest repr) or an 'a/b'
+    string, as a Fraction; the float backend rounds it back on assignment."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ParseError(f"{where}: expected a number or 'a/b' string")
-    if isinstance(value, str):
-        try:
-            out = Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"{where}: bad rational {value!r}") from exc
-        return out if exact else float(out)
-    if isinstance(value, int):
-        return Fraction(value) if exact else float(value)
-    if isinstance(value, float):
-        return frac(value) if exact else value
-    raise ParseError(f"{where}: expected a number or 'a/b' string")
+    try:
+        return Fraction(repr(value) if isinstance(value, float) else value)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"{where}: {value!r} is not a finite rational") from exc
 
 
 def load_config(path: str, exact: bool) -> PointConfiguration:
@@ -164,12 +151,12 @@ def load_config(path: str, exact: bool) -> PointConfiguration:
     _expect(_is_index(dim) and dim >= 1, f"{path}: field 'dim' must be a positive integer")
     points = data.get("points")
     _expect(isinstance(points, list) and points, f"{path}: field 'points' must be a non-empty list")
-    mat = np.empty((dim, len(points)), dtype=object if exact else float)
+    mat = zeros((dim, len(points)), exact)
     for j, row in enumerate(points):
         _expect(isinstance(row, list) and len(row) == dim,
                 f"{path}: points[{j}] must be a list of {dim} coordinates")
         for i, value in enumerate(row):
-            mat[i, j] = _parse_scalar(value, exact, f"{path}: points[{j}][{i}]")
+            mat[i, j] = _parse_scalar(value, f"{path}: points[{j}][{i}]")
     return PointConfiguration(mat)
 
 
@@ -183,12 +170,12 @@ def load_subspace(path: str, p: PointConfiguration, exact: bool,
     for b, rows in enumerate(basis):
         _expect(isinstance(rows, list) and len(rows) == p.dim,
                 f"{path}: basis[{b}] must have {p.dim} rows")
-        u = np.empty((p.dim, p.count), dtype=object if exact else float)
+        u = zeros((p.dim, p.count), exact)
         for i, row in enumerate(rows):
             _expect(isinstance(row, list) and len(row) == p.count,
                     f"{path}: basis[{b}][{i}] must have {p.count} entries")
             for j, value in enumerate(row):
-                u[i, j] = _parse_scalar(value, exact, f"{path}: basis[{b}][{i}][{j}]")
+                u[i, j] = _parse_scalar(value, f"{path}: basis[{b}][{i}][{j}]")
         motions.append(u)
     return MotionSpace.from_motions(p, motions, tol)
 
@@ -491,7 +478,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"rigidlab: parse error: {exc}", file=sys.stderr)
         return 3
-    except DEGENERATE_ERRORS as exc:
+    except RigidLabError as exc:
         print(f"rigidlab: degenerate input: {exc}", file=sys.stderr)
         return 4
     except (BadSupportError, ValueError) as exc:

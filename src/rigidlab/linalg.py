@@ -8,6 +8,11 @@ max(scale, 1); float ranks count singular values above tol times the
 largest.  Exact entries are fractions.Fraction at the boundary only:
 every exact rank, nullspace, solve and inverse runs _rref_exact, which
 is Bareiss fraction-free Gauss-Jordan elimination on Python ints.
+
+Only this module names the array format of a backend: other modules
+build their matrices with array, zeros, identity, ones_vector or
+exact_matrix.  A float solve is consistent when its least-squares
+residual is zero by is_zero against |A||x| and |b|, entry by entry.
 """
 
 from __future__ import annotations
@@ -51,6 +56,15 @@ def exact_matrix(data) -> np.ndarray:
     return flat.reshape(arr.shape)
 
 
+def array(rows, exact: bool = True) -> np.ndarray:
+    """One matrix of the backend from nested rows or a list of 1-D arrays.
+
+    Exact entries are kept as given, so they must already be Fractions;
+    float entries are converted to float64.
+    """
+    return np.array(rows, dtype=object if exact else float)
+
+
 def is_exact(m: np.ndarray) -> bool:
     return np.asarray(m).dtype == object
 
@@ -58,9 +72,7 @@ def is_exact(m: np.ndarray) -> bool:
 def zeros(shape, exact: bool = True) -> np.ndarray:
     if not exact:
         return np.zeros(shape)
-    out = np.empty(shape, dtype=object)
-    out[...] = Fraction(0)
-    return out
+    return np.full(shape, Fraction(0), dtype=object)
 
 
 def identity(n: int, exact: bool = True) -> np.ndarray:
@@ -75,9 +87,7 @@ def identity(n: int, exact: bool = True) -> np.ndarray:
 def ones_vector(n: int, exact: bool = True) -> np.ndarray:
     if not exact:
         return np.ones(n)
-    out = np.empty(n, dtype=object)
-    out[:] = Fraction(1)
-    return out
+    return np.full(n, Fraction(1), dtype=object)
 
 
 def to_float(m: np.ndarray) -> np.ndarray:
@@ -207,18 +217,16 @@ def invert(m: np.ndarray, tol: float | None = None) -> np.ndarray:
     red, pivots = _rref_exact(aug, 2 * n)
     if pivots[:n] != list(range(n)):
         raise SingularMatrixError("matrix is singular")
-    out = zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = red[i][n + j]
-    return out
+    return array([row[n:] for row in red])
 
 
 def solve(a: np.ndarray, b: np.ndarray, tol: float | None = None):
     """One solution of a @ x = b, or None when inconsistent.
 
     b may be a vector or a matrix of stacked right-hand sides; free
-    variables are set to zero.
+    variables are set to zero.  A float system is consistent when the
+    least-squares residual is zero by is_zero, scaled by the largest
+    entry of |a| @ |x| and of |b|.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -240,10 +248,7 @@ def solve(a: np.ndarray, b: np.ndarray, tol: float | None = None):
     af = a.astype(float)
     bf = brows.astype(float)
     x, *_ = np.linalg.lstsq(af, bf, rcond=None)
-    resid = af @ x - bf
-    scale = max(1.0, float(np.abs(af).max()) * max(1.0, float(np.abs(x).max())),
-                float(np.abs(bf).max()))
-    if float(np.abs(resid).max()) > _tol(tol) * scale * max(af.shape):
+    if not is_zero(af @ x - bf, tol, np.hstack([np.abs(af) @ np.abs(x), bf])):
         return None
     return x[:, 0] if vector_rhs else x
 
@@ -301,7 +306,7 @@ def _sherman_morrison_from_inverse(q_inv: np.ndarray, x: np.ndarray,
     exact = is_exact(q_inv)
     ones = ones_vector(n, exact)
     qx = q_inv @ x
-    denom = (Fraction(1) if exact else 1.0) - qx @ ones
+    denom = 1 - qx @ ones
     if is_zero(denom, tol, qx):
         raise OnAffineSpanError("x lies on the affine span of the columns of q")
     eye = identity(n, exact)
@@ -340,12 +345,8 @@ class Subspace:
         exact = any(is_exact(r) for r in rows)
         if exact:
             stacked = np.vstack([exact_matrix(r).reshape(1, -1) for r in rows])
-            red, pivots = _rref_exact(_as_rows(stacked), n)
-            basis = zeros((len(pivots), n))
-            for i, row in enumerate(red):
-                for j, v in enumerate(row):
-                    basis[i, j] = v
-            return cls(n, basis)
+            red, _ = _rref_exact(_as_rows(stacked), n)
+            return cls(n, array(red))
         stacked = np.vstack([r.astype(float) for r in rows])
         if not stacked.any():
             return cls(n, np.zeros((0, n)))

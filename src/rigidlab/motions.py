@@ -89,12 +89,12 @@ def unflatten_motion(vec: np.ndarray, dim: int, count: int) -> np.ndarray:
 def skew_basis(n: int, exact: bool = True) -> list[np.ndarray]:
     """Standard basis of the skew-symmetric n x n matrices."""
     out = []
-    one = linalg.frac(1) if exact else 1.0
+    eye = linalg.identity(n, exact)
     for i in range(n):
         for j in range(i + 1, n):
             a = zeros((n, n), exact)
-            a[i, j] = one
-            a[j, i] = -one
+            a[i] = eye[j]
+            a[j] -= eye[i]
             out.append(a)
     return out
 
@@ -165,10 +165,10 @@ def trivial_motion_space(p: PointConfiguration,
     """
     n, k, exact = p.dim, p.count, p.exact
     gens = []
-    one = linalg.frac(1) if exact else 1.0
+    ones = linalg.ones_vector(k, exact)
     for j in range(n):
         t = zeros((n, k), exact)
-        t[j, :] = one
+        t[j] = ones
         gens.append(t)
     for a in skew_basis(n, exact):
         gens.append(a @ p.points)

@@ -15,7 +15,6 @@ import numpy as np
 
 from . import linalg
 from .errors import BadSupportError
-from .linalg import frac
 from .motions import MotionSpace, PointConfiguration, trivial_motion_space
 from .sampling import random_config, subrng
 
@@ -108,7 +107,7 @@ def _edge_row(pts: np.ndarray, i: int, j: int, exact: bool) -> list:
     """Row of the rigidity matrix for edge (i, j), 1-based, flattened
     column-major over points."""
     n, k = pts.shape
-    row = [frac(0) if exact else 0.0] * (n * k)
+    row = linalg.zeros(n * k, exact).tolist()
     diff = pts[:, i - 1] - pts[:, j - 1]
     for c in range(n):
         row[n * (i - 1) + c] = diff[c]
@@ -122,10 +121,7 @@ def rigidity_matrix(fw: Framework) -> np.ndarray:
     rows = [_edge_row(p.points, i, j, p.exact) for i, j in fw.graph.sorted_edges()]
     if not rows:
         return linalg.zeros((0, p.dim * p.count), p.exact)
-    out = np.empty((len(rows), p.dim * p.count), dtype=object if p.exact else float)
-    for r, row in enumerate(rows):
-        out[r, :] = row
-    return out
+    return linalg.array(rows, p.exact)
 
 
 def flex_space(fw: Framework, tol: float | None = None) -> MotionSpace:

@@ -32,10 +32,7 @@ def random_exact_matrix(nrows: int, ncols: int, rng: random.Random,
 
 def random_exact_vector(n: int, rng: random.Random,
                         bound: int = DEFAULT_BOUND) -> np.ndarray:
-    out = np.empty(n, dtype=object)
-    for i in range(n):
-        out[i] = Fraction(rng.randint(-bound, bound))
-    return out
+    return random_exact_matrix(1, n, rng, bound)[0]
 
 
 def random_rational_matrix(nrows: int, ncols: int, rng: random.Random,

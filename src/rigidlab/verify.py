@@ -322,15 +322,14 @@ def _check_extensions(seed: int, samples: int | None):
 
 def _random_affine_linear(rng, allow_zero: bool = False) -> np.ndarray:
     while True:
-        vec = np.array([Fraction(rng.randint(-9, 9)) for _ in range(4)],
-                       dtype=object)
+        vec = linalg.array([Fraction(rng.randint(-9, 9)) for _ in range(4)])
         if allow_zero or any(c != 0 for c in vec[1:]):
             return vec
 
 
 def _random_affine_quadratic(rng) -> np.ndarray:
-    raw = np.array([[Fraction(rng.randint(-9, 9)) for _ in range(4)]
-                    for _ in range(4)], dtype=object)
+    raw = linalg.array([[Fraction(rng.randint(-9, 9)) for _ in range(4)]
+                        for _ in range(4)])
     return (raw + raw.T) * Fraction(1, 2)
 
 
@@ -343,17 +342,14 @@ def _poly_case_instance(case: PolyDependence, rng):
             lam = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
         return l1, q1, l1 * lam, q1 * lam
     if case is PolyDependence.BOTH_LINEAR_ZERO:
-        zero = np.array([Fraction(0)] * 4, dtype=object)
+        zero = linalg.zeros(4)
         return zero, _random_affine_quadratic(rng), zero.copy(), _random_affine_quadratic(rng)
     if case is PolyDependence.COMMON_LINEAR_FACTOR:
         while True:
             m = _random_affine_linear(rng)
             l1 = _random_affine_linear(rng)
             l2 = _random_affine_linear(rng)
-            pair = np.empty((2, 4), dtype=object)
-            pair[0] = l1
-            pair[1] = l2
-            if linalg.rank(pair) == 2:
+            if linalg.rank(linalg.array([l1, l2])) == 2:
                 return l1, linear_product_matrix(m, l1), l2, linear_product_matrix(m, l2)
     while True:
         l1 = _random_affine_linear(rng)

@@ -1,9 +1,7 @@
-import numpy as np
 import pytest
 
-from rigidlab.applications import (ExtensionReport, conic_probe_graphs,
-                                   edge_conic_space, skew_matrix_space,
-                                   two_extension_report)
+from rigidlab.applications import (conic_probe_graphs, edge_conic_space,
+                                   skew_matrix_space, two_extension_report)
 from rigidlab.errors import BadSupportError, NotIsostaticError
 from rigidlab.linalg import exact_matrix
 from rigidlab.motions import PointConfiguration

@@ -2,8 +2,12 @@ import json
 
 import pytest
 
+import rigidlab.cli as cli
 import rigidlab.verify as verify
 from rigidlab.cli import main
+from rigidlab.errors import (DegenerateConfigError, HypothesisViolatedError,
+                             NotIsostaticError, OnAffineSpanError,
+                             ParallelSpanError, SingularMatrixError)
 from rigidlab.rigidity import Graph, double_banana
 
 STANDARD_POINTS = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [1, 2, 3]]
@@ -234,3 +238,41 @@ def test_tol_must_lie_in_open_unit_interval(tmp_path, capsys, command, tol):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "--tol" in captured.err
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("kind", ["config", "subspace"])
+def test_non_finite_coordinates_are_parse_errors(tmp_path, capsys, kind, value,
+                                                 backend):
+    # json writes these as the literals NaN, Infinity and -Infinity
+    if kind == "config":
+        points = [row[:] for row in STANDARD_POINTS]
+        points[2][2] = value
+        argv = [_config_file(tmp_path, "p.json", points), "--builtin", "example1"]
+        entry = "points[2][2]"
+    else:
+        motion = [[1, 0, 0, 0, 0], [0, value, 0, 0, 0], [0, 0, 0, 0, 0]]
+        argv = [_config_file(tmp_path, "p.json", STANDARD_POINTS), "--subspace",
+                _write(tmp_path, "s.json", {"basis": [motion]})]
+        entry = "basis[0][1][1]"
+    assert main(["admissible", *argv, "--backend", backend]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "parse error" in captured.err
+    assert entry in captured.err
+
+
+@pytest.mark.parametrize("error", [DegenerateConfigError, HypothesisViolatedError,
+                                   NotIsostaticError, OnAffineSpanError,
+                                   ParallelSpanError, SingularMatrixError])
+def test_content_errors_exit_4(tmp_path, monkeypatch, capsys, error):
+    def degenerate(*args, **kwargs):
+        raise error("stubbed")
+
+    monkeypatch.setattr(cli, "analyze", degenerate)
+    graph = _graph_file(tmp_path, "k4.json", Graph.complete(4))
+    assert main(["analyze", graph]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "degenerate input: stubbed" in captured.err

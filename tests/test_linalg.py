@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -253,3 +254,27 @@ def test_zero_rule_lives_in_linalg():
     offenders = [path.name for path in sorted(src.glob("*.py"))
                  if path.name != "linalg.py" and "_tol" in path.read_text()]
     assert offenders == []
+
+
+def test_backend_format_lives_in_linalg():
+    src = Path(linalg.__file__).parent
+    offenders = [path.name for path in sorted(src.glob("*.py"))
+                 if path.name != "linalg.py" and "dtype=object" in path.read_text()]
+    assert offenders == []
+
+
+@pytest.mark.parametrize("seed", [1, 4])
+def test_float_solve_consistency_matches_exact_at_large_scale(seed):
+    """Is a motion of point 1 alone affine?  On five points with
+    coordinates in 1e6 * [-9, 9] the least-squares fit puts a large entry
+    on the ones column, so the float residual must be judged against
+    |A||x| entry by entry, not against max|A| * max|x|."""
+    r = random.Random(seed)
+    pts = exact_matrix([[r.randint(-9, 9) * 10**6 for _ in range(3)]
+                        for _ in range(5)])
+    lhs = np.hstack([pts, ones_vector(5).reshape(-1, 1)])
+    for axis in range(3):
+        rhs = zeros((5, 3))
+        rhs[0, axis] = Fraction(1)
+        float_x = solve(linalg.to_float(lhs), linalg.to_float(rhs))
+        assert (float_x is None) == (solve(lhs, rhs) is None)
