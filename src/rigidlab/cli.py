@@ -133,15 +133,16 @@ def load_graph(path: str) -> Graph:
         raise ParseError(f"{path}: {exc}") from exc
 
 
-def _parse_scalar(value, where: str) -> Fraction:
-    """An int, a finite float (read from its shortest repr) or an 'a/b'
-    string, as a Fraction; the float backend rounds it back on assignment."""
+def _store_scalar(mat, index, value, where: str) -> None:
+    """Store value at mat[index] as a Fraction; a float matrix rounds it."""
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ParseError(f"{where}: expected a number or 'a/b' string")
     try:
-        return Fraction(repr(value) if isinstance(value, float) else value)
+        mat[index] = Fraction(repr(value) if isinstance(value, float) else value)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"{where}: {value!r} is not a finite rational") from exc
+    except OverflowError as exc:
+        raise ParseError(f"{where}: magnitude beyond the float64 range") from exc
 
 
 def load_config(path: str, exact: bool) -> PointConfiguration:
@@ -156,7 +157,7 @@ def load_config(path: str, exact: bool) -> PointConfiguration:
         _expect(isinstance(row, list) and len(row) == dim,
                 f"{path}: points[{j}] must be a list of {dim} coordinates")
         for i, value in enumerate(row):
-            mat[i, j] = _parse_scalar(value, f"{path}: points[{j}][{i}]")
+            _store_scalar(mat, (i, j), value, f"{path}: points[{j}][{i}]")
     return PointConfiguration(mat)
 
 
@@ -175,7 +176,7 @@ def load_subspace(path: str, p: PointConfiguration, exact: bool,
             _expect(isinstance(row, list) and len(row) == p.count,
                     f"{path}: basis[{b}][{i}] must have {p.count} entries")
             for j, value in enumerate(row):
-                u[i, j] = _parse_scalar(value, f"{path}: basis[{b}][{i}][{j}]")
+                _store_scalar(u, (i, j), value, f"{path}: basis[{b}][{i}][{j}]")
         motions.append(u)
     return MotionSpace.from_motions(p, motions, tol)
 

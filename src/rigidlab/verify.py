@@ -11,6 +11,8 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
+from operator import mul
 
 import numpy as np
 
@@ -20,8 +22,7 @@ from .admissibility import (check_admissibility, classify_admissible,
                             one_dim_space_inadmissible,
                             proportional_pair_space, single_vertex_space,
                             stress_matched_linear_space, sufficient_check)
-from .affinepoly import (PolyDependence, affine_poly_dependence, linear_value,
-                         linear_product_matrix, quadratic_value)
+from .affinepoly import PolyDependence, affine_poly_dependence, linear_product_matrix
 from .applications import (conic_probe_graphs, edge_conic_space,
                            skew_matrix_space, two_extension_report)
 from .errors import OnAffineSpanError, ParallelSpanError, SingularMatrixError
@@ -249,8 +250,7 @@ def _check_family(seed: int, samples: int | None):
 def _check_one_dim(seed: int, samples: int | None):
     count = _count(samples, 50)
     for idx in range(count):
-        p = _general_config(seed, "one-dim-config", idx, dim=3, count=4,
-                            bound=SMALL_BOUND)
+        p = _general_config(seed, "one-dim-config", idx, count=4)
         triv = trivial_motion_space(p)
         u = None
         for shift in range(20):
@@ -361,11 +361,20 @@ def _poly_case_instance(case: PolyDependence, rng):
 
 
 def _values_dependent(l1, q1, l2, q2, rng, evals: int = 200) -> bool:
+    """Whether l1*q2 - l2*q1 vanishes at `evals` random integer points.  Scaling
+    pair i by the lcm d_i of its denominators scales l1*q2 - l2*q1 by d1*d2:
+    the same zeros, evaluated on ints."""
+    pairs = []
+    for l, q in ((l1, q1), (l2, q2)):
+        d = lcm(*{v.denominator for v in (*l, *q.flat)})
+        pairs.append([[v.numerator * (d // v.denominator) for v in part]
+                      for part in (l, q.flat)])
     for _ in range(evals):
-        z = [Fraction(rng.randint(-50, 50)) for _ in range(3)]
-        det = (linear_value(l1, z) * quadratic_value(q2, z)
-               - linear_value(l2, z) * quadratic_value(q1, z))
-        if det != 0:
+        z = [1] + [rng.randint(-50, 50) for _ in range(3)]
+        zz = [a * b for a in z for b in z]
+        (a1, b1), (a2, b2) = [(sum(map(mul, l, z)), sum(map(mul, q, zz)))
+                              for l, q in pairs]
+        if a1 * b2 != a2 * b1:
             return False
     return True
 

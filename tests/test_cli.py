@@ -240,27 +240,46 @@ def test_tol_must_lie_in_open_unit_interval(tmp_path, capsys, command, tol):
     assert "--tol" in captured.err
 
 
+def _admissible_input(tmp_path, kind, value):
+    """`admissible` arguments with `value` at one config or subspace entry."""
+    if kind == "config":
+        points = [row[:] for row in STANDARD_POINTS]
+        points[2][2] = value
+        argv = [_config_file(tmp_path, "p.json", points), "--builtin", "example1"]
+        return argv, "points[2][2]"
+    motion = [[1, 0, 0, 0, 0], [0, value, 0, 0, 0], [0, 0, 0, 0, 0]]
+    argv = [_config_file(tmp_path, "p.json", STANDARD_POINTS), "--subspace",
+            _write(tmp_path, "s.json", {"basis": [motion]})]
+    return argv, "basis[0][1][1]"
+
+
 @pytest.mark.parametrize("backend", ["exact", "float"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 @pytest.mark.parametrize("kind", ["config", "subspace"])
 def test_non_finite_coordinates_are_parse_errors(tmp_path, capsys, kind, value,
                                                  backend):
     # json writes these as the literals NaN, Infinity and -Infinity
-    if kind == "config":
-        points = [row[:] for row in STANDARD_POINTS]
-        points[2][2] = value
-        argv = [_config_file(tmp_path, "p.json", points), "--builtin", "example1"]
-        entry = "points[2][2]"
-    else:
-        motion = [[1, 0, 0, 0, 0], [0, value, 0, 0, 0], [0, 0, 0, 0, 0]]
-        argv = [_config_file(tmp_path, "p.json", STANDARD_POINTS), "--subspace",
-                _write(tmp_path, "s.json", {"basis": [motion]})]
-        entry = "basis[0][1][1]"
+    argv, entry = _admissible_input(tmp_path, kind, value)
     assert main(["admissible", *argv, "--backend", backend]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "parse error" in captured.err
     assert entry in captured.err
+
+
+@pytest.mark.parametrize("kind", ["config", "subspace"])
+def test_coordinates_beyond_float64_are_parse_errors(tmp_path, capsys, kind):
+    argv, entry = _admissible_input(tmp_path, kind, 10 ** 400)
+    assert main(["admissible", *argv, "--backend", "float"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "parse error" in captured.err
+    assert entry in captured.err
+    # The exact backend reads the same file and reaches a verdict.
+    assert main(["admissible", *argv, "--backend", "exact"]) in (0, 1)
+    captured = capsys.readouterr()
+    assert "admissible: " in captured.out
+    assert captured.err == ""
 
 
 @pytest.mark.parametrize("error", [DegenerateConfigError, HypothesisViolatedError,

@@ -2,7 +2,7 @@
 
 The sha256 digests were recorded before the code they cover was
 refactored (the elimination kernel, the zero rule, the shared sampling
-and search helpers); the code must reproduce them byte for byte.  Input
+and search helpers, check 12's integer oracle); the code must reproduce them byte for byte.  Input
 files are written under fixed relative names, because the manifest
 record echoes the paths it was given.
 """
@@ -50,6 +50,9 @@ CASES = [
     (["verify", "--checks", "admissible-family", "one-dim-inadmissible",
       "extension-predictions", "--samples", "5", "--seed", "0"], 0,
      "a69d4ca5d66ac66f985647664c2ff5dc8684daa179f72d5cb22142fba37b4d62"),
+    # Check 12's evaluation oracle, default samples (400 instances).
+    (["verify", "--checks", "affine-poly-cases", "--seed", "0"], 0,
+     "21fd2cf9ad0168eaaa0970a41ae75bf99c0b169f36f02a86dd30c8f5a1d2dff2"),
 ]
 
 
