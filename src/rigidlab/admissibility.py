@@ -19,7 +19,7 @@ import numpy as np
 from . import linalg
 from .errors import (DegenerateConfigError, HypothesisViolatedError,
                      OnAffineSpanError, ParallelSpanError, SingularMatrixError)
-from .linalg import (Subspace, diag_vector, frac, invert, is_zero, ones_vector,
+from .linalg import (Subspace, frac, invert, is_zero, ones_vector,
                      sym_outer_rows)
 from .motions import (MotionSpace, PointConfiguration, affine_motion_parts,
                       linear_motion_matrix, p_equivalent, take_points,
@@ -91,6 +91,8 @@ def _pin_samples(p: PointConfiguration, samples: int, seed: int, tag: str,
     substreams; a position where evaluate raises OnAffineSpanError is
     skipped without being counted.
     """
+    if samples < 1:
+        raise ValueError("samples must be positive")
     tested = 0
     for idx in range(10 * samples):
         if tested == samples:
@@ -177,8 +179,8 @@ def _stress_gap(p: PointConfiguration, u: np.ndarray,
     """(q^T)^{-1} diag(v^T q) - (r^T)^{-1} diag(w^T r) for one motion."""
     side_q, side_r = sides if sides is not None else _pin_sides(p)
     v, w = split_blocks(np.asarray(u))
-    left = side_q.q_inv.T @ diag_vector(v.T @ side_q.q)
-    right = side_r.q_inv.T @ diag_vector(w.T @ side_r.q)
+    left = side_q.q_inv.T @ (v * side_q.q).sum(axis=0)
+    right = side_r.q_inv.T @ (w * side_r.q).sum(axis=0)
     return left - right
 
 

@@ -341,6 +341,8 @@ def cmd_conic(args, out: Output) -> int:
     inputs = []
     if args.config:
         p = load_config(args.config, exact)
+        if p.dim != 3:
+            raise ValueError(f"conic needs a configuration in R^3, got dim {p.dim}")
         inputs.append(args.config)
     else:
         p = random_general_config(3, 5, args.seed, "cli-conic", exact=exact,
@@ -471,6 +473,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.samples is not None and args.samples < 1:
         parser.error("--samples must be a positive integer")
+    if getattr(args, "dim", 1) < 1:
+        parser.error("-n/--dim must be a positive integer")
     if args.tol is not None and not 0 < args.tol < 1:
         parser.error("--tol must be a number in (0, 1)")
     out = Output(args.fmt)

@@ -13,6 +13,8 @@ Only this module names the array format of a backend: other modules
 build their matrices with array, zeros, identity, ones_vector or
 exact_matrix.  A float solve is consistent when its least-squares
 residual is zero by is_zero against |A||x| and |b|, entry by entry.
+sherman_morrison_inverse is the rank-one update as a whole matrix;
+the pin formulas apply the same update to a vector (pins).
 """
 
 from __future__ import annotations
@@ -253,14 +255,6 @@ def solve(a: np.ndarray, b: np.ndarray, tol: float | None = None):
     return x[:, 0] if vector_rhs else x
 
 
-def diag_vector(b: np.ndarray) -> np.ndarray:
-    """Column vector of the diagonal entries of a square matrix."""
-    b = np.asarray(b)
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise ValueError(f"diag_vector needs a square matrix, got shape {b.shape}")
-    return np.array([b[i, i] for i in range(b.shape[0])], dtype=b.dtype)
-
-
 def sym_outer_rows(vec: np.ndarray):
     """Rows of the linear system Sym(y vec^T) = S in the unknown y, one per
     entry (a, b) of S with a <= b in row-major order, and those (a, b)."""
@@ -297,12 +291,6 @@ def sherman_morrison_inverse(q: np.ndarray, x: np.ndarray,
     if x.shape != (n,):
         raise ValueError("x must be a vector matching q")
     q_inv = invert(q, tol)
-    return _sherman_morrison_from_inverse(q_inv, x, tol)
-
-
-def _sherman_morrison_from_inverse(q_inv: np.ndarray, x: np.ndarray,
-                                   tol: float | None = None) -> np.ndarray:
-    n = q_inv.shape[0]
     exact = is_exact(q_inv)
     ones = ones_vector(n, exact)
     qx = q_inv @ x

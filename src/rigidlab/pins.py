@@ -2,18 +2,19 @@
 
 Given an invertible block q of n points in R^n with velocity block v, a
 cone vertex at position x joined to all n points is forced to move with
-a unique velocity once x leaves the affine span of the block.  The
-closed forms here compute that velocity and its direction limit as the
-cone vertex recedes to infinity along a ray.
+a unique velocity once x leaves the affine span of the block.  That
+velocity solves (1 x^T - q^T) y = rhs, and the Sherman-Morrison
+rank-one update of q^{-1} gives it as a vector, with no inverse of the
+updated matrix formed.  Its direction limit as the cone vertex recedes
+to infinity along a ray is the same update with the constant 1 dropped.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParallelSpanError
-from .linalg import (_sherman_morrison_from_inverse, diag_vector, invert,
-                     is_exact, is_zero, ones_vector)
+from .errors import OnAffineSpanError, ParallelSpanError
+from .linalg import invert, is_zero
 
 
 class PinContext:
@@ -37,10 +38,6 @@ class PinContext:
         self.q_inv = invert(q) if q_inv is None else q_inv
 
     @property
-    def exact(self) -> bool:
-        return is_exact(self.q)
-
-    @property
     def size(self) -> int:
         return self.q.shape[0]
 
@@ -48,19 +45,34 @@ class PinContext:
         return PinContext(self.q, v, self.q_inv)
 
 
+def _rank_one_solve(ctx: PinContext, x: np.ndarray, rhs: np.ndarray, shift: int,
+                    tol: float | None, error: type, message: str) -> np.ndarray:
+    """y = -(q^{-1})^T (rhs - 1 (q^{-1}x . rhs) / d), d = (q^{-1}x)^T 1 - shift.
+
+    With shift 1 this is the Sherman-Morrison solution of
+    (1 x^T - q^T) y = rhs; with shift 0 it is that solution's limit
+    direction.  A zero d raises error(message).
+    """
+    qx = ctx.q_inv @ x
+    d = qx.sum() - shift
+    if is_zero(d, tol, qx):
+        raise error(message)
+    return -(ctx.q_inv.T @ (rhs - (qx @ rhs) / d))
+
+
 def pin_velocity(ctx: PinContext, x: np.ndarray,
                  tol: float | None = None) -> np.ndarray:
     """Velocity of a cone vertex at x extending the block motion to a flex.
 
-    Solves (1 x^T - q^T) y = v^T x - diag(v^T q) through the rank-one
-    update inverse; x on the affine span of q's columns is rejected.
+    Solves (1 x^T - q^T) y = v^T x - diag(v^T q) by the rank-one update;
+    x on the affine span of q's columns is rejected.
     """
     x = np.asarray(x)
     if x.shape != (ctx.size,):
         raise ValueError("x must be a vector matching the pin block")
-    inv = _sherman_morrison_from_inverse(ctx.q_inv, x, tol)
-    rhs = ctx.v.T @ x - diag_vector(ctx.v.T @ ctx.q)
-    return inv @ rhs
+    rhs = ctx.v.T @ x - (ctx.v * ctx.q).sum(axis=0)
+    return _rank_one_solve(ctx, x, rhs, 1, tol, OnAffineSpanError,
+                           "x lies on the affine span of the columns of q")
 
 
 def limit_velocity(ctx: PinContext, x: np.ndarray,
@@ -73,17 +85,10 @@ def limit_velocity(ctx: PinContext, x: np.ndarray,
     x = np.asarray(x)
     if x.shape != (ctx.size,):
         raise ValueError("x must be a vector matching the pin block")
-    ones = ones_vector(ctx.size, ctx.exact)
-    qx = ctx.q_inv @ x
-    s = qx @ ones
-    if is_zero(s, tol, qx):
-        raise ParallelSpanError("x is parallel to the affine span of q's columns")
-    vtx = ctx.v.T @ x
-    core = vtx - ones * ((qx @ vtx) / s)
-    return -(ctx.q_inv.T @ core)
+    return _rank_one_solve(ctx, x, ctx.v.T @ x, 0, tol, ParallelSpanError,
+                           "x is parallel to the affine span of q's columns")
 
 
 def scale_factor(ctx: PinContext, x: np.ndarray):
     """(q^{-1} x)^T 1, the denominator governing limit_velocity."""
-    ones = ones_vector(ctx.size, ctx.exact)
-    return (ctx.q_inv @ x) @ ones
+    return (ctx.q_inv @ x).sum()

@@ -168,3 +168,14 @@ def test_check_admissibility_validates_input():
     space = single_vertex_space(other)
     with pytest.raises(ValueError):
         check_admissibility(STANDARD, space)
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_pin_sample_count_must_be_positive(samples):
+    with pytest.raises(ValueError, match="samples must be positive"):
+        check_admissibility(STANDARD, single_vertex_space(STANDARD), samples=samples)
+    p = random_general_config(3, 4, 5, "onedim-count", bound=1000)
+    u = random_exact_matrix(3, 4, subrng(5, "onedim-count-u", 0), 1000)
+    assert not trivial_motion_space(p).contains(u)
+    with pytest.raises(ValueError, match="samples must be positive"):
+        one_dim_space_inadmissible(p, u, samples=samples)

@@ -224,6 +224,30 @@ def test_samples_must_be_positive(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("dim", ["0", "-1"])
+@pytest.mark.parametrize("command", ["analyze", "henneberg", "implied"])
+def test_dim_must_be_positive(tmp_path, capsys, command, dim):
+    argv = [command, _graph_file(tmp_path, "k4.json", Graph.complete(4)), "-n", dim]
+    if command == "henneberg":
+        argv += ["-x", "1", "2", "3"]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--dim" in captured.err
+
+
+def test_conic_needs_a_3d_config(tmp_path, capsys):
+    config = _write(tmp_path, "plane.json",
+                    {"dim": 2, "points": [[0, 0], [1, 0], [0, 1], [1, 1], [2, 3]]})
+    assert main(["conic", config, "--probe", "triangle-and-path",
+                 "--format", "jsonl"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "R^3" in captured.err
+
+
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "1", "2"])
 @pytest.mark.parametrize("command", ["analyze", "admissible"])
 def test_tol_must_lie_in_open_unit_interval(tmp_path, capsys, command, tol):

@@ -4,19 +4,26 @@ import numpy as np
 import pytest
 
 from rigidlab.errors import OnAffineSpanError, ParallelSpanError
-from rigidlab.linalg import exact_matrix, ones_vector, rank
+from rigidlab.linalg import (exact_matrix, ones_vector, rank,
+                             sherman_morrison_inverse)
 from rigidlab.pins import (PinContext, limit_velocity, pin_velocity,
                            scale_factor)
 from rigidlab.sampling import (random_exact_matrix, random_exact_vector,
-                               random_float_matrix, random_float_vector, subrng)
+                               random_float_matrix, random_float_vector,
+                               random_rational_matrix, subrng)
 
 
-def _instance(tag, idx, bound=100):
+def _instance(tag, idx, bound=100, rational=False):
     for shift in range(20):
         rng = subrng(3, tag, 20 * idx + shift)
-        q = random_exact_matrix(3, 3, rng, bound)
-        v = random_exact_matrix(3, 3, rng, bound)
-        x = random_exact_vector(3, rng, bound)
+        if rational:
+            q = random_rational_matrix(3, 3, rng, bound)
+            v = random_rational_matrix(3, 3, rng, bound)
+            x = random_rational_matrix(1, 3, rng, bound)[0]
+        else:
+            q = random_exact_matrix(3, 3, rng, bound)
+            v = random_exact_matrix(3, 3, rng, bound)
+            x = random_exact_vector(3, rng, bound)
         if rank(q) < 3:
             continue
         ctx = PinContext(q, v)
@@ -32,6 +39,26 @@ def test_flex_property_exact():
         vel = pin_velocity(ctx, x)
         for i in range(3):
             assert (vel - ctx.v[:, i]) @ (x - ctx.q[:, i]) == 0
+
+
+def _limit_reference(ctx, x):
+    """limit_velocity written out with the all-ones vector."""
+    ones = ones_vector(3)
+    qx = ctx.q_inv @ x
+    vtx = ctx.v.T @ x
+    core = vtx - ones * ((qx @ vtx) / (qx @ ones))
+    return -(ctx.q_inv.T @ core)
+
+
+@pytest.mark.parametrize("rational", [False, True])
+def test_rank_one_update_matches_matrix_reference(rational):
+    # The reference inverts (1 x^T - q^T) as a matrix and reads diag(v^T q)
+    # off the full product.
+    for idx in range(20):
+        ctx, x = _instance("reference", idx, rational=rational)
+        rhs = ctx.v.T @ x - np.diag(ctx.v.T @ ctx.q)
+        assert (pin_velocity(ctx, x) == sherman_morrison_inverse(ctx.q, x) @ rhs).all()
+        assert (limit_velocity(ctx, x) == _limit_reference(ctx, x)).all()
 
 
 def test_pin_velocity_linear_in_motion():
