@@ -45,11 +45,13 @@ def split_blocks(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return take_points(mat, BLOCK_145), take_points(mat, BLOCK_123)
 
 
-def _pin_sides(p: PointConfiguration) -> tuple[PinContext, PinContext]:
-    q, r = split_blocks(p.points)
+def _pin_sides(p: PointConfiguration, u: np.ndarray | None = None,
+               blocks=(BLOCK_145, BLOCK_123)) -> tuple[PinContext, ...]:
+    """One PinContext per block of points, with u's velocities (default 0)."""
+    u = linalg.zeros(p.points.shape, p.exact) if u is None else u
     try:
-        zero = linalg.zeros(q.shape, p.exact)
-        return PinContext(q, zero), PinContext(r, zero)
+        return tuple(PinContext(take_points(p.points, ids), take_points(u, ids))
+                     for ids in blocks)
     except SingularMatrixError as exc:
         raise DegenerateConfigError(f"pin block is singular: {exc}") from exc
 
@@ -70,6 +72,33 @@ def pin_mismatch_map(p: PointConfiguration, s: MotionSpace, x: np.ndarray,
                  - pin_velocity(side_r.with_motion(w), x, tol))
         cols.append(delta)
     return linalg.array(cols, p.exact).T
+
+
+def _mismatch_sampler(p: PointConfiguration, s: MotionSpace, tol: float | None):
+    """check_admissibility's per-sample matrix, set up once per query."""
+    if s.config != p:
+        raise ValueError("motion space does not belong to this configuration")
+    motions = [linalg.cleared(u)[0] for u in s.basis_motions()]
+    sides = []
+    for ctx, block in zip(_pin_sides(p), (BLOCK_145, BLOCK_123)):
+        v_t = np.vstack([take_points(u, block).T for u in motions])
+        q_int, kappa = linalg.cleared(ctx.q)
+        stress = (v_t.reshape(-1, 3, 3) * q_int.T).sum(axis=2).T
+        sides.append((*linalg.cleared(ctx.q_inv), kappa, v_t, stress))
+
+    def mismatch(x: np.ndarray) -> np.ndarray:
+        x_int, xi = linalg.cleared(x)
+        out = []
+        for a_int, delta, kappa, v_t, stress in sides:
+            a = a_int @ x_int
+            d = a.sum() - delta * xi
+            if is_zero(d, tol, a):
+                raise OnAffineSpanError("x lies on the affine span of a pin block")
+            r = kappa * (v_t @ x_int).reshape(-1, 3).T - xi * stress
+            out.append((a_int.T @ (a @ r - d * r), delta * kappa * xi * d))
+        (n_q, sigma_q), (n_r, sigma_r) = out
+        return sigma_r * n_q - sigma_q * n_r
+    return mismatch
 
 
 @dataclass
@@ -117,8 +146,13 @@ def check_admissibility(p: PointConfiguration, s: MotionSpace,
 
     Condition 1 (trivial intersection) is decided outright; condition 2
     is accepted when the mismatch map is rank-deficient at every valid
-    sample position.  Samples on either pin block's affine span are
-    skipped without being counted.
+    sample position, taken on sigma_r N_q - sigma_q N_r with both blocks
+    inverted once.  Per side q^{-1} = A/delta, q = Q/kappa, x = X/xi and
+    u = U/lambda_u (integral when exact, all 1 on float64), a = A X,
+    D = 1^T a - delta xi, R = kappa V^T X - xi diag(V^T Q),
+    N = A^T (1 a^T R - D R) and sigma = delta kappa xi D: the pin velocity
+    of u is N[:, u]/(sigma lambda_u).  A zero D (by is_zero(D, tol, a))
+    skips the sample uncounted.
     """
     _require_five_points(p)
     if s.dim < 1:
@@ -128,7 +162,7 @@ def check_admissibility(p: PointConfiguration, s: MotionSpace,
     ranks: list = []
     failures: list = []
     for x, m in _pin_samples(p, samples, seed, "pin-sample",
-                             lambda x: pin_mismatch_map(p, s, x, tol)):
+                             _mismatch_sampler(p, s, tol)):
         rk = linalg.rank(m, tol)
         ranks.append(rk)
         if rk >= s.dim:
@@ -305,13 +339,7 @@ def one_dim_space_inadmissible(p: PointConfiguration, u: np.ndarray,
         raise ValueError("u is a trivial motion; the test needs a nontrivial one")
     ids_q = tuple(list(range(1, n)) + [n + 1])
     ids_r = tuple(range(1, n + 1))
-    try:
-        side_q = PinContext(take_points(p.points, ids_q),
-                            take_points(u, ids_q))
-        side_r = PinContext(take_points(p.points, ids_r),
-                            take_points(u, ids_r))
-    except SingularMatrixError as exc:
-        raise DegenerateConfigError(f"pin block is singular: {exc}") from exc
+    side_q, side_r = _pin_sides(p, u, (ids_q, ids_r))
     deltas = _pin_samples(
         p, samples, seed, "one-dim",
         lambda x: pin_velocity(side_q, x, tol) - pin_velocity(side_r, x, tol))

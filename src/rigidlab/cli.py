@@ -289,6 +289,9 @@ def cmd_admissible(args, out: Output) -> int:
     samples = args.samples if args.samples is not None else 20
     report = check_admissibility(p, space, samples=samples, seed=args.seed,
                                  tol=args.tol)
+    # Classified before any output, so that exit 4 leaves stdout empty.
+    cls = (classify_admissible(p, space, args.tol)
+           if report.admissible and space.dim == 2 else None)
     out.record("manifest", **_manifest(args, inputs))
     out.record("admissibility", candidate_dim=report.candidate_dim,
                intersects_trivial=report.intersects_trivial,
@@ -303,8 +306,7 @@ def cmd_admissible(args, out: Output) -> int:
     out.line("sample_ranks: " + " ".join(str(r) for r in report.sample_ranks))
     out.line(f"max_mismatch_rank: {report.max_mismatch_rank}")
     out.line(f"admissible: {_bool_text(report.admissible)}")
-    if report.admissible and space.dim == 2:
-        cls = classify_admissible(p, space, args.tol)
+    if cls is not None:
         plane = None if cls.plane is None else [list(row) for row in cls.plane.basis]
         weights = None if cls.weights is None else list(cls.weights)
         out.record("classification", kind=cls.kind, plane=plane,

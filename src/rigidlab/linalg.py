@@ -8,6 +8,8 @@ max(scale, 1); float ranks count singular values above tol times the
 largest.  Exact entries are fractions.Fraction at the boundary only:
 every exact rank, nullspace, solve and inverse runs _rref_exact, which
 is Bareiss fraction-free Gauss-Jordan elimination on Python ints.
+cleared, the one denominator-clearing helper, scales exact values by
+the lcm of their denominators: kernel rows, pin samples, check 12.
 
 Only this module names the array format of a backend: other modules
 build their matrices with array, zeros, identity, ones_vector or
@@ -117,6 +119,20 @@ def is_zero(value, tol: float | None = None, scale=1.0) -> bool:
     return size <= _tol(tol) * max(scale, 1.0)
 
 
+def cleared(values):
+    """(ints, d) with values == ints / d: Python ints in a list, or in an
+    object array for an array; a float array comes back with d = 1."""
+    if isinstance(values, np.ndarray):
+        if not is_exact(values):
+            return values, 1
+        ints, d = cleared(values.ravel().tolist())
+        return np.array(ints, dtype=object).reshape(values.shape), d
+    # A set, not a generator: a resized *args tuple lands in another
+    # size's tuple freelist on CPython, and peak RSS creeps up per call.
+    d = lcm(*{v.denominator for v in values})
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
 def _rref_exact(rows: list[list[Fraction]], ncols: int):
     """Reduced row echelon form; returns (nonzero rows, pivot columns).
 
@@ -127,12 +143,7 @@ def _rref_exact(rows: list[list[Fraction]], ncols: int):
     whatever its entry in the pivot column, is updated at every step.
     Pivot rows become Fractions only at the end, divided by their pivot.
     """
-    mat = []
-    for row in rows:
-        # A set, not a generator: a resized *args tuple lands in another
-        # size's tuple freelist on CPython, and peak RSS creeps up per call.
-        d = lcm(*{v.denominator for v in row})
-        mat.append([v.numerator * (d // v.denominator) for v in row])
+    mat = [cleared(row)[0] for row in rows]
     pivots: list[int] = []
     lead = 0
     prev = 1

@@ -11,7 +11,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from operator import mul
 
 import numpy as np
@@ -26,7 +25,7 @@ from .affinepoly import PolyDependence, affine_poly_dependence, linear_product_m
 from .applications import (conic_probe_graphs, edge_conic_space,
                            skew_matrix_space, two_extension_report)
 from .errors import OnAffineSpanError, ParallelSpanError, SingularMatrixError
-from .linalg import invert, ones_vector, sherman_morrison_inverse
+from .linalg import cleared, invert, ones_vector, sherman_morrison_inverse
 from .motions import (MotionSpace, PointConfiguration, p_equivalent,
                       restricts_to_isometry, trivial_motion_space)
 from .pins import PinContext, limit_velocity, pin_velocity, scale_factor
@@ -366,9 +365,8 @@ def _values_dependent(l1, q1, l2, q2, rng, evals: int = 200) -> bool:
     the same zeros, evaluated on ints."""
     pairs = []
     for l, q in ((l1, q1), (l2, q2)):
-        d = lcm(*{v.denominator for v in (*l, *q.flat)})
-        pairs.append([[v.numerator * (d // v.denominator) for v in part]
-                      for part in (l, q.flat)])
+        ints, _ = cleared([*l, *q.flat])
+        pairs.append([ints[:len(l)], ints[len(l):]])
     for _ in range(evals):
         z = [1] + [rng.randint(-50, 50) for _ in range(3)]
         zz = [a * b for a in z for b in z]

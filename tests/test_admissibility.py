@@ -3,7 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rigidlab.admissibility import (check_admissibility,
+from rigidlab import admissibility, linalg, pins
+from rigidlab.admissibility import (BLOCK_123, BLOCK_145, _mismatch_sampler,
+                                    _pin_samples, check_admissibility,
                                     construct_admissible_family,
                                     one_dim_space_inadmissible,
                                     pin_mismatch_map, projected_limit_mismatch,
@@ -11,12 +13,16 @@ from rigidlab.admissibility import (check_admissibility,
                                     single_vertex_space, split_blocks,
                                     stress_matched_linear_space,
                                     sufficient_check)
-from rigidlab.errors import DegenerateConfigError, ParallelSpanError
-from rigidlab.linalg import exact_matrix, nullspace_rows, ones_vector, invert
-from rigidlab.motions import MotionSpace, PointConfiguration, trivial_motion_space
+from rigidlab.errors import (DegenerateConfigError, OnAffineSpanError,
+                             ParallelSpanError)
+from rigidlab.linalg import (cleared, exact_matrix, invert, nullspace_rows,
+                             ones_vector, rank, to_float)
+from rigidlab.motions import (MotionSpace, PointConfiguration, take_points,
+                              trivial_motion_space)
 from rigidlab.pins import PinContext, limit_velocity
 from rigidlab.sampling import (random_exact_matrix, random_exact_vector,
-                               random_general_config, subrng)
+                               random_general_config, random_rational_matrix,
+                               subrng)
 
 STANDARD = PointConfiguration(exact_matrix(
     [[1, 0, 0, 1, 1],
@@ -179,3 +185,126 @@ def test_pin_sample_count_must_be_positive(samples):
     assert not trivial_motion_space(p).contains(u)
     with pytest.raises(ValueError, match="samples must be positive"):
         one_dim_space_inadmissible(p, u, samples=samples)
+
+
+def _rational_config(idx: int) -> PointConfiguration:
+    """General position with non-integer coordinates (idx 0: integers)."""
+    p = random_general_config(3, 5, 5, f"ref-config/{idx}", bound=1000)
+    if idx == 0:
+        return p
+    dens = exact_matrix([[Fraction(1, 3 + idx), Fraction(2, 7), 1,
+                          Fraction(-5, 9), Fraction(3, 2 * idx + 9)]])
+    q = PointConfiguration(p.points * dens)
+    assert q.is_general_position()
+    return q
+
+
+def _reference_spaces(p: PointConfiguration, idx: int) -> list:
+    """Admissible spaces, then random 2- and 3-dimensional rational ones."""
+    spaces = [single_vertex_space(p), proportional_pair_space(p, Fraction(-3, 7)),
+              construct_admissible_family(p, trials=1, seed=idx)[0]]
+    for dim in (2, 3):
+        rng = subrng(idx, f"ref-space/{dim}")
+        spaces.append(MotionSpace.from_motions(
+            p, [random_rational_matrix(3, 5, rng, 50, 9) for _ in range(dim)]))
+    return spaces
+
+
+def _float_copy(p: PointConfiguration, s: MotionSpace, scale: float):
+    pf = PointConfiguration(to_float(p.points) * scale)
+    return pf, MotionSpace.from_motions(pf, [to_float(u) for u in s.basis_motions()])
+
+
+@pytest.mark.parametrize("idx", [0, 1, 2])
+def test_sample_ranks_match_the_mismatch_map(idx):
+    # check_admissibility ranks cleared integers; pin_mismatch_map is the
+    # reference: same positions, same skips, same ranks, same witnesses.
+    p = _rational_config(idx)
+    cases = []
+    for s in _reference_spaces(p, idx):
+        cases.append((p, s))
+        cases.extend(_float_copy(p, s, scale)
+                     for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6))
+    full_rank = 0
+    for config, space in cases:
+        report = check_admissibility(config, space, samples=6, seed=idx)
+        reference = list(_pin_samples(
+            config, 6, idx, "pin-sample",
+            lambda x: rank(pin_mismatch_map(config, space, x))))
+        assert report.sample_ranks == [rk for _, rk in reference]
+        failures = [x for x, rk in reference if rk >= space.dim]
+        assert len(report.witness_failures) == len(failures)
+        assert all((a == b).all() for a, b in zip(report.witness_failures, failures))
+        full_rank += space.dim == 2 and not report.admissible
+    assert full_rank >= 6  # the random 2-dimensional spaces, both backends
+
+
+def _affine_point(p: PointConfiguration, block, weights) -> np.ndarray:
+    pts = take_points(p.points, block)
+    return sum((pts[:, i] * w for i, w in enumerate(weights)), pts[:, 0] * 0)
+
+
+@pytest.mark.parametrize("idx", [0, 1, 2])
+def test_mismatch_sampler_equals_scaled_map(idx):
+    # sigma_q sigma_r pin_mismatch_map(p, s, x) diag(lambda_u), with one
+    # sigma_q sigma_r for every column, at integer and rational x; x on
+    # either block's affine span is skipped exactly where the map raises.
+    p = _rational_config(idx)
+    rng = subrng(idx, "ref-x")
+    points = [random_exact_vector(3, rng, 1000),
+              random_rational_matrix(1, 3, rng, 1000, 50)[0]]
+    weights = (Fraction(1, 3), Fraction(-2, 5), Fraction(16, 15))
+    on_span = [_affine_point(p, block, weights) for block in (BLOCK_145, BLOCK_123)]
+    for s in _reference_spaces(p, idx):
+        sample = _mismatch_sampler(p, s, None)
+        lambdas = [cleared(u)[1] for u in s.basis_motions()]
+        for x in points:
+            m, ref = sample(x), pin_mismatch_map(p, s, x)
+            scaled = ref * exact_matrix([lambdas])
+            col = next(j for j in range(s.dim) if scaled[:, j].any())
+            row = next(i for i in range(3) if scaled[i, col] != 0)
+            factor = m[row, col] / scaled[row, col]
+            assert factor != 0
+            assert (m == scaled * factor).all()
+        for x in on_span:
+            with pytest.raises(OnAffineSpanError):
+                pin_mismatch_map(p, s, x)
+            with pytest.raises(OnAffineSpanError):
+                sample(x)
+        for scale in (1e-6, 1.0, 1e6):
+            pf, sf = _float_copy(p, s, scale)
+            sample_f = _mismatch_sampler(pf, sf, None)
+            for x in points:
+                xf = to_float(x) * scale
+                assert rank(sample_f(xf)) == rank(pin_mismatch_map(pf, sf, xf))
+            for x in on_span:
+                xf = to_float(x) * scale
+                with pytest.raises(OnAffineSpanError):
+                    pin_mismatch_map(pf, sf, xf)
+                with pytest.raises(OnAffineSpanError):
+                    sample_f(xf)
+
+
+def test_mismatch_sampler_rejects_a_space_of_another_config():
+    other = single_vertex_space(random_general_config(3, 5, 5, "val-other"))
+    with pytest.raises(ValueError, match="does not belong"):
+        _mismatch_sampler(STANDARD, other, None)
+
+
+def test_pin_blocks_are_inverted_once_per_query(monkeypatch):
+    # The per-sample work reuses both inverses: no invert per pin sample.
+    calls = []
+
+    def counting(m, tol=None):
+        calls.append(m.shape)
+        return invert(m, tol)
+
+    for module in (linalg, pins, admissibility):
+        monkeypatch.setattr(module, "invert", counting)
+    counts = []
+    for samples in (5, 40):
+        calls.clear()
+        check_admissibility(STANDARD, proportional_pair_space(STANDARD, 2),
+                            samples=samples)
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0

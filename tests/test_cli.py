@@ -319,3 +319,18 @@ def test_content_errors_exit_4(tmp_path, monkeypatch, capsys, error):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "degenerate input: stubbed" in captured.err
+
+
+@pytest.mark.parametrize("fmt", ["text", "jsonl"])
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_admissible_classification_error_leaves_stdout_empty(tmp_path, capsys,
+                                                             backend, fmt):
+    # The pin blocks (1,4,5) and (1,2,3) have equal inverse-transpose row
+    # sums, so the space is admissible but cannot be classified.
+    config = _config_file(tmp_path, "p.json",
+                          [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, -1], [2, -1, 0]])
+    assert main(["admissible", config, "--builtin", "example1",
+                 "--backend", backend, "--format", fmt]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "degenerate input: the two pin blocks have equal" in captured.err
