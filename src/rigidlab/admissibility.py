@@ -45,13 +45,12 @@ def split_blocks(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return take_points(mat, BLOCK_145), take_points(mat, BLOCK_123)
 
 
-def _pin_sides(p: PointConfiguration, u: np.ndarray | None = None,
+def _pin_sides(p: PointConfiguration,
                blocks=(BLOCK_145, BLOCK_123)) -> tuple[PinContext, ...]:
-    """One PinContext per block of points, with u's velocities (default 0)."""
-    u = linalg.zeros(p.points.shape, p.exact) if u is None else u
+    """One PinContext per block of points, with zero velocities."""
+    zero = linalg.zeros((p.dim, p.dim), p.exact)
     try:
-        return tuple(PinContext(take_points(p.points, ids), take_points(u, ids))
-                     for ids in blocks)
+        return tuple(PinContext(take_points(p.points, ids), zero) for ids in blocks)
     except SingularMatrixError as exc:
         raise DegenerateConfigError(f"pin block is singular: {exc}") from exc
 
@@ -74,16 +73,17 @@ def pin_mismatch_map(p: PointConfiguration, s: MotionSpace, x: np.ndarray,
     return linalg.array(cols, p.exact).T
 
 
-def _mismatch_sampler(p: PointConfiguration, s: MotionSpace, tol: float | None):
-    """check_admissibility's per-sample matrix, set up once per query."""
-    if s.config != p:
-        raise ValueError("motion space does not belong to this configuration")
-    motions = [linalg.cleared(u)[0] for u in s.basis_motions()]
+def _mismatch_sampler(p: PointConfiguration, motions, tol: float | None,
+                      blocks=(BLOCK_145, BLOCK_123)):
+    """Per-sample (sigma_r N_q - sigma_q N_r, sigma_q sigma_r) for motions
+    of p pinned on two blocks of p.dim points, set up once."""
+    n = p.dim
+    motions = [linalg.cleared(u)[0] for u in motions]
     sides = []
-    for ctx, block in zip(_pin_sides(p), (BLOCK_145, BLOCK_123)):
+    for ctx, block in zip(_pin_sides(p, blocks), blocks):
         v_t = np.vstack([take_points(u, block).T for u in motions])
         q_int, kappa = linalg.cleared(ctx.q)
-        stress = (v_t.reshape(-1, 3, 3) * q_int.T).sum(axis=2).T
+        stress = (v_t.reshape(-1, n, n) * q_int.T).sum(axis=2).T
         sides.append((*linalg.cleared(ctx.q_inv), kappa, v_t, stress))
 
     def mismatch(x: np.ndarray) -> np.ndarray:
@@ -94,10 +94,10 @@ def _mismatch_sampler(p: PointConfiguration, s: MotionSpace, tol: float | None):
             d = a.sum() - delta * xi
             if is_zero(d, tol, a):
                 raise OnAffineSpanError("x lies on the affine span of a pin block")
-            r = kappa * (v_t @ x_int).reshape(-1, 3).T - xi * stress
+            r = kappa * (v_t @ x_int).reshape(-1, n).T - xi * stress
             out.append((a_int.T @ (a @ r - d * r), delta * kappa * xi * d))
         (n_q, sigma_q), (n_r, sigma_r) = out
-        return sigma_r * n_q - sigma_q * n_r
+        return sigma_r * n_q - sigma_q * n_r, sigma_q * sigma_r
     return mismatch
 
 
@@ -157,12 +157,14 @@ def check_admissibility(p: PointConfiguration, s: MotionSpace,
     _require_five_points(p)
     if s.dim < 1:
         raise ValueError("candidate subspace must have positive dimension")
+    if s.config != p:
+        raise ValueError("motion space does not belong to this configuration")
     triv = trivial_motion_space(p, tol)
     intersects = s.subspace.intersection(triv.subspace, tol).dim > 0
     ranks: list = []
     failures: list = []
-    for x, m in _pin_samples(p, samples, seed, "pin-sample",
-                             _mismatch_sampler(p, s, tol)):
+    for x, (m, _) in _pin_samples(p, samples, seed, "pin-sample",
+                                  _mismatch_sampler(p, s.basis_motions(), tol)):
         rk = linalg.rank(m, tol)
         ranks.append(rk)
         if rk >= s.dim:
@@ -339,11 +341,12 @@ def one_dim_space_inadmissible(p: PointConfiguration, u: np.ndarray,
         raise ValueError("u is a trivial motion; the test needs a nontrivial one")
     ids_q = tuple(list(range(1, n)) + [n + 1])
     ids_r = tuple(range(1, n + 1))
-    side_q, side_r = _pin_sides(p, u, (ids_q, ids_r))
-    deltas = _pin_samples(
-        p, samples, seed, "one-dim",
-        lambda x: pin_velocity(side_q, x, tol) - pin_velocity(side_r, x, tol))
-    return not any(is_zero(delta, tol) for _, delta in deltas)
+    # The sample is sigma_q sigma_r lambda_u times the velocity gap; float64
+    # (lambda_u = 1) tests the gap itself against tol.
+    gaps = _pin_samples(p, samples, seed, "one-dim",
+                        _mismatch_sampler(p, [u], tol, (ids_q, ids_r)))
+    return not any(is_zero(m if p.exact else m / scale, tol)
+                   for _, (m, scale) in gaps)
 
 
 class ClassificationKind(Enum):

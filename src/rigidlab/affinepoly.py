@@ -39,6 +39,8 @@ def _as_quadratic(q, nvars: int) -> np.ndarray:
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
+    if (m == m.T).all():
+        return m
     half = frac("1/2")
     return (m + m.T) * half
 

@@ -133,8 +133,9 @@ def cleared(values):
     return [v.numerator * (d // v.denominator) for v in values], d
 
 
-def _rref_exact(rows: list[list[Fraction]], ncols: int):
-    """Reduced row echelon form; returns (nonzero rows, pivot columns).
+def _rref_exact(rows: list[list[Fraction]], ncols: int, reduce: bool = True):
+    """Reduced row echelon form; returns (nonzero rows, pivot columns),
+    or (None, pivot columns) when reduce is false.
 
     Each row is scaled by the lcm of its denominators, which keeps the
     row space, and Bareiss fraction-free Gauss-Jordan runs on the
@@ -167,6 +168,8 @@ def _rref_exact(rows: list[list[Fraction]], ncols: int):
         lead += 1
         if lead == len(mat):
             break
+    if not reduce:
+        return None, pivots
     reduced = [[Fraction(v, row[pc]) for v in row]
                for row, pc in zip(mat, pivots)]
     return reduced, pivots
@@ -190,7 +193,7 @@ def rank(m: np.ndarray, tol: float | None = None) -> int:
     if m.ndim == 1:
         m = m.reshape(1, -1)
     if is_exact(m):
-        _, pivots = _rref_exact(_as_rows(m), m.shape[1])
+        _, pivots = _rref_exact(_as_rows(m), m.shape[1], reduce=False)
         return len(pivots)
     return _svd_rank(np.linalg.svd(m.astype(float), compute_uv=False), tol)
 

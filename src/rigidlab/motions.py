@@ -170,8 +170,12 @@ def trivial_motion_space(p: PointConfiguration,
         t = zeros((n, k), exact)
         t[j] = ones
         gens.append(t)
-    for a in skew_basis(n, exact):
-        gens.append(a @ p.points)
+    # skew_basis(n)'s E_ij - E_ji times the points, as row copies.
+    for i, j in combinations(range(n), 2):
+        t = zeros((n, k), exact)
+        t[i] = p.points[j]
+        t[j] = -p.points[i]
+        gens.append(t)
     return MotionSpace.from_motions(p, gens, tol)
 
 

@@ -11,7 +11,6 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from operator import mul
 
 import numpy as np
 
@@ -327,9 +326,9 @@ def _random_affine_linear(rng, allow_zero: bool = False) -> np.ndarray:
 
 
 def _random_affine_quadratic(rng) -> np.ndarray:
-    raw = linalg.array([[Fraction(rng.randint(-9, 9)) for _ in range(4)]
-                        for _ in range(4)])
-    return (raw + raw.T) * Fraction(1, 2)
+    raw = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]
+    return linalg.array([[Fraction(raw[a][b] + raw[b][a], 2) for b in range(4)]
+                         for a in range(4)])
 
 
 def _poly_case_instance(case: PolyDependence, rng):
@@ -366,12 +365,18 @@ def _values_dependent(l1, q1, l2, q2, rng, evals: int = 200) -> bool:
     pairs = []
     for l, q in ((l1, q1), (l2, q2)):
         ints, _ = cleared([*l, *q.flat])
-        pairs.append([ints[:len(l)], ints[len(l):]])
+        # zhat^T Q zhat on the upper triangle of Q, off-diagonal terms doubled.
+        upper = [ints[4 + 4 * a + b] + (a != b) * ints[4 + 4 * b + a]
+                 for a in range(4) for b in range(a, 4)]
+        pairs.append((*ints[:4], *upper))
     for _ in range(evals):
-        z = [1] + [rng.randint(-50, 50) for _ in range(3)]
-        zz = [a * b for a in z for b in z]
-        (a1, b1), (a2, b2) = [(sum(map(mul, l, z)), sum(map(mul, q, zz)))
-                              for l, q in pairs]
+        # randint(-50, 50) is randrange(-50, 51): the same draws.
+        x, y, w = [rng.randrange(-50, 51) for _ in range(3)]
+        (a1, b1), (a2, b2) = [
+            (l0 + lx * x + ly * y + lw * w,
+             c + x * (cx + cxx * x + cxy * y + cxw * w)
+             + y * (cy + cyy * y + cyw * w) + w * (cw + cww * w))
+            for l0, lx, ly, lw, c, cx, cy, cw, cxx, cxy, cxw, cyy, cyw, cww in pairs]
         if a1 * b2 != a2 * b1:
             return False
     return True

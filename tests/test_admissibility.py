@@ -19,7 +19,7 @@ from rigidlab.linalg import (cleared, exact_matrix, invert, nullspace_rows,
                              ones_vector, rank, to_float)
 from rigidlab.motions import (MotionSpace, PointConfiguration, take_points,
                               trivial_motion_space)
-from rigidlab.pins import PinContext, limit_velocity
+from rigidlab.pins import PinContext, limit_velocity, pin_velocity
 from rigidlab.sampling import (random_exact_matrix, random_exact_vector,
                                random_general_config, random_rational_matrix,
                                subrng)
@@ -167,6 +167,48 @@ def test_one_dim_rejects_trivial_motion():
         one_dim_space_inadmissible(p, u)
 
 
+def test_one_dim_samples_are_the_scaled_velocity_gap():
+    # one_dim_space_inadmissible tests sigma_q sigma_r lambda_u times the
+    # gap of the two pin velocities, exact and on float copies; x on a
+    # block's affine span is skipped exactly where pin_velocity raises.
+    for n in (2, 3):
+        base = random_general_config(n, n + 1, 5, f"gap/{n}", bound=1000)
+        p = PointConfiguration(base.points * exact_matrix(
+            [[Fraction(2, 3 + j) for j in range(n + 1)]]))
+        assert p.is_general_position()
+        u = random_rational_matrix(n, n + 1, subrng(5, f"gap-u/{n}"), 50, 9)
+        blocks = ((*range(1, n), n + 1), tuple(range(1, n + 1)))
+        rng = subrng(5, f"gap-x/{n}")
+        points = [random_exact_vector(n, rng, 1000),
+                  random_rational_matrix(1, n, rng, 1000, 50)[0]]
+        weights = [Fraction(1, 3)] * (n - 1) + [1 - Fraction(n - 1, 3)]
+        on_span = [take_points(p.points, b) @ exact_matrix(weights) for b in blocks]
+        for scale in (None, 1e-6, 1.0, 1e6):
+            pc, uc = p, u
+            if scale is not None:
+                pc = PointConfiguration(to_float(p.points) * scale)
+                uc = to_float(u)
+            sides = [PinContext(take_points(pc.points, b), take_points(uc, b))
+                     for b in blocks]
+            sample = _mismatch_sampler(pc, [uc], None, blocks)
+            lam = cleared(uc)[1]
+            for x in points:
+                x = x if scale is None else to_float(x) * scale
+                (m, sigmas) = sample(x)
+                gap = pin_velocity(sides[0], x) - pin_velocity(sides[1], x)
+                if scale is None:
+                    assert sigmas != 0 and (m[:, 0] == gap * sigmas * lam).all()
+                else:
+                    np.testing.assert_allclose(m[:, 0] / sigmas, gap, rtol=1e-7,
+                                               atol=1e-12 * np.abs(gap).max())
+            for x, side in zip(on_span, sides):
+                x = x if scale is None else to_float(x) * scale
+                with pytest.raises(OnAffineSpanError):
+                    pin_velocity(side, x)
+                with pytest.raises(OnAffineSpanError):
+                    sample(x)
+
+
 def test_check_admissibility_validates_input():
     with pytest.raises(ValueError):
         check_admissibility(random_general_config(3, 4, 5, "val"), None)
@@ -256,15 +298,15 @@ def test_mismatch_sampler_equals_scaled_map(idx):
     weights = (Fraction(1, 3), Fraction(-2, 5), Fraction(16, 15))
     on_span = [_affine_point(p, block, weights) for block in (BLOCK_145, BLOCK_123)]
     for s in _reference_spaces(p, idx):
-        sample = _mismatch_sampler(p, s, None)
+        sample = _mismatch_sampler(p, s.basis_motions(), None)
         lambdas = [cleared(u)[1] for u in s.basis_motions()]
         for x in points:
-            m, ref = sample(x), pin_mismatch_map(p, s, x)
+            (m, sigmas), ref = sample(x), pin_mismatch_map(p, s, x)
             scaled = ref * exact_matrix([lambdas])
             col = next(j for j in range(s.dim) if scaled[:, j].any())
             row = next(i for i in range(3) if scaled[i, col] != 0)
             factor = m[row, col] / scaled[row, col]
-            assert factor != 0
+            assert factor != 0 and factor == sigmas
             assert (m == scaled * factor).all()
         for x in on_span:
             with pytest.raises(OnAffineSpanError):
@@ -273,10 +315,10 @@ def test_mismatch_sampler_equals_scaled_map(idx):
                 sample(x)
         for scale in (1e-6, 1.0, 1e6):
             pf, sf = _float_copy(p, s, scale)
-            sample_f = _mismatch_sampler(pf, sf, None)
+            sample_f = _mismatch_sampler(pf, sf.basis_motions(), None)
             for x in points:
                 xf = to_float(x) * scale
-                assert rank(sample_f(xf)) == rank(pin_mismatch_map(pf, sf, xf))
+                assert rank(sample_f(xf)[0]) == rank(pin_mismatch_map(pf, sf, xf))
             for x in on_span:
                 xf = to_float(x) * scale
                 with pytest.raises(OnAffineSpanError):
@@ -285,10 +327,10 @@ def test_mismatch_sampler_equals_scaled_map(idx):
                     sample_f(xf)
 
 
-def test_mismatch_sampler_rejects_a_space_of_another_config():
+def test_check_admissibility_rejects_a_space_of_another_config():
     other = single_vertex_space(random_general_config(3, 5, 5, "val-other"))
     with pytest.raises(ValueError, match="does not belong"):
-        _mismatch_sampler(STANDARD, other, None)
+        check_admissibility(STANDARD, other)
 
 
 def test_pin_blocks_are_inverted_once_per_query(monkeypatch):

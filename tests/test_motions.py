@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rigidlab.linalg import exact_matrix
+from rigidlab.linalg import exact_matrix, ones_vector, to_float, zeros
 from rigidlab.motions import (MotionSpace, PointConfiguration,
                               affine_motion_parts, flatten_motion,
                               is_infinitesimal_isometry, linear_motion_matrix,
@@ -43,6 +43,24 @@ def test_trivial_dimension_cases():
     # a single point only admits the translations
     single = PointConfiguration(exact_matrix([[3], [4], [5]]))
     assert trivial_motion_space(single).dim == 3
+
+
+def test_trivial_space_is_spanned_by_the_skew_basis_products():
+    # The rotation generators are skew_basis(n) times the points; the
+    # basis comes out the same, exact and in float64 at any scale.
+    for n, k in [(2, 3), (3, 4), (3, 5), (4, 6)]:
+        p = random_config(n, k, subrng(1, f"span/{n}/{k}"), bound=1000)
+        for q in (p, *(PointConfiguration(to_float(p.points) * s)
+                       for s in (1e-6, 1.0, 1e6))):
+            gens = []
+            for j in range(n):
+                t = zeros((n, k), q.exact)
+                t[j] = ones_vector(k, q.exact)
+                gens.append(t)
+            gens += [a @ q.points for a in skew_basis(n, q.exact)]
+            want = MotionSpace.from_motions(q, gens).subspace.basis
+            got = trivial_motion_space(q).subspace.basis
+            assert got.shape == want.shape and np.array_equal(got, want)
 
 
 def test_trivial_motions_are_isometries():
