@@ -8,9 +8,12 @@ Input files are JSON:
   subspace  {"basis": [[[...], ...], ...]}            each basis motion is an
             n x k matrix given row-major
 
-With --format jsonl every command prints one JSON object per line, the
-first being a manifest of the run; output depends only on the inputs and
-the seed, never on timing.
+Each cmd_* returns its exit code, its input names and a list of
+(label, fields, text lines) records; main writes stdout only after the
+command has returned, so exits 2, 3 and 4 leave stdout empty.  With
+--format jsonl every record, after a manifest of the run, is one JSON
+object per line; output depends only on the inputs and the seed, never
+on timing.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
 from enum import Enum
 from fractions import Fraction
 
@@ -40,19 +42,10 @@ EXIT_TABLE = """\
 exit codes:
   0  success, or the reported property holds
   1  the reported property is false
-  2  usage error (flags, sizes, extension support)
+  2  usage error (flags, sizes, extension support, unwritable -o)
   3  an input file or builtin token failed to parse
   4  the input is degenerate for the requested computation
 """
-
-@dataclass
-class Manifest:
-    command: str
-    inputs: list
-    seed: int
-    samples: int | None
-    backend: str
-    tolerance: float | None
 
 
 def _jsonable(value):
@@ -76,25 +69,19 @@ def _jsonable(value):
     return value
 
 
-class Output:
-    """Mutually exclusive text / line-delimited JSON channels."""
-
-    def __init__(self, fmt: str):
-        self.fmt = fmt
-
-    def line(self, text: str) -> None:
-        if self.fmt == "text":
-            print(text)
-
-    def record(self, _label: str, **fields) -> None:
-        if self.fmt == "jsonl":
-            payload = {"record": _label}
-            payload.update(fields)
-            print(json.dumps(_jsonable(payload), sort_keys=True))
+def _text(value) -> str:
+    """One value as text: true/false, a list space-separated."""
+    value = _jsonable(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, list):
+        return " ".join(str(v) for v in value)
+    return str(value)
 
 
-def _bool_text(value: bool) -> str:
-    return "true" if value else "false"
+def _record(label: str, fields: dict, *keys: str):
+    """A record whose text lines are `key: value` for the given keys."""
+    return label, fields, [f"{key}: {_text(fields[key])}" for key in keys]
 
 
 def _load_json(path: str):
@@ -184,9 +171,12 @@ def load_subspace(path: str, p: PointConfiguration, exact: bool,
 def write_graph(path: str, g: Graph) -> None:
     payload = {"vertices": g.vertex_count,
                "edges": [list(e) for e in g.sorted_edges()]}
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            json.dump(payload, handle, sort_keys=True, indent=2)
+            handle.write("\n")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def builtin_space(token: str, p: PointConfiguration, seed: int):
@@ -211,13 +201,7 @@ def builtin_space(token: str, p: PointConfiguration, seed: int):
                      "example2:K, or constructed:SEED")
 
 
-def _manifest(args, inputs: list) -> dict:
-    return asdict(Manifest(command=args.command, inputs=inputs, seed=args.seed,
-                           samples=args.samples, backend=args.backend,
-                           tolerance=args.tol))
-
-
-def cmd_analyze(args, out: Output) -> int:
+def cmd_analyze(args):
     g = load_graph(args.graph)
     exact = args.backend == "exact"
     inputs = [args.graph]
@@ -228,18 +212,12 @@ def cmd_analyze(args, out: Output) -> int:
         p = random_config(args.dim, g.vertex_count,
                           subrng(args.seed, "cli-analyze", 0), exact=exact)
     report = analyze(Framework(g, p), args.tol)
-    out.record("manifest", **_manifest(args, inputs))
-    out.record("analysis", vertices=g.vertex_count, edges=g.edge_count,
-               dim=p.dim, flex_dim=report.flex_dim,
-               trivial_dim=report.trivial_dim, rigid=report.is_rigid,
-               isostatic=report.is_isostatic)
-    out.line(f"vertices: {g.vertex_count}")
-    out.line(f"edges: {g.edge_count}")
-    out.line(f"flex_dim: {report.flex_dim}")
-    out.line(f"trivial_dim: {report.trivial_dim}")
-    out.line(f"rigid: {_bool_text(report.is_rigid)}")
-    out.line(f"isostatic: {_bool_text(report.is_isostatic)}")
-    return 0 if report.is_rigid else 1
+    fields = dict(vertices=g.vertex_count, edges=g.edge_count, dim=p.dim,
+                  flex_dim=report.flex_dim, trivial_dim=report.trivial_dim,
+                  rigid=report.is_rigid, isostatic=report.is_isostatic)
+    return (0 if report.is_rigid else 1), inputs, [_record(
+        "analysis", fields, "vertices", "edges", "flex_dim", "trivial_dim",
+        "rigid", "isostatic")]
 
 
 def _parse_edge_token(token: str) -> tuple[int, int]:
@@ -252,26 +230,23 @@ def _parse_edge_token(token: str) -> tuple[int, int]:
         raise ValueError(f"edge {token!r} must contain integers") from exc
 
 
-def cmd_henneberg(args, out: Output) -> int:
+def cmd_henneberg(args):
     g = load_graph(args.graph)
     removed = [_parse_edge_token(t) for t in args.remove]
     extension = henneberg_extend(g, args.support, removed, args.dim)
     rigid = is_generically_rigid(extension, args.dim, args.seed)
+    lines = [f"vertices: {extension.vertex_count}", f"edges: {extension.edge_count}"]
     if args.output:
         write_graph(args.output, extension)
-    out.record("manifest", **_manifest(args, [args.graph]))
-    out.record("extension", vertices=extension.vertex_count,
-               edges=[list(e) for e in extension.sorted_edges()],
-               output=args.output, rigid=rigid)
-    out.line(f"vertices: {extension.vertex_count}")
-    out.line(f"edges: {extension.edge_count}")
-    if args.output:
-        out.line(f"wrote: {args.output}")
-    out.line(f"rigid: {_bool_text(rigid)}")
-    return 0 if rigid else 1
+        lines.append(f"wrote: {args.output}")
+    lines.append(f"rigid: {_text(rigid)}")
+    fields = dict(vertices=extension.vertex_count,
+                  edges=[list(e) for e in extension.sorted_edges()],
+                  output=args.output, rigid=rigid)
+    return (0 if rigid else 1), [args.graph], [("extension", fields, lines)]
 
 
-def cmd_admissible(args, out: Output) -> int:
+def cmd_admissible(args):
     exact = args.backend == "exact"
     inputs = []
     if args.config:
@@ -289,56 +264,46 @@ def cmd_admissible(args, out: Output) -> int:
     samples = args.samples if args.samples is not None else 20
     report = check_admissibility(p, space, samples=samples, seed=args.seed,
                                  tol=args.tol)
-    # Classified before any output, so that exit 4 leaves stdout empty.
-    cls = (classify_admissible(p, space, args.tol)
-           if report.admissible and space.dim == 2 else None)
-    out.record("manifest", **_manifest(args, inputs))
-    out.record("admissibility", candidate_dim=report.candidate_dim,
-               intersects_trivial=report.intersects_trivial,
-               samples_tested=report.samples_tested,
-               sample_ranks=report.sample_ranks,
-               max_mismatch_rank=report.max_mismatch_rank,
-               failures=len(report.witness_failures),
-               admissible=report.admissible)
-    out.line(f"candidate_dim: {report.candidate_dim}")
-    out.line(f"intersects_trivial: {_bool_text(report.intersects_trivial)}")
-    out.line(f"samples_tested: {report.samples_tested}")
-    out.line("sample_ranks: " + " ".join(str(r) for r in report.sample_ranks))
-    out.line(f"max_mismatch_rank: {report.max_mismatch_rank}")
-    out.line(f"admissible: {_bool_text(report.admissible)}")
-    if cls is not None:
+    fields = dict(candidate_dim=report.candidate_dim,
+                  intersects_trivial=report.intersects_trivial,
+                  samples_tested=report.samples_tested,
+                  sample_ranks=report.sample_ranks,
+                  max_mismatch_rank=report.max_mismatch_rank,
+                  failures=len(report.witness_failures),
+                  admissible=report.admissible)
+    records = [_record("admissibility", fields, "candidate_dim",
+                       "intersects_trivial", "samples_tested", "sample_ranks",
+                       "max_mismatch_rank", "admissible")]
+    if report.admissible and space.dim == 2:
+        cls = classify_admissible(p, space, args.tol)
         plane = None if cls.plane is None else [list(row) for row in cls.plane.basis]
         weights = None if cls.weights is None else list(cls.weights)
-        out.record("classification", kind=cls.kind, plane=plane,
-                   weights=weights, details=cls.details)
-        out.line(f"classification: {cls.kind.value}")
+        lines = [f"classification: {cls.kind.value}"]
         if weights is not None:
-            out.line("weights: " + " ".join(str(w) for w in weights))
-    return 0 if report.admissible else 1
+            lines.append(f"weights: {_text(weights)}")
+        records.append(("classification", dict(kind=cls.kind, plane=plane,
+                        weights=weights, details=cls.details), lines))
+    return (0 if report.admissible else 1), inputs, records
 
 
-def cmd_implied(args, out: Output) -> int:
+def cmd_implied(args):
     g = load_graph(args.graph)
-    out.record("manifest", **_manifest(args, [args.graph]))
     if args.pair:
         i, j = args.pair
         implied = is_implied_edge(g, i, j, args.dim, args.seed)
-        out.record("implied", pair=[min(i, j), max(i, j)], implied=implied)
-        out.line(f"pair: {min(i, j)},{max(i, j)}")
-        out.line(f"implied: {_bool_text(implied)}")
-        return 0 if implied else 1
+        lo, hi = min(i, j), max(i, j)
+        return (0 if implied else 1), [args.graph], [(
+            "implied", dict(pair=[lo, hi], implied=implied),
+            [f"pair: {lo},{hi}", f"implied: {_text(implied)}"])]
     vertices = range(1, g.vertex_count + 1)
     candidates = [(i, j) for i in vertices for j in vertices
                   if i < j and not g.has_edge(i, j)]
     found = sorted(implied_pairs(g, candidates, args.dim, args.seed))
-    out.record("implied", pairs=[list(e) for e in found])
-    out.line(f"implied_nonedges: {len(found)}")
-    for i, j in found:
-        out.line(f"  {i},{j}")
-    return 0
+    lines = [f"implied_nonedges: {len(found)}"] + [f"  {i},{j}" for i, j in found]
+    return 0, [args.graph], [("implied", dict(pairs=[list(e) for e in found]), lines)]
 
 
-def cmd_conic(args, out: Output) -> int:
+def cmd_conic(args):
     exact = args.backend == "exact"
     inputs = []
     if args.config:
@@ -360,28 +325,23 @@ def cmd_conic(args, out: Output) -> int:
     skew = space.equals(skew_matrix_space(3, exact), args.tol)
     basis = [[list(row) for row in mat] for mat in
              (vec.reshape(3, 3) for vec in space.basis)]
-    out.record("manifest", **_manifest(args, inputs))
-    out.record("conic", dim=space.dim, skew_space=skew, basis=basis)
-    out.line(f"dim: {space.dim}")
-    out.line(f"skew_space: {_bool_text(skew)}")
-    return 0 if skew else 1
+    fields = dict(dim=space.dim, skew_space=skew, basis=basis)
+    return (0 if skew else 1), inputs, [_record("conic", fields, "dim", "skew_space")]
 
 
-def cmd_verify(args, out: Output) -> int:
+def cmd_verify(args):
     names = tuple(args.checks) if args.checks else CHECK_NAMES
-    out.record("manifest", **_manifest(args, []))
     results = run_battery(args.seed, args.samples, names)
-    failed = 0
-    for index, res in enumerate(results, start=1):
-        failed += 0 if res.passed else 1
-        out.record("check", index=index, **res.record())
-        status = "pass" if res.passed else "FAIL"
-        out.line(f"[{index:2d}/{len(results)}] {res.name:<28s} {status}  "
-                 f"({res.seconds:6.2f}s)  {res.details}")
-    out.record("summary", total=len(results), failed=failed,
-               passed=len(results) - failed)
-    out.line(f"passed {len(results) - failed}/{len(results)}")
-    return 0 if failed == 0 else 1
+    total = len(results)
+    failed = sum(not res.passed for res in results)
+    records = [("check", dict(index=index, **res.record()),
+                [f"[{index:2d}/{total}] {res.name:<28s} "
+                 f"{'pass' if res.passed else 'FAIL'}  "
+                 f"({res.seconds:6.2f}s)  {res.details}"])
+               for index, res in enumerate(results, start=1)]
+    records.append(("summary", dict(total=total, failed=failed, passed=total - failed),
+                    [f"passed {total - failed}/{total}"]))
+    return (0 if failed == 0 else 1), [], records
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -479,9 +439,8 @@ def main(argv=None) -> int:
         parser.error("-n/--dim must be a positive integer")
     if args.tol is not None and not 0 < args.tol < 1:
         parser.error("--tol must be a number in (0, 1)")
-    out = Output(args.fmt)
     try:
-        return args.func(args, out)
+        code, inputs, records = args.func(args)
     except ParseError as exc:
         print(f"rigidlab: parse error: {exc}", file=sys.stderr)
         return 3
@@ -491,6 +450,15 @@ def main(argv=None) -> int:
     except (BadSupportError, ValueError) as exc:
         print(f"rigidlab: usage error: {exc}", file=sys.stderr)
         return 2
+    manifest = dict(command=args.command, inputs=inputs, seed=args.seed,
+                    samples=args.samples, backend=args.backend, tolerance=args.tol)
+    for label, fields, lines in [("manifest", manifest, []), *records]:
+        if args.fmt == "jsonl":
+            print(json.dumps(_jsonable({"record": label, **fields}), sort_keys=True))
+        else:
+            for line in lines:
+                print(line)
+    return code
 
 
 if __name__ == "__main__":

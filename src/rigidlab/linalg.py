@@ -121,25 +121,30 @@ def is_zero(value, tol: float | None = None, scale=1.0) -> bool:
 
 def cleared(values):
     """(ints, d) with values == ints / d: Python ints in a list, or in an
-    object array for an array; a float array comes back with d = 1."""
+    object array for an array; a float array comes back with d = 1.
+    Python ints and Fractions are taken as stored; any other entry
+    (np.integer, str, float) goes through frac, so no fixed-width int
+    comes back."""
     if isinstance(values, np.ndarray):
         if not is_exact(values):
             return values, 1
         ints, d = cleared(values.ravel().tolist())
         return np.array(ints, dtype=object).reshape(values.shape), d
+    values = [v if isinstance(v, (int, Fraction)) else frac(v) for v in values]
     # A set, not a generator: a resized *args tuple lands in another
     # size's tuple freelist on CPython, and peak RSS creeps up per call.
     d = lcm(*{v.denominator for v in values})
     return [v.numerator * (d // v.denominator) for v in values], d
 
 
-def _rref_exact(rows: list[list[Fraction]], ncols: int, reduce: bool = True):
+def _rref_exact(rows: list[list], ncols: int, reduce: bool = True):
     """Reduced row echelon form; returns (nonzero rows, pivot columns),
     or (None, pivot columns) when reduce is false.
 
-    Each row is scaled by the lcm of its denominators, which keeps the
-    row space, and Bareiss fraction-free Gauss-Jordan runs on the
-    integer rows.  After k pivots every entry is a k x k minor, so the
+    Entries are ints, Fractions or anything frac accepts.  Each row is
+    scaled by the lcm of its denominators (cleared), which keeps the row
+    space, and Bareiss fraction-free Gauss-Jordan runs on the integer
+    rows.  After k pivots every entry is a k x k minor, so the
     division by the previous pivot is exact provided every other row,
     whatever its entry in the pivot column, is updated at every step.
     Pivot rows become Fractions only at the end, divided by their pivot.
@@ -182,10 +187,6 @@ def _svd_rank(s: np.ndarray, tol: float | None) -> int:
     return int(np.count_nonzero(s > _tol(tol) * s[0]))
 
 
-def _as_rows(m: np.ndarray) -> list[list[Fraction]]:
-    return [[frac(v) for v in row] for row in np.atleast_2d(m)]
-
-
 def rank(m: np.ndarray, tol: float | None = None) -> int:
     m = np.asarray(m)
     if m.size == 0:
@@ -193,7 +194,7 @@ def rank(m: np.ndarray, tol: float | None = None) -> int:
     if m.ndim == 1:
         m = m.reshape(1, -1)
     if is_exact(m):
-        _, pivots = _rref_exact(_as_rows(m), m.shape[1], reduce=False)
+        _, pivots = _rref_exact(m.tolist(), m.shape[1], reduce=False)
         return len(pivots)
     return _svd_rank(np.linalg.svd(m.astype(float), compute_uv=False), tol)
 
@@ -205,7 +206,7 @@ def nullspace_rows(m: np.ndarray, tol: float | None = None) -> np.ndarray:
         m = m.reshape(1, -1)
     n = m.shape[1]
     if is_exact(m):
-        red, pivots = _rref_exact(_as_rows(m), n)
+        red, pivots = _rref_exact(m.tolist(), n)
         free = [c for c in range(n) if c not in pivots]
         basis = zeros((len(free), n))
         for bi, fc in enumerate(free):
@@ -228,8 +229,7 @@ def invert(m: np.ndarray, tol: float | None = None) -> np.ndarray:
         if rank(m, tol) < n:
             raise SingularMatrixError("matrix is numerically singular")
         return np.linalg.inv(m.astype(float))
-    aug = [row + ident for row, ident in
-           zip(_as_rows(m), ([Fraction(int(i == j)) for j in range(n)] for i in range(n)))]
+    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(m.tolist())]
     red, pivots = _rref_exact(aug, 2 * n)
     if pivots[:n] != list(range(n)):
         raise SingularMatrixError("matrix is singular")
@@ -252,7 +252,7 @@ def solve(a: np.ndarray, b: np.ndarray, tol: float | None = None):
         raise ValueError("solve: row counts differ")
     ncols, nrhs = a.shape[1], brows.shape[1]
     if is_exact(a):
-        aug = [ra + rb for ra, rb in zip(_as_rows(a), _as_rows(brows))]
+        aug = [ra + rb for ra, rb in zip(a.tolist(), brows.tolist())]
         red, pivots = _rref_exact(aug, ncols + nrhs)
         if any(pc >= ncols for pc in pivots):
             return None
@@ -346,8 +346,7 @@ class Subspace:
             raise ValueError("spanning vectors do not match ambient_dim")
         exact = any(is_exact(r) for r in rows)
         if exact:
-            stacked = np.vstack([exact_matrix(r).reshape(1, -1) for r in rows])
-            red, _ = _rref_exact(_as_rows(stacked), n)
+            red, _ = _rref_exact([r.tolist() for r in rows], n)
             return cls(n, array(red))
         stacked = np.vstack([r.astype(float) for r in rows])
         if not stacked.any():

@@ -12,7 +12,9 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import DegenerateConfigError
 from .linalg import zeros
+from .motions import PointConfiguration
 
 DEFAULT_BOUND = 10 ** 6
 
@@ -60,8 +62,6 @@ def random_config(dim: int, count: int, rng: random.Random,
                   exact: bool = True, bound: int = DEFAULT_BOUND):
     """Random integer-coordinate configuration; generic with overwhelming
     probability at the default bound."""
-    from .motions import PointConfiguration
-
     if exact:
         return PointConfiguration(random_exact_matrix(dim, count, rng, bound))
     return PointConfiguration(random_float_matrix(dim, count, rng, float(bound)))
@@ -70,8 +70,6 @@ def random_config(dim: int, count: int, rng: random.Random,
 def random_general_config(dim: int, count: int, seed: int, tag: str = "config",
                           exact: bool = True, bound: int = DEFAULT_BOUND):
     """Random configuration rejected until it is in general position."""
-    from .errors import DegenerateConfigError
-
     for attempt in range(50):
         p = random_config(dim, count, subrng(seed, tag, attempt),
                           exact=exact, bound=bound)

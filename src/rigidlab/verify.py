@@ -61,9 +61,9 @@ def _count(samples: int | None, default: int) -> int:
     return samples
 
 
-def _general_config(seed: int, tag: str, idx: int, dim: int = 3,
-                    count: int = 5, bound: int = SMALL_BOUND) -> PointConfiguration:
-    return random_general_config(dim, count, seed, f"{tag}/{idx}", bound=bound)
+def _general_config(seed: int, tag: str, idx: int,
+                    count: int = 5) -> PointConfiguration:
+    return random_general_config(3, count, seed, f"{tag}/{idx}", bound=SMALL_BOUND)
 
 
 def _pin_instance(seed: int, tag: str, idx: int, rational: bool = False):
@@ -190,10 +190,10 @@ def _check_rigidity_sanity(seed: int, samples: int | None):
     return True, "K4, K5, double banana and its hinge all as expected"
 
 
-def _example_population(seed: int, configs: int = 5):
-    """(p, space, label) triples used by two checks."""
+def _example_population(seed: int):
+    """(p, space, label) triples on 5 configurations, used by two checks."""
     out = []
-    for idx in range(configs):
+    for idx in range(5):
         p = _general_config(seed, "example-config", idx)
         rng = subrng(seed, "example-ratio", idx)
         k = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
@@ -214,19 +214,17 @@ def _check_example_spaces(seed: int, samples: int | None):
 
 def _family_setup(seed: int, trials: int):
     p = _general_config(seed, "family-config", 0)
-    space = stress_matched_linear_space(p)
-    triv = trivial_motion_space(p)
-    family = construct_admissible_family(p, trials=trials, seed=seed)
-    return p, space, triv, family
+    return p, construct_admissible_family(p, trials=trials, seed=seed)
 
 
 def _check_family(seed: int, samples: int | None):
     trials = _count(samples, 20)
     nx = _count(samples, 20)
-    p, space, triv, family = _family_setup(seed, trials)
+    p, family = _family_setup(seed, trials)
+    space = stress_matched_linear_space(p)
     if space.dim < 7:
         return False, f"stress-matched space has dim {space.dim} < 7"
-    meet = space.subspace.intersection(triv.subspace).dim
+    meet = space.subspace.intersection(trivial_motion_space(p).subspace).dim
     if meet != 3:
         return False, f"intersection with trivial motions has dim {meet} != 3"
     fully_flexible = 0
@@ -280,7 +278,7 @@ def _check_classification(seed: int, samples: int | None):
     trials = _count(samples, 20)
     kinds = {"all-affine": 0, "rank-one-form": 0}
     cases = list(_example_population(seed))
-    p, _, _, family = _family_setup(seed, trials)
+    p, family = _family_setup(seed, trials)
     cases.extend((p, member, f"constructed member {i}")
                  for i, member in enumerate(family))
     for p_i, space, label in cases:
@@ -358,8 +356,8 @@ def _poly_case_instance(case: PolyDependence, rng):
             return l1, q1, l2, q2
 
 
-def _values_dependent(l1, q1, l2, q2, rng, evals: int = 200) -> bool:
-    """Whether l1*q2 - l2*q1 vanishes at `evals` random integer points.  Scaling
+def _values_dependent(l1, q1, l2, q2, rng) -> bool:
+    """Whether l1*q2 - l2*q1 vanishes at 200 random integer points.  Scaling
     pair i by the lcm d_i of its denominators scales l1*q2 - l2*q1 by d1*d2:
     the same zeros, evaluated on ints."""
     pairs = []
@@ -369,7 +367,7 @@ def _values_dependent(l1, q1, l2, q2, rng, evals: int = 200) -> bool:
         upper = [ints[4 + 4 * a + b] + (a != b) * ints[4 + 4 * b + a]
                  for a in range(4) for b in range(a, 4)]
         pairs.append((*ints[:4], *upper))
-    for _ in range(evals):
+    for _ in range(200):
         # randint(-50, 50) is randrange(-50, 51): the same draws.
         x, y, w = [rng.randrange(-50, 51) for _ in range(3)]
         (a1, b1), (a2, b2) = [

@@ -1,4 +1,6 @@
+import inspect
 import json
+from pathlib import Path
 
 import pytest
 
@@ -49,11 +51,6 @@ def test_analyze_flexible_graph(tmp_path, capsys):
     assert "flex_dim: 7" in out
 
 
-def test_missing_file(tmp_path, capsys):
-    assert main(["analyze", str(tmp_path / "absent.json")]) == 3
-    assert "parse error" in capsys.readouterr().err
-
-
 def test_malformed_json(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
@@ -83,12 +80,6 @@ def test_henneberg_cone_extension(tmp_path, capsys):
     assert written["vertices"] == 5
     assert len(written["edges"]) == 9
     assert [1, 2] not in written["edges"]
-
-
-def test_henneberg_bad_support(tmp_path, capsys):
-    graph = _graph_file(tmp_path, "k4.json", Graph.complete(4))
-    assert main(["henneberg", graph, "-x", "1", "2"]) == 2
-    assert "usage error" in capsys.readouterr().err
 
 
 def test_henneberg_bad_edge_token(tmp_path, capsys):
@@ -238,16 +229,6 @@ def test_dim_must_be_positive(tmp_path, capsys, command, dim):
     assert "--dim" in captured.err
 
 
-def test_conic_needs_a_3d_config(tmp_path, capsys):
-    config = _write(tmp_path, "plane.json",
-                    {"dim": 2, "points": [[0, 0], [1, 0], [0, 1], [1, 1], [2, 3]]})
-    assert main(["conic", config, "--probe", "triangle-and-path",
-                 "--format", "jsonl"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "R^3" in captured.err
-
-
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "0", "1", "2"])
 @pytest.mark.parametrize("command", ["analyze", "admissible"])
 def test_tol_must_lie_in_open_unit_interval(tmp_path, capsys, command, tol):
@@ -334,3 +315,72 @@ def test_admissible_classification_error_leaves_stdout_empty(tmp_path, capsys,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "degenerate input: the two pin blocks have equal" in captured.err
+
+
+def _k5e(tmp_path):
+    return _graph_file(tmp_path, "k5e.json", Graph.complete(5).without_edges([(4, 5)]))
+
+
+def _raising_check(monkeypatch):
+    def degenerate(seed, samples):
+        raise DegenerateConfigError("stubbed")
+
+    patched = tuple((name, degenerate if name == "pin-flex-property" else fn)
+                    for name, fn in verify._CHECKS)
+    monkeypatch.setattr(verify, "_CHECKS", patched)
+    return ["verify", "--checks", "trivial-motion-dim", "pin-flex-property",
+            "--samples", "2"]
+
+
+FAILURES = {
+    "analyze-missing-file": (
+        lambda d, mp: ["analyze", str(d / "absent.json")], 3,
+        "parse error: "),
+    "henneberg-bad-support": (
+        lambda d, mp: ["henneberg", _k5e(d), "-x", "1", "2"], 2,
+        "usage error: support size 2"),
+    "henneberg-output-is-a-directory": (
+        lambda d, mp: ["henneberg", _k5e(d), "-x", "1", "2", "3", "-o", str(d)], 2,
+        "usage error: cannot write {d}: "),
+    "henneberg-output-in-missing-directory": (
+        lambda d, mp: ["henneberg", _k5e(d), "-x", "1", "2", "3",
+                       "-o", str(d / "absent" / "out.json")], 2,
+        "usage error: cannot write {d}/absent/out.json: "),
+    "admissible-bad-builtin": (
+        lambda d, mp: ["admissible", _config_file(d, "p.json", STANDARD_POINTS),
+                       "--builtin", "nope"], 3,
+        "parse error: unknown builtin"),
+    "implied-pair-out-of-range": (
+        lambda d, mp: ["implied", _k5e(d), "--pair", "1", "9"], 2,
+        "usage error: vertex 9"),
+    "implied-loop-pair": (
+        lambda d, mp: ["implied", _k5e(d), "--pair", "2", "2"], 2,
+        "usage error: loop edge"),
+    "conic-2d-config": (
+        lambda d, mp: ["conic", _write(d, "plane.json", {"dim": 2, "points": [
+            [0, 0], [1, 0], [0, 1], [1, 1], [2, 3]]}),
+            "--probe", "triangle-and-path"], 2,
+        "usage error: conic needs a configuration in R^3"),
+    "verify-check-raises": (
+        lambda d, mp: _raising_check(mp), 4, "degenerate input: stubbed"),
+}
+
+
+@pytest.mark.parametrize("case", FAILURES)
+@pytest.mark.parametrize("fmt", ["text", "jsonl"])
+def test_failed_command_leaves_stdout_empty(tmp_path, monkeypatch, capsys, fmt,
+                                            case):
+    argv, code, message = FAILURES[case]
+    assert main(argv(tmp_path, monkeypatch) + ["--format", fmt]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("rigidlab: " + message.format(d=tmp_path))
+
+
+def test_only_main_writes_stdout():
+    src = Path(cli.__file__).parent
+    in_main = inspect.getsource(cli.main).count("print(")
+    counts = {path.name: path.read_text().count("print(")
+              for path in sorted(src.glob("*.py"))}
+    assert in_main > 0
+    assert counts == {**dict.fromkeys(counts, 0), "cli.py": in_main}

@@ -249,6 +249,34 @@ def test_rref_matches_fraction_reference(case):
     assert rank(m) == len(want_pivots)
 
 
+@pytest.mark.parametrize("cast", [int, np.int64])
+def test_integer_entries_match_fraction_results(cast):
+    """Object arrays of Python ints or of np.int64 give the Fraction
+    results.  The np.int64 entries lie near 2**62, so any product of two
+    of them overflows int64 unless the kernel sees Python ints."""
+    rng = random.Random(62)
+
+    def big():
+        return rng.choice((-1, 1)) * (2 ** 62 - rng.randint(0, 2 ** 20))
+
+    def both(rows):
+        ints = np.empty((len(rows), len(rows[0])), dtype=object)
+        for i, row in enumerate(rows):
+            ints[i, :] = [cast(v) for v in row]
+        return ints, exact_matrix(rows)
+
+    a, b = [big() for _ in range(5)], [big() for _ in range(5)]
+    # Rank 3: the third row is the difference of the first two.
+    flat, flat_frac = both([a, b, [x - y for x, y in zip(a, b)],
+                            [big() for _ in range(5)]])
+    square, square_frac = both([[big() for _ in range(4)] for _ in range(4)])
+    assert all(type(v) is int for v in linalg.cleared(flat)[0].flat)
+    assert rank(flat) == rank(flat_frac) == 3
+    assert (nullspace_rows(flat) == nullspace_rows(flat_frac)).all()
+    assert (solve(flat, flat[:, 0]) == solve(flat_frac, flat_frac[:, 0])).all()
+    assert (invert(square) == invert(square_frac)).all()
+
+
 def test_zero_rule_lives_in_linalg():
     src = Path(linalg.__file__).parent
     offenders = [path.name for path in sorted(src.glob("*.py"))
