@@ -7,7 +7,9 @@ zero when every entry == 0, float values when max|value| <= tol *
 max(scale, 1); float ranks count singular values above tol times the
 largest.  Exact entries are fractions.Fraction at the boundary only:
 every exact rank, nullspace, solve and inverse runs _rref_exact, which
-is Bareiss fraction-free Gauss-Jordan elimination on Python ints.
+is Bareiss fraction-free elimination on Python ints: Gauss-Jordan for
+nullspace, solve and inverse, forward only (rows below each pivot) for
+rank.  Its divisions are exact in both modes.
 cleared, the one denominator-clearing helper, scales exact values by
 the lcm of their denominators: kernel rows, pin samples, check 12.
 
@@ -143,11 +145,16 @@ def _rref_exact(rows: list[list], ncols: int, reduce: bool = True):
 
     Entries are ints, Fractions or anything frac accepts.  Each row is
     scaled by the lcm of its denominators (cleared), which keeps the row
-    space, and Bareiss fraction-free Gauss-Jordan runs on the integer
-    rows.  After k pivots every entry is a k x k minor, so the
-    division by the previous pivot is exact provided every other row,
-    whatever its entry in the pivot column, is updated at every step.
-    Pivot rows become Fractions only at the end, divided by their pivot.
+    space, and Bareiss fraction-free elimination runs on the integer
+    rows; every entry it forms is a minor of the cleared rows, so the
+    division by the previous pivot is exact under each mode's rule.
+    reduce=True is Gauss-Jordan: exact provided every row but the pivot
+    row, whatever its entry in the pivot column, is updated at every
+    step; pivot rows become Fractions only at the end, divided by their
+    pivot.  reduce=False is forward elimination: only the rows below the
+    pivot are updated, exact provided each of them is updated at every
+    step, a zero in the pivot column included.  The rows below never
+    read the rows above, so both modes find the same pivots.
     """
     mat = [cleared(row)[0] for row in rows]
     pivots: list[int] = []
@@ -164,7 +171,7 @@ def _rref_exact(rows: list[list], ncols: int, reduce: bool = True):
         mat[lead], mat[piv] = mat[piv], mat[lead]
         base = mat[lead]
         p = base[col]
-        for i in range(len(mat)):
+        for i in range(0 if reduce else lead + 1, len(mat)):
             if i != lead:
                 f = mat[i][col]
                 mat[i] = [(a * p - f * b) // prev for a, b in zip(mat[i], base)]

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from .errors import BadSupportError
-from .motions import MotionSpace, PointConfiguration, trivial_motion_space
+from .motions import MotionSpace, PointConfiguration
 from .sampling import random_config, subrng
 
 
@@ -137,13 +137,16 @@ def analyze(fw: Framework, tol: float | None = None) -> RigidityReport:
     Isostatic means rigid with every edge load-bearing, which holds
     exactly when the edge rows are independent: one rank decides both.
     On the exact backend that rank is integer elimination (see linalg).
+    The trivial dimension is n(n+1)/2 - (n-a)(n-a-1)/2, a the dimension
+    of the points' affine span: rotations fixing the span move nothing.
     """
     p = fw.config
-    total = p.dim * p.count
+    n, total = p.dim, p.dim * p.count
     r = rigidity_matrix(fw)
     base_rank = linalg.rank(r, tol)
     flex_dim = total - base_rank
-    trivial_dim = trivial_motion_space(p, tol).dim
+    a = linalg.rank((p.points[:, 1:] - p.points[:, :1]).T, tol)
+    trivial_dim = n * (n + 1) // 2 - (n - a) * (n - a - 1) // 2
     isostatic = flex_dim == trivial_dim and base_rank == r.shape[0]
     return RigidityReport(flex_dim=flex_dim, trivial_dim=trivial_dim,
                           is_isostatic=isostatic)

@@ -242,6 +242,8 @@ def test_rref_matches_fraction_reference(case):
     want_red, want_pivots = reference_rref(rows, ncols)
     assert pivots == want_pivots
     assert red == want_red
+    # The rank-only mode eliminates forward only and finds the same pivots.
+    assert _rref_exact(rows, ncols, reduce=False) == (None, want_pivots)
     assert all(type(v) is Fraction for row in red for v in row)
     m = np.empty((len(rows), ncols), dtype=object)
     for i, row in enumerate(rows):
@@ -271,6 +273,9 @@ def test_integer_entries_match_fraction_results(cast):
                             [big() for _ in range(5)]])
     square, square_frac = both([[big() for _ in range(4)] for _ in range(4)])
     assert all(type(v) is int for v in linalg.cleared(flat)[0].flat)
+    for m, m_frac in ((flat, flat_frac), (square, square_frac)):
+        want = reference_rref(m_frac.tolist(), m.shape[1])[1]
+        assert _rref_exact(m.tolist(), m.shape[1], reduce=False) == (None, want)
     assert rank(flat) == rank(flat_frac) == 3
     assert (nullspace_rows(flat) == nullspace_rows(flat_frac)).all()
     assert (solve(flat, flat[:, 0]) == solve(flat_frac, flat_frac[:, 0])).all()

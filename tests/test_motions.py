@@ -11,6 +11,7 @@ from rigidlab.motions import (MotionSpace, PointConfiguration,
                               take_points, trivial_motion_space,
                               unflatten_motion)
 from rigidlab.admissibility import proportional_pair_space, single_vertex_space
+from rigidlab.rigidity import Framework, Graph, analyze
 from rigidlab.sampling import random_config, random_exact_matrix, subrng
 
 STANDARD = PointConfiguration(exact_matrix(
@@ -34,7 +35,25 @@ def test_skew_basis_shapes():
     assert len(skew_basis(2)) == 1
 
 
+def _affine_configs(n: int):
+    """(name, points, trivial dimension) in R^n: generic, coplanar (R^3
+    only), collinear, coincident and a single point."""
+    rng = subrng(1, f"affine/{n}")
+    base, d1, d2 = (random_exact_matrix(n, 1, rng, 20) for _ in range(3))
+    cases = [("generic", random_exact_matrix(n, 5, rng, 20), n * (n + 1) // 2)]
+    if n == 3:
+        cases.append(("coplanar", base + d1 @ exact_matrix([[0, 1, 2, -1, 3]])
+                      + d2 @ exact_matrix([[0, 2, -1, 1, 1]]), 6))
+    cases += [("collinear", base + d1 @ exact_matrix([[0, 1, 2, -3, 5]]),
+               n * (n + 1) // 2 - (n - 1) * (n - 2) // 2),
+              ("coincident", base @ exact_matrix([[1] * 4]), n),
+              ("single", base, n)]
+    return cases
+
+
 def test_trivial_dimension_cases():
+    """analyze's closed form n(n+1)/2 - (n-a)(n-a-1)/2, a the dimension of
+    the affine span, equals the dimension of the trivial motion space."""
     assert trivial_motion_space(random_config(3, 5, subrng(1, "t", 0))).dim == 6
     assert trivial_motion_space(random_config(2, 3, subrng(1, "t", 1))).dim == 3
     # collinear points still span an affine line, dimension n-1, so no drop
@@ -43,6 +62,12 @@ def test_trivial_dimension_cases():
     # a single point only admits the translations
     single = PointConfiguration(exact_matrix([[3], [4], [5]]))
     assert trivial_motion_space(single).dim == 3
+    for n in (2, 3):
+        for name, pts, want in _affine_configs(n):
+            for q in (PointConfiguration(pts), PointConfiguration(to_float(pts))):
+                fw = Framework(Graph.complete(q.count), q)
+                got = analyze(fw).trivial_dim
+                assert got == trivial_motion_space(q).dim == want, (n, name)
 
 
 def test_trivial_space_is_spanned_by_the_skew_basis_products():

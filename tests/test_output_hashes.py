@@ -2,9 +2,10 @@
 
 The sha256 digests were recorded before the code they cover was
 refactored (the elimination kernel, the zero rule, the shared sampling
-and search helpers, check 12's integer oracle); the code must reproduce them byte for byte.  Input
-files are written under fixed relative names, because the manifest
-record echoes the paths it was given.
+and search helpers, check 12's integer oracle, the closed-form trivial
+dimension); the code must reproduce them byte for byte.  Input files
+are written under fixed relative names, because the manifest record
+echoes the paths it was given.
 """
 
 import hashlib
@@ -20,6 +21,13 @@ GRAPHS = {
     "banana.json": double_banana(),
 }
 
+# Degenerate configurations of five points in R^3, where the trivial
+# dimension drops below 6: on a line (5) and all at one point (3).
+CONFIGS = {
+    "collinear.json": [[1 + 2 * t, 2 - t, 3 - 4 * t] for t in (0, 1, 2, 3, -1)],
+    "coincident.json": [[2, -1, 3]] * 5,
+}
+
 CASES = [
     (["analyze", "k5e.json"], 0,
      "8bc838675f0db3a5454a3be398b061b81c500822767e06d1ddd50694cb6f6d68"),
@@ -29,6 +37,14 @@ CASES = [
      "107ee64c96e5f0a399c94f5baaed2d96185863268bda2a6910db4df3f7edb8c4"),
     (["analyze", "banana.json", "--backend", "float"], 1,
      "d07b34b3b4e6b278921714acb1b11f67b2f1f720ae605f404c0c848e5f026e6e"),
+    (["analyze", "k5e.json", "collinear.json"], 1,
+     "8c9b2ebda9532f2ae64712aaa941a3b9034d28f37a968203b7e1f2fc444255c8"),
+    (["analyze", "k5e.json", "collinear.json", "--backend", "float"], 1,
+     "ef6a90418db4681e02808159775360812a036374fac9f7980a742cb1e96d04ba"),
+    (["analyze", "k5e.json", "coincident.json"], 1,
+     "54d06a620fc3409c815c0e94d5169d6e5c80b330d0d7157b383c83bcf0144939"),
+    (["analyze", "k5e.json", "coincident.json", "--backend", "float"], 1,
+     "7b87611d05a89b6aee528304861d4eabdb06bbf76d1b16c37b590087b7f50dcd"),
     (["implied", "banana.json"], 0,
      "1e27811c709d0a58c37f70cb8bb2849baed964d1abe3132417e52fb3059a3b51"),
     (["admissible", "--builtin", "example1"], 0,
@@ -63,6 +79,9 @@ def graph_dir(tmp_path, monkeypatch):
             "vertices": g.vertex_count,
             "edges": [list(e) for e in g.sorted_edges()],
         }), encoding="utf-8")
+    for name, points in CONFIGS.items():
+        (tmp_path / name).write_text(json.dumps({"dim": 3, "points": points}),
+                                     encoding="utf-8")
     monkeypatch.chdir(tmp_path)
 
 

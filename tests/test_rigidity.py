@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rigidlab import linalg, motions
 from rigidlab.errors import BadSupportError
 from rigidlab.linalg import _rref_exact, exact_matrix, rank
 from rigidlab.motions import PointConfiguration, trivial_motion_space
@@ -149,6 +150,23 @@ ISOSTATIC_CASES = [
     ("double-banana", double_banana(), False),
     ("K5-e+0ext", henneberg_extend(K5E, [1, 2, 4], [], 3), True),
 ]
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+@pytest.mark.parametrize("g", [K5E, double_banana()],
+                         ids=["K5-e", "double-banana"])
+def test_analyze_builds_no_motion_space(monkeypatch, g, exact):
+    """The trivial dimension comes from the affine rank, so analyze needs
+    neither the trivial motion space nor a subspace basis."""
+    p = random_config(3, g.vertex_count, subrng(2, "no-space", 0), exact=exact)
+    want = analyze(Framework(g, p))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("analyze built a motion space")
+
+    monkeypatch.setattr(motions, "trivial_motion_space", refuse)
+    monkeypatch.setattr(linalg.Subspace, "from_spanning", refuse)
+    assert analyze(Framework(g, p)) == want
 
 
 def _isostatic_by_deletion(fw: Framework) -> bool:
