@@ -21,9 +21,9 @@ from .errors import (DegenerateConfigError, HypothesisViolatedError,
                      OnAffineSpanError, ParallelSpanError, SingularMatrixError)
 from .linalg import (Subspace, frac, invert, is_zero, ones_vector,
                      sym_outer_rows)
-from .motions import (MotionSpace, PointConfiguration, affine_motion_parts,
-                      linear_motion_matrix, p_equivalent, take_points,
-                      trivial_motion_space)
+from .motions import (MotionSpace, PointConfiguration, _ranks_mod_trivial,
+                      affine_motion_parts, flatten_motion, linear_motion_matrix,
+                      p_equivalent, take_points)
 from .pins import PinContext, pin_velocity, scale_factor
 from .sampling import (DEFAULT_BOUND, random_exact_vector, random_float_vector,
                        subrng)
@@ -159,8 +159,7 @@ def check_admissibility(p: PointConfiguration, s: MotionSpace,
         raise ValueError("candidate subspace must have positive dimension")
     if s.config != p:
         raise ValueError("motion space does not belong to this configuration")
-    triv = trivial_motion_space(p, tol)
-    intersects = s.subspace.intersection(triv.subspace, tol).dim > 0
+    intersects = _ranks_mod_trivial(p, [s.subspace.basis], tol)[0] < s.dim
     ranks: list = []
     failures: list = []
     for x, (m, _) in _pin_samples(p, samples, seed, "pin-sample",
@@ -225,8 +224,7 @@ def sufficient_check(p: PointConfiguration, s: MotionSpace,
     """Sufficient (not necessary) admissibility test: trivial intersection
     zero, every motion linear, and the stress gap vanishing on s."""
     _require_five_points(p)
-    triv = trivial_motion_space(p, tol)
-    if s.subspace.intersection(triv.subspace, tol).dim > 0:
+    if _ranks_mod_trivial(p, [s.subspace.basis], tol)[0] < s.dim:
         return False
     sides = _pin_sides(p)
     for u in s.basis_motions():
@@ -273,23 +271,20 @@ def construct_admissible_family(p: PointConfiguration, trials: int = 20,
     linear motions that meet the trivial motions only in zero."""
     _require_five_points(p)
     space = stress_matched_linear_space(p, tol)
-    triv = trivial_motion_space(p, tol).subspace
     basis = space.subspace.basis
     out: list[MotionSpace] = []
-    attempt = 0
-    limit = 100 * trials
-    while len(out) < trials and attempt < limit:
+    for attempt in range(100 * trials):
+        if len(out) == trials:
+            break
         rng = subrng(seed, "family", attempt)
-        attempt += 1
         coeffs = linalg.array([[frac(rng.randint(-9, 9)) for _ in range(space.dim)]
                                for _ in range(2)], p.exact)
         vecs = [sum((c * b for c, b in zip(row, basis)),
                     linalg.zeros(space.subspace.ambient_dim, p.exact))
                 for row in coeffs]
-        sub = Subspace.from_spanning(vecs, space.subspace.ambient_dim, tol)
-        if sub.dim != 2 or sub.intersection(triv, tol).dim != 0:
+        if _ranks_mod_trivial(p, [vecs], tol)[0] != 2:
             continue
-        out.append(MotionSpace(p, sub))
+        out.append(MotionSpace(p, Subspace.from_spanning(vecs, tol=tol)))
     if len(out) < trials:
         raise DegenerateConfigError("failed to sample enough admissible subspaces")
     return out
@@ -337,7 +332,7 @@ def one_dim_space_inadmissible(p: PointConfiguration, u: np.ndarray,
     u = np.asarray(u)
     if u.shape != p.points.shape:
         raise ValueError("motion shape does not match configuration")
-    if trivial_motion_space(p, tol).contains(u, tol):
+    if _ranks_mod_trivial(p, [[flatten_motion(u)]], tol)[0] == 0:
         raise ValueError("u is a trivial motion; the test needs a nontrivial one")
     ids_q = tuple(list(range(1, n)) + [n + 1])
     ids_r = tuple(range(1, n + 1))

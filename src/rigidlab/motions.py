@@ -164,12 +164,8 @@ def trivial_motion_space(p: PointConfiguration,
     the affine span of the points has dimension at least n-1.
     """
     n, k, exact = p.dim, p.count, p.exact
-    gens = []
     ones = linalg.ones_vector(k, exact)
-    for j in range(n):
-        t = zeros((n, k), exact)
-        t[j] = ones
-        gens.append(t)
+    gens = [np.outer(e, ones) for e in linalg.identity(n, exact)]
     # skew_basis(n)'s E_ij - E_ji times the points, as row copies.
     for i, j in combinations(range(n), 2):
         t = zeros((n, k), exact)
@@ -203,6 +199,27 @@ def affine_motion_parts(p: PointConfiguration, u: np.ndarray,
     return x[: p.dim].T, x[p.dim]
 
 
+def _ranks_mod_trivial(p: PointConfiguration, motion_sets,
+                       tol: float | None = None) -> list[int]:
+    """dim(span S + T) - dim T for each set S of flattened motions, T the
+    trivial motions of p.  At affine rank min(k-1, n) K_k is infinitesimally
+    rigid at p (Asimow-Roth), so T is the kernel of the strains (u_i - u_j)
+    .(p_i - p_j), i < j, and an exact S is ranked by its strains on cleared
+    ints.  Else the answer is rank [T basis; S] - dim T, T built once."""
+    n, k, pts = p.dim, p.count, p.points
+    if p.exact and linalg.rank((pts[:, 1:] - pts[:, :1]).T) == min(k - 1, n):
+        i, j = np.triu_indices(k, 1)
+        ints = linalg.cleared(pts)[0].T
+        chords = ints[i] - ints[j]
+        sets = (linalg.cleared(linalg.array(m))[0].reshape(-1, k, n)
+                for m in motion_sets)
+        return [linalg.rank(((u[:, i] - u[:, j]) * chords).sum(axis=2))
+                for u in sets]
+    triv = trivial_motion_space(p, tol).subspace
+    return [linalg.rank(np.vstack([triv.basis, *m]), tol) - triv.dim
+            for m in motion_sets]
+
+
 def p_equivalent(s1: MotionSpace, s2: MotionSpace,
                  tol: float | None = None) -> bool:
     """True when s1 and s2 have equal images modulo the trivial motions."""
@@ -210,12 +227,9 @@ def p_equivalent(s1: MotionSpace, s2: MotionSpace,
         raise ValueError("motion spaces live on different configurations")
     if s1.dim != s2.dim:
         return False
-    triv = trivial_motion_space(s1.config, tol).subspace
-    j1 = s1.subspace.join(triv, tol)
-    j2 = s2.subspace.join(triv, tol)
-    if j1.dim != j2.dim:
-        return False
-    return j1.join(j2, tol).dim == j1.dim
+    b1, b2 = s1.subspace.basis, s2.subspace.basis
+    r1, r2, r12 = _ranks_mod_trivial(s1.config, [b1, b2, np.vstack([b1, b2])], tol)
+    return r1 == r2 == r12
 
 
 def restricts_to_isometry(p: PointConfiguration, s: MotionSpace, subset,

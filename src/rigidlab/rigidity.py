@@ -154,7 +154,10 @@ def analyze(fw: Framework, tol: float | None = None) -> RigidityReport:
 
 def _generic_witness(g: Graph, n: int, seed: int, tag: str, holds) -> bool:
     """True when holds(analyze(...)) at one of two random configurations:
-    one witness decides, a negative answer needs both samples to agree."""
+    one witness decides, a negative answer needs both samples to agree.
+    A wrong "not rigid" needs a nonzero minor of degree r, g's generic rank
+    (<= nV - n(n+1)/2 for V >= n), to vanish at both draws of 2*10^6 + 1
+    values a coordinate: probability <= (r/(2*10^6 + 1))^2 (Schwartz-Zippel)."""
     for idx in range(2):
         p = random_config(n, g.vertex_count, subrng(seed, tag, idx))
         if holds(analyze(Framework(g, p))):
@@ -193,7 +196,10 @@ def _implied_pairs_at(g: Graph, p: PointConfiguration, candidates) -> set:
 
 
 def implied_pairs(g: Graph, candidates, n: int, seed: int = 0) -> set:
-    """Subset of candidate pairs implied by g at generic configurations."""
+    """Subset of candidate pairs implied by g at generic configurations,
+    that is at both of two random ones.  A wrong "implied" needs a nonzero
+    minor of g plus the pair, of degree r as in _generic_witness, to vanish
+    at both: probability <= (r/(2*10^6 + 1))^2 (Schwartz-Zippel)."""
     cands = [normalize_edge(i, j) for i, j in candidates]
     agreed = None
     for idx in range(2):

@@ -3,9 +3,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rigidlab import admissibility, linalg, pins
+from rigidlab import admissibility, linalg, motions, pins
 from rigidlab.admissibility import (BLOCK_123, BLOCK_145, _mismatch_sampler,
                                     _pin_samples, check_admissibility,
+                                    classify_admissible,
                                     construct_admissible_family,
                                     one_dim_space_inadmissible,
                                     pin_mismatch_map, projected_limit_mismatch,
@@ -17,8 +18,8 @@ from rigidlab.errors import (DegenerateConfigError, OnAffineSpanError,
                              ParallelSpanError)
 from rigidlab.linalg import (cleared, exact_matrix, invert, nullspace_rows,
                              ones_vector, rank, to_float)
-from rigidlab.motions import (MotionSpace, PointConfiguration, take_points,
-                              trivial_motion_space)
+from rigidlab.motions import (MotionSpace, PointConfiguration, p_equivalent,
+                              take_points, trivial_motion_space)
 from rigidlab.pins import PinContext, limit_velocity, pin_velocity
 from rigidlab.sampling import (random_exact_matrix, random_exact_vector,
                                random_general_config, random_rational_matrix,
@@ -350,3 +351,51 @@ def test_pin_blocks_are_inverted_once_per_query(monkeypatch):
                             samples=samples)
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+# Five points on the plane z = 1 with both pin blocks invertible.  Moving
+# one point along e3 strains no pair, yet is not a trivial motion, so the
+# strain rank alone would call it trivial.
+COPLANAR = exact_matrix([[1, 5, -4, 2, -6], [2, -3, 7, 9, -5], [1, 1, 1, 1, 1]])
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_coplanar_normal_motion_is_not_trivial(exact):
+    p = PointConfiguration(COPLANAR if exact else to_float(COPLANAR))
+    lines = []
+    for point in (0, 1):
+        u = linalg.zeros((3, 5), exact)
+        u[2, point] = 1
+        lines.append(MotionSpace.from_motions(p, [u]))
+    assert check_admissibility(p, lines[0]).intersects_trivial is False
+    assert p_equivalent(lines[0], lines[1]) is False
+    assert p_equivalent(lines[0], lines[0]) is True
+
+
+def _classified(p: PointConfiguration, s: MotionSpace):
+    c = classify_admissible(p, s)
+    plane = None if c.plane is None else c.plane.basis.tolist()
+    weights = None if c.weights is None else list(c.weights)
+    return c.kind, plane, weights, c.details
+
+
+def test_admissibility_builds_no_trivial_basis(monkeypatch):
+    # In general position condition 1 and the p-equivalence at the end of
+    # the classification are integer strain ranks: no trivial motion
+    # space, and no subspace intersection or join.
+    p = random_general_config(3, 5, 3, "no-basis", bound=1000)
+    spaces = [single_vertex_space(p), proportional_pair_space(p, Fraction(3, 7)),
+              construct_admissible_family(p, trials=1, seed=3)[0]]
+    want = [(check_admissibility(p, s), _classified(p, s)) for s in spaces]
+    assert [w[1][0].value for w in want] == [
+        "rank-one-form", "rank-one-form", "all-affine"]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a trivial-motion or subspace basis")
+
+    monkeypatch.setattr(motions, "trivial_motion_space", refuse)
+    monkeypatch.setattr(linalg.Subspace, "intersection", refuse)
+    monkeypatch.setattr(linalg.Subspace, "join", refuse)
+    assert [(check_admissibility(p, s), _classified(p, s)) for s in spaces] == want
+    assert construct_admissible_family(p, trials=1, seed=3)[0].subspace.basis.tolist() \
+        == spaces[2].subspace.basis.tolist()

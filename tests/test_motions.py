@@ -3,15 +3,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rigidlab.linalg import exact_matrix, ones_vector, to_float, zeros
+from rigidlab.linalg import Subspace, exact_matrix, ones_vector, to_float, zeros
 from rigidlab.motions import (MotionSpace, PointConfiguration,
-                              affine_motion_parts, flatten_motion,
-                              is_infinitesimal_isometry, linear_motion_matrix,
-                              p_equivalent, restricts_to_isometry, skew_basis,
-                              take_points, trivial_motion_space,
-                              unflatten_motion)
+                              _ranks_mod_trivial, affine_motion_parts,
+                              flatten_motion, is_infinitesimal_isometry,
+                              linear_motion_matrix, p_equivalent,
+                              restricts_to_isometry, skew_basis, take_points,
+                              trivial_motion_space, unflatten_motion)
 from rigidlab.admissibility import proportional_pair_space, single_vertex_space
-from rigidlab.rigidity import Framework, Graph, analyze
+from rigidlab.rigidity import Framework, Graph, analyze, flex_space
 from rigidlab.sampling import random_config, random_exact_matrix, subrng
 
 STANDARD = PointConfiguration(exact_matrix(
@@ -160,3 +160,62 @@ def test_general_position_detects_coplanar_quadruple():
          [0, 0, 0, 0, 1]]))
     assert not flat.is_general_position()
     assert STANDARD.is_general_position()
+
+
+def _mod_trivial_configs():
+    """(name, exact points): generic with k = 1..6 in R^2 and R^3, then
+    the coplanar, collinear, coincident and single-point cases."""
+    cases = [(f"generic-{n}x{k}",
+              random_exact_matrix(n, k, subrng(4, f"mod/{n}/{k}"), 30))
+             for n in (2, 3) for k in range(1, 7)]
+    return cases + [(f"{name}-{n}", pts) for n in (2, 3)
+                    for name, pts, _ in _affine_configs(n) if name != "generic"]
+
+
+def _motion_sets(p: PointConfiguration, rng) -> list:
+    """Sets of 1-4 flattened motions mixing trivial motions, flexes of the
+    complete framework (strain-free, and not trivial when p is
+    degenerate), one-point velocities, random motions and combinations of
+    earlier members, so that the ranks modulo the trivial motions vary."""
+    size = p.dim * p.count
+    triv = trivial_motion_space(p).subspace.basis
+    flex = flex_space(Framework(Graph.complete(p.count), p)).subspace.basis
+    sets = []
+    for _ in range(12):
+        vecs = []
+        for _ in range(rng.randint(1, 4)):
+            kind = rng.choice(["trivial", "flex", "point", "random", "combo"])
+            vec = random_exact_matrix(1, len(triv), rng, 3)[0] @ triv
+            if kind == "flex":
+                vec = vec + random_exact_matrix(1, len(flex), rng, 3)[0] @ flex
+            elif kind == "point":
+                vec = vec.copy()
+                vec[rng.randrange(size)] += 1
+            elif kind == "random":
+                vec = vec + random_exact_matrix(1, size, rng, 5)[0]
+            elif kind == "combo" and vecs:
+                coeffs = random_exact_matrix(1, len(vecs), rng, 3)[0]
+                vec = vec + coeffs @ np.array(vecs)
+            vecs.append(vec)
+        sets.append(vecs)
+    return sets
+
+
+@pytest.mark.parametrize("name, pts", _mod_trivial_configs(),
+                         ids=[c[0] for c in _mod_trivial_configs()])
+def test_ranks_mod_trivial_match_the_stacked_reference(name, pts):
+    # dim(span S + T) - dim T by the reference join of S with the trivial
+    # basis, exact and on float64 copies of the same points and motions.
+    p = PointConfiguration(pts)
+    sets = _motion_sets(p, subrng(4, "mod-sets/" + name))
+    ranks = []
+    for q, vec_sets in ((p, sets), (PointConfiguration(to_float(pts)),
+                                    [[to_float(v) for v in vecs] for vecs in sets])):
+        triv = trivial_motion_space(q).subspace
+        want = [Subspace.from_spanning([*triv.basis, *vecs]).dim - triv.dim
+                for vecs in vec_sets]
+        assert _ranks_mod_trivial(q, vec_sets) == want, name
+        ranks.append(want)
+    assert ranks[0] == ranks[1]
+    if p.count > 1:
+        assert len(set(ranks[0])) > 1, name  # the sets do exercise the rank

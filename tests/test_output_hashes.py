@@ -3,9 +3,10 @@
 The sha256 digests were recorded before the code they cover was
 refactored (the elimination kernel, the zero rule, the shared sampling
 and search helpers, check 12's integer oracle, the closed-form trivial
-dimension); the code must reproduce them byte for byte.  Input files
-are written under fixed relative names, because the manifest record
-echoes the paths it was given.
+dimension, the strain rank modulo the trivial motions); the code must
+reproduce them byte for byte.  Input files are written under fixed
+relative names, because the manifest record echoes the paths it was
+given.
 """
 
 import hashlib
@@ -26,7 +27,13 @@ GRAPHS = {
 CONFIGS = {
     "collinear.json": [[1 + 2 * t, 2 - t, 3 - 4 * t] for t in (0, 1, 2, 3, -1)],
     "coincident.json": [[2, -1, 3]] * 5,
+    # On the plane z = 1, both pin blocks invertible: the trivial motions
+    # are not the strain-free ones, so condition 1 takes the stacked rank.
+    "coplanar.json": [[1, 2, 1], [5, -3, 1], [-4, 7, 1], [2, 9, 1], [-6, -5, 1]],
 }
+
+# Point 1 moving along e3: strain-free on coplanar.json, and not trivial.
+SUBSPACES = {"line.json": [[[0, 0, 0, 0, 0], [0, 0, 0, 0, 0], [1, 0, 0, 0, 0]]]}
 
 CASES = [
     (["analyze", "k5e.json"], 0,
@@ -62,6 +69,11 @@ CASES = [
      "7711ceae647c3fa379696bc86035b9934c4f865ddc9cf9c3e29f479b7f1404c2"),
     (["implied", "k5e.json", "--pair", "4", "5"], 0,
      "675251048d667f72e9361fcb0d72a33d9017545bd43f0acff579aa72bc44b54a"),
+    (["admissible", "coplanar.json", "--subspace", "line.json"], 1,
+     "e4b3b7c8526b46ae4b739ff8e670de8697f48a069d9e85aa36b5272ff444644f"),
+    (["admissible", "coplanar.json", "--subspace", "line.json",
+      "--backend", "float"], 1,
+     "0f6933eda7130b1e3ba5dcbc5b9ca5e955145acf2bcf7cc0ddced4a8faae1d33"),
     # The isometry, pin-sample, two-sample and K4 helpers.
     (["verify", "--checks", "admissible-family", "one-dim-inadmissible",
       "extension-predictions", "--samples", "5", "--seed", "0"], 0,
@@ -82,6 +94,8 @@ def graph_dir(tmp_path, monkeypatch):
     for name, points in CONFIGS.items():
         (tmp_path / name).write_text(json.dumps({"dim": 3, "points": points}),
                                      encoding="utf-8")
+    for name, basis in SUBSPACES.items():
+        (tmp_path / name).write_text(json.dumps({"basis": basis}), encoding="utf-8")
     monkeypatch.chdir(tmp_path)
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rigidlab import linalg, motions
 from rigidlab.errors import BadSupportError
@@ -234,3 +236,51 @@ def test_implied_pairs_at_matches_row_reduction(name, g, seed):
     candidates = [(i, j) for i in vertices for j in vertices if i < j]
     assert _implied_pairs_at(g, p, candidates) == \
         _implied_pairs_by_row_reduction(g, p, candidates)
+
+
+def _integer_rows(rows: int, cols: int, bound: int):
+    row = st.lists(st.integers(-bound, bound), min_size=cols, max_size=cols)
+    return st.lists(row, min_size=rows, max_size=rows)
+
+
+INVARIANCE_CASES = [("K4", Graph.complete(4)), ("K5-e", K5E),
+                    ("octahedron", _octahedron()), ("double-banana", double_banana())]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("name, g", INVARIANCE_CASES,
+                         ids=[c[0] for c in INVARIANCE_CASES])
+def test_analyze_is_invariant_under_affine_maps_and_relabelling(name, g, data):
+    # Infinitesimal rigidity is an affine invariant of the configuration and
+    # does not see vertex names (Graver-Servatius-Servatius); exact ranks
+    # must agree at any integer configuration, degenerate ones included.
+    k = g.vertex_count
+    # Points base + D c_i with D a drawn 3 x span matrix: generic at span
+    # 3, coplanar, collinear or coincident below it; the origin is weighted
+    # as a base, where a linear span and an affine span coincide.
+    span = data.draw(st.integers(0, 3), label="span")
+    base = data.draw(st.just([[0]] * 3) | _integer_rows(3, 1, 30), label="base")
+    pts = exact_matrix(base * np.ones((1, k), dtype=int))
+    if span:
+        pts = pts + exact_matrix(data.draw(_integer_rows(3, span, 9), label="D")) \
+            @ exact_matrix(data.draw(_integer_rows(span, k, 9), label="c"))
+    # A = P L U: a row permutation, unit lower and invertible upper factors.
+    lower, upper = (exact_matrix(data.draw(_integer_rows(3, 3, 4), label=side))
+                    for side in ("L", "U"))
+    for i in range(3):
+        lower[i, i + 1:] = upper[i + 1:, i] = 0
+        lower[i, i] = 1
+        upper[i, i] = data.draw(st.integers(1, 4), label="pivot") \
+            * data.draw(st.sampled_from([1, -1]), label="sign")
+    a = (lower @ upper)[data.draw(st.permutations(range(3)), label="P")]
+    b = exact_matrix(data.draw(_integer_rows(3, 1, 50), label="b"))
+    perm = data.draw(st.permutations(range(k)), label="relabel")
+    want = analyze(Framework(g, PointConfiguration(pts)))
+    moved = PointConfiguration(a @ pts + b @ exact_matrix([[1] * k]))
+    assert analyze(Framework(g, moved)) == want
+    relabelled = Graph.from_edges(k, [(perm[i - 1] + 1, perm[j - 1] + 1)
+                                      for i, j in g.edges])
+    renamed = pts.copy()
+    renamed[:, list(perm)] = pts
+    assert analyze(Framework(relabelled, PointConfiguration(renamed))) == want
