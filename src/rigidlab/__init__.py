@@ -9,9 +9,9 @@ from .admissibility import (AdmissibilityReport, Classification,
                             single_vertex_space, split_blocks,
                             stress_matched_linear_space, sufficient_check)
 from .affinepoly import PolyDependence, affine_poly_dependence
-from .applications import (ExtensionReport, conic_probe_graphs,
-                           edge_conic_space, skew_matrix_space,
-                           two_extension_report)
+from .applications import (ExtensionReport, ExtensionTable,
+                           conic_probe_graphs, edge_conic_space,
+                           skew_matrix_space, two_extension_report)
 from .errors import (BadSupportError, DegenerateConfigError,
                      HypothesisViolatedError, NotIsostaticError,
                      OnAffineSpanError, ParallelSpanError, ParseError,

@@ -45,11 +45,6 @@ def _sym(m: np.ndarray) -> np.ndarray:
     return (m + m.T) * half
 
 
-def linear_value(l: np.ndarray, z) -> object:
-    zhat = [frac(1)] + [frac(v) for v in z]
-    return sum(c * w for c, w in zip(l, zhat))
-
-
 def quadratic_value(q: np.ndarray, z) -> object:
     zhat = linalg.array([frac(v) for v in (1, *z)])
     return zhat @ (exact_matrix(q) @ zhat)

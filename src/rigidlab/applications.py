@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import mul
 
 import numpy as np
 
@@ -18,9 +19,11 @@ from . import linalg
 from .errors import NotIsostaticError
 from .linalg import Subspace
 from .motions import PointConfiguration, skew_basis
-from .rigidity import (Graph, complete_quadruple, henneberg_extend,
-                       implied_pairs, is_generically_isostatic,
-                       is_generically_rigid, normalize_edge)
+from .rigidity import (Framework, Graph, _implied_pairs_at, analyze,
+                       complete_quadruple, henneberg_extend,
+                       is_generically_isostatic, normalize_edge,
+                       rigidity_matrix)
+from .sampling import random_config, subrng
 
 
 def edge_conic_space(p: PointConfiguration, edges,
@@ -96,46 +99,129 @@ def _find_implied_probe(implied: set, xs: list[int]):
     return None
 
 
+class _Stretches:
+    """g's stretch motions at the first V points of a sample q: u_e changes
+    the length of edge e alone (R u_e is the unit vector at e, R g's
+    rigidity matrix), read from one exact solve R R^T W = R, so the rows
+    of W are the u_e up to one common scale.  motions is None when g is
+    not isostatic at those points; callers then run the per-case oracle
+    on q itself.  Any point of q beyond the V-th is the new vertex p_v.
+    """
+
+    def __init__(self, g: Graph, q: PointConfiguration):
+        self.q = q
+        n, v = q.dim, g.vertex_count
+        pts = linalg.cleared(q.points)[0].T.tolist()
+        self.points, self.new = pts[:v], pts[v:]
+        self.motions = None
+        fw = Framework(g, PointConfiguration(q.points[:, :v]))
+        if analyze(fw).is_isostatic:
+            r = linalg.cleared(rigidity_matrix(fw))[0]
+            w = linalg.cleared(linalg.solve(r @ r.T, r))[0].tolist()
+            self.motions = {e: [row[n * k:n * k + n] for k in range(v)]
+                            for e, row in zip(g.sorted_edges(), w)}
+
+    def strain(self, pair, e) -> int:
+        """r_ij . u_e: the coefficient of edge e in the expansion of pair
+        ij's row in the rows of R, up to the common scale."""
+        i, j = pair
+        u = self.motions[e]
+        return sum((a - b) * (c - d) for a, b, c, d in zip(
+            self.points[i - 1], self.points[j - 1], u[i - 1], u[j - 1]))
+
+    def extension_rigid(self, xs, e, f) -> bool:
+        """Flexes of g - e - f are trivial(p) + span(u_e, u_f), so the
+        extension is rigid exactly when its n + 2 new bars leave only the
+        trivial motions: when the matrix with one row
+        [d_k | d_k . b(k) for each rotation b, u_e, u_f] per support
+        vertex k, d_k = p_v - p_k, has rank n + 2 (the translations
+        repeat the d_k columns and are left out)."""
+        pv = self.new[0]
+        rows = []
+        for k in xs:
+            pk = self.points[k - 1]
+            d = [a - b for a, b in zip(pv, pk)]
+            rows.append(d + [d[a] * pk[b] - d[b] * pk[a]
+                             for a, b in combinations(range(len(d)), 2)]
+                        + [sum(map(mul, d, self.motions[h][k - 1]))
+                           for h in (e, f)])
+        pivots = linalg._rref_exact(rows, len(rows[0]), reduce=False)[1]
+        return len(pivots) == len(rows)
+
+
+class ExtensionTable:
+    """Every Henneberg 2-extension of one isostatic base graph g in R^n.
+
+    Built once per (g, n, seed) on the configurations that implied_pairs
+    and is_generically_rigid draw for a single case (the new vertex is
+    the last point of the latter), so each report equals the one those
+    oracles give case by case.  At a sample where g is isostatic, a pair
+    is implied by g - e - f when its strains along u_e and u_f vanish,
+    and rigidity is one (n + 2)-row integer rank; elsewhere that sample
+    runs _implied_pairs_at or analyze on the same configuration.
+    """
+
+    def __init__(self, g: Graph, n: int = 3, seed: int = 0):
+        if not is_generically_isostatic(g, n, seed):
+            raise NotIsostaticError("base graph is not generically isostatic")
+        self.g, self.n = g, n
+        v = g.vertex_count
+        self._implied, self._rigid = (
+            [_Stretches(g, random_config(n, count, subrng(seed, tag, i)))
+             for i in range(2)]
+            for tag, count in (("implied", v), ("generic-rigid", v + 1)))
+
+    def report(self, x, e, f) -> ExtensionReport:
+        """The 2-extension on support x that deletes e and f.
+
+        With e and f removed, an implied complete quadruple in x blocks
+        any prediction; otherwise the extension is predicted rigid when
+        the support spans at least seven edges, or when a
+        triangle-plus-pendant-edge subgraph is implied inside x.  The
+        actual verdict is generic rigidity as is_generically_rigid
+        decides it.
+        """
+        e = normalize_edge(*e)
+        f = normalize_edge(*f)
+        if e == f:
+            raise ValueError("e and f must be distinct edges")
+        xs = sorted(set(x))
+        extension = henneberg_extend(self.g, xs, [e, f], self.n)
+        support_edges = self.g.edges_within(xs)
+
+        implied = list(combinations(xs, 2))
+        for s in self._implied:
+            if s.motions is None:
+                implied = _implied_pairs_at(self.g.without_edges([e, f]), s.q, implied)
+            else:
+                implied = [ij for ij in implied
+                           if s.strain(ij, e) == 0 and s.strain(ij, f) == 0]
+        implied = set(implied)
+        k4 = complete_quadruple(implied, xs)
+        probe = _find_implied_probe(implied, xs)
+
+        predicted = None
+        rule = None
+        if k4 is None:
+            if len(support_edges) >= 7:
+                predicted, rule = True, "seven-support-edges"
+            elif probe is not None:
+                predicted, rule = True, "implied-triangle-pendant"
+        actual = any(analyze(Framework(extension, s.q)).is_rigid if s.motions is None
+                     else s.extension_rigid(xs, e, f) for s in self._rigid)
+        return ExtensionReport(
+            support_edge_count=len(support_edges),
+            implied_k4=k4,
+            implied_probe=probe,
+            predicted_rigid=predicted,
+            prediction_rule=rule,
+            extension_rigid=actual,
+            consistent=(predicted is None) or (predicted == actual),
+        )
+
+
 def two_extension_report(g: Graph, x, e, f, n: int = 3,
                          seed: int = 0) -> ExtensionReport:
     """Check a Henneberg 2-extension of an isostatic graph against the
-    available rigidity predictions.
-
-    With the edges e and f removed inside the support x, an implied
-    complete quadruple in x blocks any prediction; otherwise the
-    extension is predicted rigid when the support spans at least seven
-    edges, or when a triangle-plus-pendant-edge subgraph is implied
-    inside x.  The actual verdict comes from the generic-rank oracle.
-    """
-    if not is_generically_isostatic(g, n, seed):
-        raise NotIsostaticError("base graph is not generically isostatic")
-    e = normalize_edge(*e)
-    f = normalize_edge(*f)
-    if e == f:
-        raise ValueError("e and f must be distinct edges")
-    xs = sorted(set(x))
-    extension = henneberg_extend(g, xs, [e, f], n)
-
-    support_edges = g.edges_within(xs)
-    reduced = g.without_edges([e, f])
-    implied = implied_pairs(reduced, combinations(xs, 2), n, seed)
-    k4 = complete_quadruple(implied, xs)
-    probe = _find_implied_probe(implied, xs)
-
-    predicted = None
-    rule = None
-    if k4 is None:
-        if len(support_edges) >= 7:
-            predicted, rule = True, "seven-support-edges"
-        elif probe is not None:
-            predicted, rule = True, "implied-triangle-pendant"
-    actual = is_generically_rigid(extension, n, seed)
-    return ExtensionReport(
-        support_edge_count=len(support_edges),
-        implied_k4=k4,
-        implied_probe=probe,
-        predicted_rigid=predicted,
-        prediction_rule=rule,
-        extension_rigid=actual,
-        consistent=(predicted is None) or (predicted == actual),
-    )
+    available rigidity predictions: ExtensionTable(g, n, seed).report."""
+    return ExtensionTable(g, n, seed).report(x, e, f)

@@ -21,8 +21,8 @@ from .admissibility import (check_admissibility, classify_admissible,
                             proportional_pair_space, single_vertex_space,
                             stress_matched_linear_space, sufficient_check)
 from .affinepoly import PolyDependence, affine_poly_dependence, linear_product_matrix
-from .applications import (conic_probe_graphs, edge_conic_space,
-                           skew_matrix_space, two_extension_report)
+from .applications import (ExtensionTable, conic_probe_graphs,
+                           edge_conic_space, skew_matrix_space)
 from .errors import OnAffineSpanError, ParallelSpanError, SingularMatrixError
 from .linalg import cleared, invert, ones_vector, sherman_morrison_inverse
 from .motions import (MotionSpace, PointConfiguration, p_equivalent,
@@ -299,9 +299,10 @@ def _check_classification(seed: int, samples: int | None):
 def _check_extensions(seed: int, samples: int | None):
     base = Graph.complete(5).without_edges([(4, 5)])
     xs = list(range(1, 6))
+    table = ExtensionTable(base, 3, seed)
     predicted = blocked = 0
     for e, f in combinations(base.sorted_edges(), 2):
-        report = two_extension_report(base, xs, e, f, 3, seed)
+        report = table.report(xs, e, f)
         if not report.consistent:
             return False, f"prediction wrong for removed edges {e}, {f}"
         if report.predicted_rigid is not None:

@@ -4,13 +4,18 @@ import numpy as np
 import pytest
 
 from rigidlab.affinepoly import (PolyDependence, affine_poly_dependence,
-                                 linear_product_matrix, linear_value,
-                                 quadratic_value)
-from rigidlab.linalg import exact_matrix, rank
+                                 linear_product_matrix, quadratic_value)
+from rigidlab.linalg import exact_matrix, frac, rank
 from rigidlab.sampling import subrng
 
 Z1 = (0, 1, 0)
 Z2 = (0, 0, 1)
+
+
+def linear_value(l, z):
+    """Value of the affine linear l (constant term first) at z."""
+    zhat = [frac(1)] + [frac(v) for v in z]
+    return sum(c * w for c, w in zip(l, zhat))
 
 
 def _brute_dependent(l1, q1, l2, q2, rng, evals=60):

@@ -1,12 +1,23 @@
-import pytest
+from itertools import combinations
 
-from rigidlab.applications import (conic_probe_graphs, edge_conic_space,
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from rigidlab import applications, linalg, rigidity
+from rigidlab.applications import (ExtensionReport, ExtensionTable,
+                                   _find_implied_probe, _Stretches,
+                                   conic_probe_graphs, edge_conic_space,
                                    skew_matrix_space, two_extension_report)
 from rigidlab.errors import BadSupportError, NotIsostaticError
 from rigidlab.linalg import exact_matrix
 from rigidlab.motions import PointConfiguration
-from rigidlab.rigidity import Graph, double_banana
-from rigidlab.sampling import random_general_config
+from rigidlab.rigidity import (Framework, Graph, _implied_pairs_at, analyze,
+                               complete_quadruple, double_banana,
+                               henneberg_extend, implied_pairs,
+                               is_generically_rigid)
+from rigidlab.sampling import random_general_config, subrng
+from rigidlab.verify import run_check
 
 STANDARD = PointConfiguration(exact_matrix(
     [[1, 0, 0, 1, 1],
@@ -111,3 +122,155 @@ def test_equal_removed_edges_refused():
     with pytest.raises(ValueError):
         two_extension_report(_nearly_complete_five(), [1, 2, 3, 4, 5],
                              (1, 2), (2, 1))
+
+
+def _reference_report(g: Graph, xs, e, f, seed: int) -> ExtensionReport:
+    """The 2-extension report decided case by case from the public oracles."""
+    implied = implied_pairs(g.without_edges([e, f]), combinations(xs, 2), 3, seed)
+    k4 = complete_quadruple(implied, xs)
+    probe = _find_implied_probe(implied, xs)
+    support = len(g.edges_within(xs))
+    predicted = rule = None
+    if k4 is None:
+        if support >= 7:
+            predicted, rule = True, "seven-support-edges"
+        elif probe is not None:
+            predicted, rule = True, "implied-triangle-pendant"
+    actual = is_generically_rigid(henneberg_extend(g, xs, [e, f], 3), 3, seed)
+    return ExtensionReport(support, k4, probe, predicted, rule, actual,
+                           predicted is None or predicted == actual)
+
+
+def _cases(g: Graph):
+    for xs in combinations(range(1, g.vertex_count + 1), 5):
+        for e, f in combinations(sorted(g.edges_within(xs)), 2):
+            yield list(xs), e, f
+
+
+# K5 - e and the four isostatic graphs on six vertices grown from K4 by 0-
+# and 1-extensions, up to isomorphism, with their 2-extension case counts.
+GROWN = [
+    ("K5-e", Graph.complete(5).without_edges([(4, 5)]), 36),
+    ("K6-e1", Graph.from_edges(6, [
+        (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6),
+        (3, 4), (3, 5), (3, 6)]), 171),
+    ("K6-e2", Graph.from_edges(6, [
+        (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6),
+        (3, 4), (3, 5), (4, 6)]), 170),
+    ("K6-e3", Graph.from_edges(6, [
+        (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (3, 4),
+        (3, 5), (4, 6), (5, 6)]), 169),
+    ("K6-e4", Graph.from_edges(6, [
+        (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6), (3, 4),
+        (3, 5), (4, 6), (5, 6)]), 168),
+]
+
+
+@pytest.mark.parametrize("name, g, count", GROWN, ids=[c[0] for c in GROWN])
+def test_table_matches_the_per_case_oracles(name, g, count):
+    # 714 cases in all; about 5 s, nearly all of it the per-case reference.
+    cases = list(_cases(g))
+    assert len(cases) == count
+    table = ExtensionTable(g, 3, 0)
+    for xs, e, f in cases:
+        assert table.report(xs, e, f) == _reference_report(g, xs, e, f, 0), (xs, e, f)
+
+
+def test_table_falls_back_at_a_coplanar_sample(monkeypatch):
+    # The first implied and generic-rigid samples are flattened onto z = 0
+    # (the new vertex keeps its height), where K5 - e is not isostatic: the
+    # table must run the per-case oracle there, on the same points.
+    real_subrng, real_config = subrng, rigidity.random_config
+    flat = {("implied", 0), ("generic-rigid", 0)}
+
+    def tagged_subrng(seed, tag, index=0):
+        rng = real_subrng(seed, tag, index)
+        rng.flat = (tag, index) in flat
+        return rng
+
+    def flattened_config(dim, count, rng, **kwargs):
+        p = real_config(dim, count, rng, **kwargs)
+        if getattr(rng, "flat", False):
+            p.points[2, :5] = 0
+        return p
+
+    for module in (applications, rigidity):
+        monkeypatch.setattr(module, "subrng", tagged_subrng)
+        monkeypatch.setattr(module, "random_config", flattened_config)
+    g = Graph.complete(5).without_edges([(4, 5)])
+    table = ExtensionTable(g, 3, 0)
+    assert [s.motions is None for s in table._implied + table._rigid] == \
+        [True, False, True, False]
+    for xs, e, f in _cases(g):
+        assert table.report(xs, e, f) == _reference_report(g, xs, e, f, 0), (e, f)
+
+
+def test_extension_eliminations_do_not_grow_with_cases(monkeypatch):
+    # The base graph's eliminations (its rank and the R R^T solve at each
+    # sample) run once per table: check 11's 36 cases make as many as one
+    # case does.  Only the per-case (n + 2)-row ranks grow with the cases.
+    sizes = []
+    real = linalg._rref_exact
+
+    def counting(rows, ncols, reduce=True):
+        sizes.append(len(rows))
+        return real(rows, ncols, reduce)
+
+    monkeypatch.setattr(linalg, "_rref_exact", counting)
+    two_extension_report(_nearly_complete_five(), [1, 2, 3, 4, 5], (1, 2), (1, 3))
+    one_case = [size for size in sizes if size > 5]
+    sizes.clear()
+    assert run_check("extension-predictions", seed=0).passed
+    assert [size for size in sizes if size > 5] == one_case
+    assert sizes.count(5) >= 36
+
+
+@st.composite
+def _grown_isostatic(draw):
+    """An isostatic graph grown from K4 by two or three random 0- and
+    1-extensions (add a vertex on 3 old ones; or split an edge ab and join
+    the new vertex to a, b and two more)."""
+    edges = set(combinations(range(1, 5), 2))
+    for v in range(5, 5 + draw(st.integers(2, 3), label="steps")):
+        old = range(1, v)
+        if draw(st.booleans(), label="split"):
+            a, b = draw(st.sampled_from(sorted(edges)), label="ab")
+            rest = [c for c in old if c not in (a, b)]
+            more = draw(st.lists(st.sampled_from(rest), min_size=2, max_size=2,
+                                 unique=True), label="more")
+            edges.discard((a, b))
+            edges |= {(c, v) for c in (a, b, *more)}
+        else:
+            edges |= {(c, v) for c in draw(st.lists(
+                st.sampled_from(list(old)), min_size=3, max_size=3, unique=True),
+                label="joined")}
+    return Graph.from_edges(v, edges)
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=_grown_isostatic(), data=st.data())
+def test_stretch_strains_match_the_row_reduction(g, data):
+    # The zero pattern of r_ij . u_e, and the rank that replaces the
+    # extension's analyze, against the per-case computations at one
+    # integer configuration (small coordinates: special positions happen).
+    v = g.vertex_count
+    q = PointConfiguration(exact_matrix(data.draw(st.lists(
+        st.lists(st.integers(-9, 9), min_size=v + 1, max_size=v + 1),
+        min_size=3, max_size=3), label="q")))
+    s = _Stretches(g, q)
+    assume(s.motions is not None)
+    p = PointConfiguration(q.points[:, :v])
+    pairs = list(combinations(range(1, v + 1), 2))
+    for e in g.sorted_edges():
+        assert {ij for ij in pairs if s.strain(ij, e) == 0} == \
+            _implied_pairs_at(g.without_edges([e]), p, pairs)
+    e, f = data.draw(st.lists(st.sampled_from(g.sorted_edges()), min_size=2,
+                              max_size=2, unique=True), label="ef")
+    assert {ij for ij in pairs if s.strain(ij, e) == 0 == s.strain(ij, f)} == \
+        _implied_pairs_at(g.without_edges([e, f]), p, pairs)
+    rest = [k for k in range(1, v + 1) if k not in {*e, *f}]
+    xs = sorted({*e, *f, *data.draw(st.lists(
+        st.sampled_from(rest), min_size=5 - len({*e, *f}),
+        max_size=5 - len({*e, *f}), unique=True), label="x")})
+    extension = henneberg_extend(g, xs, [e, f], 3)
+    assert s.extension_rigid(xs, e, f) == analyze(Framework(extension, q)).is_rigid

@@ -3,10 +3,10 @@
 The sha256 digests were recorded before the code they cover was
 refactored (the elimination kernel, the zero rule, the shared sampling
 and search helpers, check 12's integer oracle, the closed-form trivial
-dimension, the strain rank modulo the trivial motions); the code must
-reproduce them byte for byte.  Input files are written under fixed
-relative names, because the manifest record echoes the paths it was
-given.
+dimension, the strain rank modulo the trivial motions, the 2-extension
+table); the code must reproduce them byte for byte.  Input files are
+written under fixed relative names, because the manifest record echoes
+the paths it was given.
 """
 
 import hashlib
@@ -78,6 +78,11 @@ CASES = [
     (["verify", "--checks", "admissible-family", "one-dim-inadmissible",
       "extension-predictions", "--samples", "5", "--seed", "0"], 0,
      "a69d4ca5d66ac66f985647664c2ff5dc8684daa179f72d5cb22142fba37b4d62"),
+    # Check 11 alone: the 36 two-extensions of K5 - e from one table.
+    (["verify", "--checks", "extension-predictions", "--seed", "0"], 0,
+     "4164210c1275eeff61fe230523a59c2a50b4ece8c0db5722cac0868ca872394e"),
+    (["verify", "--checks", "extension-predictions", "--seed", "1"], 0,
+     "640d98701736156c4d557519a3262028fdfa348f824056fccb482d181971d054"),
     # Check 12's evaluation oracle, default samples (400 instances).
     (["verify", "--checks", "affine-poly-cases", "--seed", "0"], 0,
      "21fd2cf9ad0168eaaa0970a41ae75bf99c0b169f36f02a86dd30c8f5a1d2dff2"),

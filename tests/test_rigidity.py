@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from rigidlab.rigidity import (Framework, Graph, _edge_row, _implied_pairs_at,
                                analyze, double_banana, find_implied_k4,
                                flex_space, henneberg_extend, implied_pairs,
                                is_generically_rigid, is_implied_edge,
-                               rigidity_matrix)
+                               normalize_edge, rigidity_matrix)
 from rigidlab.sampling import random_config, subrng
 
 
@@ -247,18 +249,12 @@ INVARIANCE_CASES = [("K4", Graph.complete(4)), ("K5-e", K5E),
                     ("octahedron", _octahedron()), ("double-banana", double_banana())]
 
 
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-@pytest.mark.parametrize("name, g", INVARIANCE_CASES,
-                         ids=[c[0] for c in INVARIANCE_CASES])
-def test_analyze_is_invariant_under_affine_maps_and_relabelling(name, g, data):
-    # Infinitesimal rigidity is an affine invariant of the configuration and
-    # does not see vertex names (Graver-Servatius-Servatius); exact ranks
-    # must agree at any integer configuration, degenerate ones included.
-    k = g.vertex_count
-    # Points base + D c_i with D a drawn 3 x span matrix: generic at span
-    # 3, coplanar, collinear or coincident below it; the origin is weighted
-    # as a base, where a linear span and an affine span coincide.
+def _draw_affine_case(data, k: int):
+    """Integer points, an invertible integer affine map (a, b) and a
+    relabelling of k vertices.  The points are base + D c_i with D a drawn
+    3 x span matrix: generic at span 3, coplanar, collinear or coincident
+    below it; the origin is weighted as a base, where a linear span and an
+    affine span coincide."""
     span = data.draw(st.integers(0, 3), label="span")
     base = data.draw(st.just([[0]] * 3) | _integer_rows(3, 1, 30), label="base")
     pts = exact_matrix(base * np.ones((1, k), dtype=int))
@@ -276,11 +272,72 @@ def test_analyze_is_invariant_under_affine_maps_and_relabelling(name, g, data):
     a = (lower @ upper)[data.draw(st.permutations(range(3)), label="P")]
     b = exact_matrix(data.draw(_integer_rows(3, 1, 50), label="b"))
     perm = data.draw(st.permutations(range(k)), label="relabel")
-    want = analyze(Framework(g, PointConfiguration(pts)))
-    moved = PointConfiguration(a @ pts + b @ exact_matrix([[1] * k]))
-    assert analyze(Framework(g, moved)) == want
-    relabelled = Graph.from_edges(k, [(perm[i - 1] + 1, perm[j - 1] + 1)
-                                      for i, j in g.edges])
+    return pts, a, b, perm
+
+
+def _relabelled(g: Graph, pts, perm):
+    """g and its points with vertex i renamed perm[i - 1] + 1."""
     renamed = pts.copy()
     renamed[:, list(perm)] = pts
+    return (Graph.from_edges(g.vertex_count, [(perm[i - 1] + 1, perm[j - 1] + 1)
+                                              for i, j in g.edges]), renamed)
+
+
+def _assert_analyze_invariance(g: Graph, data, exact: bool):
+    k = g.vertex_count
+    pts, a, b, perm = _draw_affine_case(data, k)
+    moved = a @ pts + b @ exact_matrix([[1] * k])
+    relabelled, renamed = _relabelled(g, pts, perm)
+    if not exact:
+        pts, moved, renamed = (linalg.to_float(m) for m in (pts, moved, renamed))
+    want = analyze(Framework(g, PointConfiguration(pts)))
+    assert analyze(Framework(g, PointConfiguration(moved))) == want
     assert analyze(Framework(relabelled, PointConfiguration(renamed))) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("name, g", INVARIANCE_CASES,
+                         ids=[c[0] for c in INVARIANCE_CASES])
+def test_analyze_is_invariant_under_affine_maps_and_relabelling(name, g, data):
+    # Infinitesimal rigidity is an affine invariant of the configuration and
+    # does not see vertex names (Graver-Servatius-Servatius); exact ranks
+    # must agree at any integer configuration, degenerate ones included.
+    _assert_analyze_invariance(g, data, exact=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("name, g", INVARIANCE_CASES,
+                         ids=[c[0] for c in INVARIANCE_CASES])
+def test_float_analyze_is_invariant_under_affine_maps_and_relabelling(name, g, data):
+    # The same on float64 copies of the same integer points.
+    _assert_analyze_invariance(g, data, exact=False)
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("name, g", INVARIANCE_CASES,
+                         ids=[c[0] for c in INVARIANCE_CASES])
+def test_implied_pairs_are_invariant_under_affine_maps_and_relabelling(name, g, data):
+    # Implied pairs are the rows' linear dependencies, which an invertible
+    # affine map keeps and vertex names do not see: at one configuration,
+    # degenerate ones included, the map keeps the implied set and
+    # relabelling graph and points renames it; at the sampled generic
+    # configurations, relabelling the graph alone does.
+    k = g.vertex_count
+    pts, a, b, perm = _draw_affine_case(data, k)
+    relabelled, renamed = _relabelled(g, pts, perm)
+
+    def rename(pairs):
+        return {normalize_edge(perm[i - 1] + 1, perm[j - 1] + 1) for i, j in pairs}
+
+    pairs = list(combinations(range(1, k + 1), 2))
+    want = _implied_pairs_at(g, PointConfiguration(pts), pairs)
+    moved = PointConfiguration(a @ pts + b @ exact_matrix([[1] * k]))
+    assert _implied_pairs_at(g, moved, pairs) == want
+    assert _implied_pairs_at(relabelled, PointConfiguration(renamed),
+                             rename(pairs)) == rename(want)
+    seed = data.draw(st.integers(0, 10 ** 6), label="seed")
+    assert implied_pairs(relabelled, rename(pairs), 3, seed) == \
+        rename(implied_pairs(g, pairs, 3, seed))

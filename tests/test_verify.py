@@ -4,8 +4,8 @@ import pytest
 
 from rigidlab import verify
 from rigidlab.affinepoly import (PolyDependence, linear_product_matrix,
-                                 linear_value, quadratic_value)
-from rigidlab.linalg import exact_matrix
+                                 quadratic_value)
+from rigidlab.linalg import exact_matrix, frac
 from rigidlab.sampling import subrng
 from rigidlab.verify import CHECK_NAMES, CheckResult, run_battery, run_check
 
@@ -50,6 +50,12 @@ def test_unknown_check_rejected():
 def test_record_omits_timing():
     res = CheckResult("demo", True, "fine", 1.25)
     assert res.record() == {"check": "demo", "details": "fine", "passed": True}
+
+
+def linear_value(l, z):
+    """Value of the affine linear l (constant term first) at z."""
+    zhat = [frac(1)] + [frac(v) for v in z]
+    return sum(c * w for c, w in zip(l, zhat))
 
 
 def _fraction_oracle(l1, q1, l2, q2, rng, evals=200):
