@@ -18,7 +18,7 @@ import numpy as np
 
 from . import linalg
 from .errors import (DegenerateConfigError, HypothesisViolatedError,
-                     OnAffineSpanError, ParallelSpanError, SingularMatrixError)
+                     ParallelSpanError, SingularMatrixError)
 from .linalg import (Subspace, frac, invert, is_zero, ones_vector,
                      sym_outer_rows)
 from .motions import (MotionSpace, PointConfiguration, _ranks_mod_trivial,
@@ -75,29 +75,29 @@ def pin_mismatch_map(p: PointConfiguration, s: MotionSpace, x: np.ndarray,
 
 def _mismatch_sampler(p: PointConfiguration, motions, tol: float | None,
                       blocks=(BLOCK_145, BLOCK_123)):
-    """Per-sample (sigma_r N_q - sigma_q N_r, sigma_q sigma_r) for motions
-    of p pinned on two blocks of p.dim points, set up once."""
-    n = p.dim
+    """Set up once for motions of p pinned on two blocks of p.dim points:
+    k cleared positions X = x xi, one per row, give (usable rows, the
+    stack sigma_r N_q - sigma_q N_r, sigma_q sigma_r as a k x 1 x 1 stack)
+    by the formulas of check_admissibility."""
     motions = [linalg.cleared(u)[0] for u in motions]
     sides = []
     for ctx, block in zip(_pin_sides(p, blocks), blocks):
-        v_t = np.vstack([take_points(u, block).T for u in motions])
+        v = np.stack([take_points(u, block).T for u in motions])
         q_int, kappa = linalg.cleared(ctx.q)
-        stress = (v_t.reshape(-1, n, n) * q_int.T).sum(axis=2).T
-        sides.append((*linalg.cleared(ctx.q_inv), kappa, v_t, stress))
+        stress = (v * q_int.T).sum(axis=2).T
+        sides.append((*linalg.cleared(ctx.q_inv), kappa, v, stress))
 
-    def mismatch(x: np.ndarray) -> np.ndarray:
-        x_int, xi = linalg.cleared(x)
-        out = []
-        for a_int, delta, kappa, v_t, stress in sides:
-            a = a_int @ x_int
-            d = a.sum() - delta * xi
-            if is_zero(d, tol, a):
-                raise OnAffineSpanError("x lies on the affine span of a pin block")
-            r = kappa * (v_t @ x_int).reshape(-1, n).T - xi * stress
-            out.append((a_int.T @ (a @ r - d * r), delta * kappa * xi * d))
+    def mismatch(x_int: np.ndarray, xi: np.ndarray) -> tuple:
+        usable, out = True, []
+        for a_int, delta, kappa, v, stress in sides:
+            a = x_int @ a_int.T
+            d = a.sum(axis=1) - delta * xi
+            usable = usable & ~linalg.zero_rows(d[:, None], tol, a)
+            r = kappa * np.einsum("jic,kc->kij", v, x_int) - xi[:, None, None] * stress
+            gap = np.einsum("ki,kij->kj", a, r)[:, None] - d[:, None, None] * r
+            out.append((a_int.T @ gap, (delta * kappa * xi * d)[:, None, None]))
         (n_q, sigma_q), (n_r, sigma_r) = out
-        return sigma_r * n_q - sigma_q * n_r, sigma_q * sigma_r
+        return usable, sigma_r * n_q - sigma_q * n_r, sigma_q * sigma_r
     return mismatch
 
 
@@ -113,30 +113,29 @@ class AdmissibilityReport:
 
 
 def _pin_samples(p: PointConfiguration, samples: int, seed: int, tag: str,
-                 evaluate):
-    """Yield (x, evaluate(x)) at the first `samples` valid pin positions.
-
-    Positions are drawn in R^p.dim from up to 10*samples (seed, tag)
-    substreams; a position where evaluate raises OnAffineSpanError is
-    skipped without being counted.
-    """
+                 evaluate) -> tuple:
+    """(positions, *stacks) at the first `samples` usable positions in draw
+    order, position idx drawn in R^p.dim from the (seed, tag, idx) stream;
+    evaluate maps cleared positions (X, xi) to (usable mask, *stacks).  The
+    first `samples` draws go to one call, each further call draws as many
+    as were skipped; after 10*samples draws, DegenerateConfigError."""
     if samples < 1:
         raise ValueError("samples must be positive")
-    tested = 0
-    for idx in range(10 * samples):
-        if tested == samples:
-            return
-        rng = subrng(seed, tag, idx)
-        x = (random_exact_vector(p.dim, rng) if p.exact
-             else random_float_vector(p.dim, rng, float(DEFAULT_BOUND)))
-        try:
-            value = evaluate(x)
-        except OnAffineSpanError:
-            continue
-        tested += 1
-        yield x, value
-    if tested < samples:
-        raise DegenerateConfigError("could not collect enough valid pin samples")
+    kept, parts, drawn = [], [], 0
+    while len(kept) < samples:
+        want = min(samples - len(kept), 10 * samples - drawn)
+        if want == 0:
+            raise DegenerateConfigError("could not collect enough valid pin samples")
+        rngs = [subrng(seed, tag, idx) for idx in range(drawn, drawn + want)]
+        xs = [random_exact_vector(p.dim, rng) if p.exact
+              else random_float_vector(p.dim, rng, float(DEFAULT_BOUND)) for rng in rngs]
+        drawn += want
+        cols = [linalg.cleared(x) for x in xs]
+        usable, *stacks = evaluate(linalg.array([ints for ints, _ in cols], p.exact),
+                                   linalg.array([d for _, d in cols], p.exact))
+        kept += [x for x, ok in zip(xs, usable) if ok]
+        parts.append([stack[usable] for stack in stacks])
+    return kept, *(np.concatenate(col) for col in zip(*parts))
 
 
 def check_admissibility(p: PointConfiguration, s: MotionSpace,
@@ -151,8 +150,9 @@ def check_admissibility(p: PointConfiguration, s: MotionSpace,
     u = U/lambda_u (integral when exact, all 1 on float64), a = A X,
     D = 1^T a - delta xi, R = kappa V^T X - xi diag(V^T Q),
     N = A^T (1 a^T R - D R) and sigma = delta kappa xi D: the pin velocity
-    of u is N[:, u]/(sigma lambda_u).  A zero D (by is_zero(D, tol, a))
-    skips the sample uncounted.
+    of u is N[:, u]/(sigma lambda_u).  A zero D (by the zero rule against
+    a) skips the sample uncounted.  All samples of a query are evaluated
+    as one stack (_pin_samples) and ranked by one linalg.rank call.
     """
     _require_five_points(p)
     if s.dim < 1:
@@ -160,14 +160,10 @@ def check_admissibility(p: PointConfiguration, s: MotionSpace,
     if s.config != p:
         raise ValueError("motion space does not belong to this configuration")
     intersects = _ranks_mod_trivial(p, [s.subspace.basis], tol)[0] < s.dim
-    ranks: list = []
-    failures: list = []
-    for x, (m, _) in _pin_samples(p, samples, seed, "pin-sample",
-                                  _mismatch_sampler(p, s.basis_motions(), tol)):
-        rk = linalg.rank(m, tol)
-        ranks.append(rk)
-        if rk >= s.dim:
-            failures.append(x)
+    xs, m, _ = _pin_samples(p, samples, seed, "pin-sample",
+                            _mismatch_sampler(p, s.basis_motions(), tol))
+    ranks = linalg.rank(m, tol)
+    failures = [x for x, rk in zip(xs, ranks) if rk >= s.dim]
     return AdmissibilityReport(
         candidate_dim=s.dim,
         intersects_trivial=intersects,
@@ -324,7 +320,8 @@ def one_dim_space_inadmissible(p: PointConfiguration, u: np.ndarray,
     every sampled position.
 
     The pin blocks here drop point n (respectively point n+1).  Returns
-    False as soon as one sample extends; trivial u is rejected.
+    False when any of the stacked samples is zero (the line extends
+    there); trivial u is rejected.
     """
     n = p.dim
     if p.count != n + 1:
@@ -336,12 +333,12 @@ def one_dim_space_inadmissible(p: PointConfiguration, u: np.ndarray,
         raise ValueError("u is a trivial motion; the test needs a nontrivial one")
     ids_q = tuple(list(range(1, n)) + [n + 1])
     ids_r = tuple(range(1, n + 1))
-    # The sample is sigma_q sigma_r lambda_u times the velocity gap; float64
+    # Each sample is sigma_q sigma_r lambda_u times the velocity gap; float64
     # (lambda_u = 1) tests the gap itself against tol.
-    gaps = _pin_samples(p, samples, seed, "one-dim",
-                        _mismatch_sampler(p, [u], tol, (ids_q, ids_r)))
-    return not any(is_zero(m if p.exact else m / scale, tol)
-                   for _, (m, scale) in gaps)
+    _, m, scale = _pin_samples(p, samples, seed, "one-dim",
+                               _mismatch_sampler(p, [u], tol, (ids_q, ids_r)))
+    gaps = m if p.exact else m / scale
+    return not linalg.zero_rows(gaps.reshape(len(m), -1), tol).any()
 
 
 class ClassificationKind(Enum):

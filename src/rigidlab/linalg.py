@@ -2,14 +2,15 @@
 
 Matrices are plain numpy arrays.  dtype object means the exact backend;
 any float dtype means the float64 backend.  Mixing backends in one call
-is a bug.  is_zero holds the zero rule of each backend: exact values are
-zero when every entry == 0, float values when max|value| <= tol *
-max(scale, 1); float ranks count singular values above tol times the
-largest.  Exact entries are fractions.Fraction at the boundary only:
-every exact rank, nullspace, solve and inverse runs _rref_exact, which
-is Bareiss fraction-free elimination on Python ints: Gauss-Jordan for
-nullspace, solve and inverse, forward only (rows below each pivot) for
-rank.  Its divisions are exact in both modes.
+is a bug.  zero_rows holds the zero rule of each backend, row by row
+(is_zero: one value): exact values are zero when every entry == 0,
+float values when max|value| <= tol * max(scale, 1); float ranks count
+singular values above tol times the largest (a stack: one batched SVD).
+Exact entries are fractions.Fraction at the boundary only: every exact
+rank, nullspace, solve and inverse runs _rref_exact, which is Bareiss
+fraction-free elimination on Python ints: Gauss-Jordan for nullspace,
+solve and inverse, forward only (rows below each pivot) for rank.  Its
+divisions are exact in both modes.
 cleared, the one denominator-clearing helper, scales exact values by
 the lcm of their denominators: kernel rows, pin samples, check 12.
 
@@ -100,25 +101,25 @@ def to_float(m: np.ndarray) -> np.ndarray:
     return np.asarray(m, dtype=float)
 
 
-def is_zero(value, tol: float | None = None, scale=1.0) -> bool:
-    """The zero rule of both backends, for a scalar or an array.
-
-    Exact values (a Fraction, or an object array) are zero when every
-    entry == 0; scale is ignored.  Float values are zero when
-    max|value| <= tol * max(scale, 1), where scale is a number or an
-    array whose largest |entry| is used.  An empty array is zero.
-    """
-    if isinstance(value, float):
-        size = abs(value)
-    elif not isinstance(value, np.ndarray):
-        return value == 0
-    elif value.size == 0 or value.dtype == object:
-        return all(v == 0 for v in value.flat)
-    else:
-        size = float(np.abs(value).max())
+def zero_rows(values: np.ndarray, tol: float | None = None, scale=1.0) -> np.ndarray:
+    """The zero rule of both backends, one verdict per row of a 2-D array:
+    exact rows are zero when every entry == 0, float rows when max|row| <=
+    tol * max(scale, 1), scale a number or an array whose row i's largest
+    |entry| scales row i.  A row with no entries is zero."""
+    if values.dtype == object:
+        return np.array([all(v == 0 for v in row) for row in values.tolist()], bool)
     if isinstance(scale, np.ndarray):
-        scale = float(np.abs(scale).max()) if scale.size else 0.0
-    return size <= _tol(tol) * max(scale, 1.0)
+        scale = np.abs(scale).max(axis=1, initial=0.0)
+    return np.abs(values).max(axis=1, initial=0.0) <= _tol(tol) * np.maximum(scale, 1.0)
+
+
+def is_zero(value, tol: float | None = None, scale=1.0) -> bool:
+    """zero_rows for one value, a scalar or an array taken as one row (an
+    array scale counts its largest |entry|)."""
+    if not isinstance(value, (float, np.ndarray)):
+        return value == 0
+    scale = scale.reshape(1, -1) if isinstance(scale, np.ndarray) else scale
+    return bool(zero_rows(np.reshape(value, (1, -1)), tol, scale)[0])
 
 
 def cleared(values):
@@ -187,23 +188,25 @@ def _rref_exact(rows: list[list], ncols: int, reduce: bool = True):
     return reduced, pivots
 
 
-def _svd_rank(s: np.ndarray, tol: float | None) -> int:
-    """Count of singular values (largest first) above tol times the largest."""
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > _tol(tol) * s[0]))
+def _svd_rank(s: np.ndarray, tol: float | None):
+    """Count of singular values (largest first, last axis: one count per
+    matrix of a stack) above tol times the largest; all zero counts 0."""
+    return (s > _tol(tol) * s[..., :1]).sum(axis=-1)
 
 
-def rank(m: np.ndarray, tol: float | None = None) -> int:
+def rank(m: np.ndarray, tol: float | None = None):
+    """Rank of a matrix or a vector; a 3-D stack gives one per matrix."""
     m = np.asarray(m)
-    if m.size == 0:
-        return 0
-    if m.ndim == 1:
-        m = m.reshape(1, -1)
-    if is_exact(m):
-        _, pivots = _rref_exact(m.tolist(), m.shape[1], reduce=False)
-        return len(pivots)
-    return _svd_rank(np.linalg.svd(m.astype(float), compute_uv=False), tol)
+    stack = m if m.ndim == 3 else m.reshape(1, 1, -1) if m.ndim < 2 else m[None]
+    if stack.size == 0:
+        ranks = [0] * len(stack)
+    elif is_exact(stack):
+        ranks = [len(_rref_exact(a.tolist(), stack.shape[2], reduce=False)[1])
+                 for a in stack]
+    else:
+        ranks = _svd_rank(np.linalg.svd(stack.astype(float), compute_uv=False),
+                          tol).tolist()
+    return ranks if m.ndim == 3 else ranks[0]
 
 
 def nullspace_rows(m: np.ndarray, tol: float | None = None) -> np.ndarray:

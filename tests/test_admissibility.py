@@ -21,7 +21,8 @@ from rigidlab.linalg import (cleared, exact_matrix, invert, nullspace_rows,
 from rigidlab.motions import (MotionSpace, PointConfiguration, p_equivalent,
                               take_points, trivial_motion_space)
 from rigidlab.pins import PinContext, limit_velocity, pin_velocity
-from rigidlab.sampling import (random_exact_matrix, random_exact_vector,
+from rigidlab.sampling import (DEFAULT_BOUND, random_exact_matrix,
+                               random_exact_vector, random_float_vector,
                                random_general_config, random_rational_matrix,
                                subrng)
 
@@ -168,6 +169,12 @@ def test_one_dim_rejects_trivial_motion():
         one_dim_space_inadmissible(p, u)
 
 
+def _stacked(sample, xs, exact: bool):
+    """The stacked sampler at positions xs, cleared row by row as
+    _pin_samples clears them."""
+    return sample(*(linalg.array(col, exact) for col in zip(*map(cleared, xs))))
+
+
 def test_one_dim_samples_are_the_scaled_velocity_gap():
     # one_dim_space_inadmissible tests sigma_q sigma_r lambda_u times the
     # gap of the two pin velocities, exact and on float copies; x on a
@@ -191,23 +198,24 @@ def test_one_dim_samples_are_the_scaled_velocity_gap():
                 uc = to_float(u)
             sides = [PinContext(take_points(pc.points, b), take_points(uc, b))
                      for b in blocks]
-            sample = _mismatch_sampler(pc, [uc], None, blocks)
             lam = cleared(uc)[1]
-            for x in points:
-                x = x if scale is None else to_float(x) * scale
-                (m, sigmas) = sample(x)
+            xs = [x if scale is None else to_float(x) * scale
+                  for x in points + on_span]
+            usable, m, sigmas = _stacked(
+                _mismatch_sampler(pc, [uc], None, blocks), xs, pc.exact)
+            assert m.shape == (len(xs), n, 1) and sigmas.shape == (len(xs), 1, 1)
+            assert usable.tolist() == [True] * len(points) + [False] * len(on_span)
+            for k, x in enumerate(xs[:len(points)]):
                 gap = pin_velocity(sides[0], x) - pin_velocity(sides[1], x)
+                sigma = sigmas[k, 0, 0]
                 if scale is None:
-                    assert sigmas != 0 and (m[:, 0] == gap * sigmas * lam).all()
+                    assert sigma != 0 and (m[k, :, 0] == gap * sigma * lam).all()
                 else:
-                    np.testing.assert_allclose(m[:, 0] / sigmas, gap, rtol=1e-7,
+                    np.testing.assert_allclose(m[k, :, 0] / sigma, gap, rtol=1e-7,
                                                atol=1e-12 * np.abs(gap).max())
-            for x, side in zip(on_span, sides):
-                x = x if scale is None else to_float(x) * scale
+            for x, side in zip(xs[len(points):], sides):
                 with pytest.raises(OnAffineSpanError):
                     pin_velocity(side, x)
-                with pytest.raises(OnAffineSpanError):
-                    sample(x)
 
 
 def test_check_admissibility_validates_input():
@@ -258,10 +266,36 @@ def _float_copy(p: PointConfiguration, s: MotionSpace, scale: float):
     return pf, MotionSpace.from_motions(pf, [to_float(u) for u in s.basis_motions()])
 
 
+def _draw(p: PointConfiguration, seed: int, tag: str, idx: int) -> np.ndarray:
+    rng = subrng(seed, tag, idx)
+    return (random_exact_vector(p.dim, rng) if p.exact
+            else random_float_vector(p.dim, rng, float(DEFAULT_BOUND)))
+
+
+def _sequential_samples(p: PointConfiguration, samples: int, seed: int,
+                        tag: str, value, draw=_draw) -> list:
+    """The draw rule one position at a time: (x, value(x)) at the first
+    `samples` positions where value does not raise OnAffineSpanError, from
+    at most 10*samples draws."""
+    out = []
+    for idx in range(10 * samples):
+        if len(out) == samples:
+            return out
+        x = draw(p, seed, tag, idx)
+        try:
+            out.append((x, value(x)))
+        except OnAffineSpanError:
+            continue
+    if len(out) < samples:
+        raise DegenerateConfigError("could not collect enough valid pin samples")
+    return out
+
+
 @pytest.mark.parametrize("idx", [0, 1, 2])
 def test_sample_ranks_match_the_mismatch_map(idx):
-    # check_admissibility ranks cleared integers; pin_mismatch_map is the
-    # reference: same positions, same skips, same ranks, same witnesses.
+    # check_admissibility ranks one stack of cleared integers; a sequential
+    # loop over pin_mismatch_map is the reference: same positions, same
+    # skips, same ranks, same witnesses.
     p = _rational_config(idx)
     cases = []
     for s in _reference_spaces(p, idx):
@@ -271,9 +305,9 @@ def test_sample_ranks_match_the_mismatch_map(idx):
     full_rank = 0
     for config, space in cases:
         report = check_admissibility(config, space, samples=6, seed=idx)
-        reference = list(_pin_samples(
+        reference = _sequential_samples(
             config, 6, idx, "pin-sample",
-            lambda x: rank(pin_mismatch_map(config, space, x))))
+            lambda x: rank(pin_mismatch_map(config, space, x)))
         assert report.sample_ranks == [rk for _, rk in reference]
         failures = [x for x, rk in reference if rk >= space.dim]
         assert len(report.witness_failures) == len(failures)
@@ -299,33 +333,31 @@ def test_mismatch_sampler_equals_scaled_map(idx):
     weights = (Fraction(1, 3), Fraction(-2, 5), Fraction(16, 15))
     on_span = [_affine_point(p, block, weights) for block in (BLOCK_145, BLOCK_123)]
     for s in _reference_spaces(p, idx):
-        sample = _mismatch_sampler(p, s.basis_motions(), None)
+        usable, m, sigmas = _stacked(_mismatch_sampler(p, s.basis_motions(), None),
+                                     points + on_span, True)
+        assert usable.tolist() == [True] * len(points) + [False] * len(on_span)
         lambdas = [cleared(u)[1] for u in s.basis_motions()]
-        for x in points:
-            (m, sigmas), ref = sample(x), pin_mismatch_map(p, s, x)
-            scaled = ref * exact_matrix([lambdas])
+        for k, x in enumerate(points):
+            scaled = pin_mismatch_map(p, s, x) * exact_matrix([lambdas])
             col = next(j for j in range(s.dim) if scaled[:, j].any())
             row = next(i for i in range(3) if scaled[i, col] != 0)
-            factor = m[row, col] / scaled[row, col]
-            assert factor != 0 and factor == sigmas
-            assert (m == scaled * factor).all()
+            factor = m[k, row, col] / scaled[row, col]
+            assert factor != 0 and factor == sigmas[k, 0, 0]
+            assert (m[k] == scaled * factor).all()
         for x in on_span:
             with pytest.raises(OnAffineSpanError):
                 pin_mismatch_map(p, s, x)
-            with pytest.raises(OnAffineSpanError):
-                sample(x)
         for scale in (1e-6, 1.0, 1e6):
             pf, sf = _float_copy(p, s, scale)
-            sample_f = _mismatch_sampler(pf, sf.basis_motions(), None)
-            for x in points:
-                xf = to_float(x) * scale
-                assert rank(sample_f(xf)[0]) == rank(pin_mismatch_map(pf, sf, xf))
-            for x in on_span:
-                xf = to_float(x) * scale
+            xs = [to_float(x) * scale for x in points + on_span]
+            usable_f, m_f, _ = _stacked(_mismatch_sampler(pf, sf.basis_motions(), None),
+                                        xs, False)
+            assert usable_f.tolist() == usable.tolist()
+            for k, xf in enumerate(xs[:len(points)]):
+                assert rank(m_f[k]) == rank(pin_mismatch_map(pf, sf, xf))
+            for xf in xs[len(points):]:
                 with pytest.raises(OnAffineSpanError):
                     pin_mismatch_map(pf, sf, xf)
-                with pytest.raises(OnAffineSpanError):
-                    sample_f(xf)
 
 
 def test_check_admissibility_rejects_a_space_of_another_config():
@@ -399,3 +431,141 @@ def test_admissibility_builds_no_trivial_basis(monkeypatch):
     assert [(check_admissibility(p, s), _classified(p, s)) for s in spaces] == want
     assert construct_admissible_family(p, trials=1, seed=3)[0].subspace.basis.tolist() \
         == spaces[2].subspace.basis.tolist()
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+def test_pin_samples_refill_skips_in_draw_order(monkeypatch, exact):
+    # Draws 1 and 4 of the first six lie on a pin block's affine span, and
+    # so do the first two refill draws (6 and 7): the stacked sampler keeps
+    # the positions, ranks and draw count of the one-at-a-time rule.
+    p = _rational_config(1)
+    space = MotionSpace.from_motions(
+        p, [random_rational_matrix(3, 5, subrng(1, f"refill-u/{i}"), 50, 9)
+            for i in range(2)])
+    if not exact:
+        p, space = _float_copy(p, space, 1e3)
+    weights = (Fraction(1, 3), Fraction(-2, 5), Fraction(16, 15))
+    on_span = {idx: _affine_point(_rational_config(1), block, weights)
+               for idx, block in zip((1, 4, 6, 7), (BLOCK_145, BLOCK_123) * 2)}
+
+    def planned(config, seed, tag, idx):
+        if idx in on_span:
+            return on_span[idx] if exact else to_float(on_span[idx]) * 1e3
+        return _draw(config, seed, tag, idx)
+
+    draws = []
+    monkeypatch.setattr(admissibility, "subrng",
+                        lambda seed, tag, idx: draws.append(idx) or (seed, tag, idx))
+    for name in ("random_exact_vector", "random_float_vector"):
+        monkeypatch.setattr(admissibility, name,
+                            lambda n, key, *bound: planned(p, *key))
+    xs, m, _ = _pin_samples(p, 6, 3, "refill", _mismatch_sampler(
+        p, space.basis_motions(), None))
+    reference = _sequential_samples(
+        p, 6, 3, "refill", lambda x: rank(pin_mismatch_map(p, space, x)), planned)
+    assert sorted(draws) == draws == list(range(10))
+    assert len(xs) == len(m) == 6
+    assert all((a == b).all() for a, b in zip(xs, [x for x, _ in reference]))
+    assert all((a == planned(p, 3, "refill", i)).all()
+               for a, i in zip(xs, (0, 2, 3, 5, 8, 9)))
+    assert rank(m) == [rk for _, rk in reference]
+
+    draws.clear()
+    monkeypatch.setattr(admissibility, "random_exact_vector" if exact
+                        else "random_float_vector",
+                        lambda n, key, *bound: planned(p, 0, "", 1))
+    with pytest.raises(DegenerateConfigError):
+        _pin_samples(p, 6, 3, "refill", _mismatch_sampler(
+            p, space.basis_motions(), None))
+    assert draws == list(range(60))
+
+
+def test_float_query_ranks_its_samples_in_one_call(monkeypatch):
+    # The samples of a query are one stack and one linalg.rank call, so
+    # the number of rank calls does not grow with the sample count.
+    pf, space = _float_copy(STANDARD, proportional_pair_space(STANDARD, 2), 1.0)
+    real = linalg.rank
+    calls = []
+
+    def counting(m, tol=None):
+        calls.append(np.shape(m))
+        return real(m, tol)
+
+    monkeypatch.setattr(linalg, "rank", counting)
+    counts = []
+    for samples in (5, 40):
+        calls.clear()
+        report = check_admissibility(pf, space, samples=samples)
+        assert report.sample_ranks == [1] * samples
+        assert (samples, 3, 2) in calls
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("idx", [0, 1, 2])
+def test_mismatch_rows_are_orthogonal_to_the_shared_bar(idx):
+    # Both pin blocks contain point 1, so both cone velocities y satisfy
+    # (x - p1).(y - u1) = 0 and every column of the sample is orthogonal to
+    # x - p1, i.e. (X - xi p1)^T M = 0.  M has 3 rows, so its rank is at
+    # most 2, and condition 2 holds at every x for any space of dim >= 3.
+    p = _rational_config(idx)
+    rng = subrng(idx, "shared-bar")
+    xs = [random_exact_vector(3, rng, 1000) for _ in range(4)]
+    xs += [random_rational_matrix(1, 3, rng, 1000, 50)[0] for _ in range(4)]
+    x_int, xi = (linalg.array(col) for col in zip(*map(cleared, xs)))
+    p1 = p.point(1)
+    for dim in (1, 2, 3):
+        motions_ = [random_rational_matrix(3, 5, subrng(idx, f"shared-bar/{dim}"),
+                                           50, 9) for _ in range(dim)]
+        usable, m, _ = _mismatch_sampler(p, motions_, None)(x_int, xi)
+        assert usable.all() and m.any()
+        for k in range(len(xs)):
+            assert not ((x_int[k] - xi[k] * p1) @ m[k]).any()
+            assert not ((xs[k] - p1) @ m[k]).any()
+        assert max(rank(m)) <= 2
+        space = MotionSpace.from_motions(p, motions_)
+        if dim == 3:
+            assert check_admissibility(p, space, samples=6, seed=idx).max_mismatch_rank <= 2
+
+
+def _lattice_vandermonde(d: int) -> list:
+    """Monomials x^a y^b z^c, a + b + c <= d, at the principal lattice
+    (7i + 1, 11j - 5, 13k + 3), i + j + k <= d: one row per point."""
+    exps = [(a, b, c) for a in range(d + 1) for b in range(d + 1 - a)
+            for c in range(d + 1 - a - b)]
+    return [[(7 * i + 1) ** a * (11 * j - 5) ** b * (13 * k + 3) ** c
+             for a, b, c in exps] for i, j, k in exps]
+
+
+def _rank_mod_p(rows: list, prime: int) -> int:
+    rows = [[v % prime for v in row] for row in rows]
+    lead = 0
+    for col in range(len(rows[0])):
+        piv = next((i for i in range(lead, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[lead], rows[piv] = rows[piv], rows[lead]
+        inv = pow(rows[lead][col], -1, prime)
+        base = [v * inv % prime for v in rows[lead][col:]]
+        for i in range(lead + 1, len(rows)):
+            f = rows[i][col]
+            if f:
+                rows[i][col:] = [(a - f * b) % prime for a, b in zip(rows[i][col:], base)]
+        lead += 1
+    return lead
+
+
+def test_principal_lattice_is_unisolvent():
+    # A polynomial in x of total degree <= d that vanishes on this lattice
+    # vanishes identically: the Vandermonde matrix of the monomials of
+    # degree <= d on the lattice is square and nonsingular.  d = 3 * dim
+    # bounds the degree of a dim x dim minor of the sample matrix.
+    for d, size in ((3, 20), (6, 84)):
+        rows = _lattice_vandermonde(d)
+        assert len(rows) == len(rows[0]) == size
+        assert rank(linalg.array(rows)) == size
+    # d = 9: full rank modulo a prime proves full rank over Q.
+    rows = _lattice_vandermonde(9)
+    assert len(rows) == len(rows[0]) == 220
+    assert _rank_mod_p(rows, 2 ** 61 - 1) == 220
+    assert _rank_mod_p(rows[:-1] + [rows[0]], 2 ** 61 - 1) == 219

@@ -251,6 +251,52 @@ def test_rref_matches_fraction_reference(case):
     assert rank(m) == len(want_pivots)
 
 
+@st.composite
+def rank_stacks(draw):
+    """(k x r x c exact stack, k scales): planted low-rank integer products
+    with zeroed rows and columns, and all-zero matrices; k may be 0.  Each
+    matrix gets its own scale for its float copy."""
+    k = draw(st.integers(0, 5))
+    nrows, ncols = draw(st.integers(0, 5)), draw(st.integers(0, 6))
+    stack = zeros((k, nrows, ncols))
+    ints = st.integers(-9, 9)
+    for m in stack:
+        if not nrows or not ncols or draw(st.booleans()) and draw(st.booleans()):
+            continue  # all zero
+        inner = draw(st.integers(1, min(nrows, ncols)))
+        a = exact_matrix(draw(st.lists(st.lists(ints, min_size=inner, max_size=inner),
+                                       min_size=nrows, max_size=nrows)))
+        b = exact_matrix(draw(st.lists(st.lists(ints, min_size=ncols, max_size=ncols),
+                                       min_size=inner, max_size=inner)))
+        m[:] = a @ b
+        m[sorted(draw(st.sets(st.integers(0, nrows - 1), max_size=2))), :] = Fraction(0)
+        m[:, sorted(draw(st.sets(st.integers(0, ncols - 1), max_size=2)))] = Fraction(0)
+    scales = st.sampled_from([1e-8, 1e-4, 1.0, 1e4, 1e8])
+    return stack, draw(st.lists(scales, min_size=k, max_size=k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank_stacks())
+def test_stacked_rank_is_the_rank_of_each_matrix(case):
+    stack, scales = case
+    ranks = rank(stack)
+    assert ranks == [rank(m) for m in stack]
+    assert ranks == [len(reference_rref(m.tolist(), m.shape[1])[1]) for m in stack]
+    floats = linalg.to_float(stack) * np.reshape(scales, (-1, 1, 1))
+    assert rank(floats) == [rank(m) for m in floats]
+    assert all(type(r) is int for r in ranks + rank(floats))
+    for m, rk in zip(floats, rank(floats)):
+        if not m.any():
+            assert rk == 0
+    assert rank(stack[:0]) == rank(floats[:0]) == []
+
+
+def test_stacked_rank_of_zero_and_empty_stacks():
+    assert rank(zeros((3, 2, 4))) == rank(np.zeros((3, 2, 4))) == [0, 0, 0]
+    assert rank(zeros((2, 0, 3))) == rank(np.zeros((2, 3, 0))) == [0, 0]
+    assert rank(zeros((0, 3, 3))) == rank(np.zeros((0, 3, 3))) == []
+
+
 @pytest.mark.parametrize("cast", [int, np.int64])
 def test_integer_entries_match_fraction_results(cast):
     """Object arrays of Python ints or of np.int64 give the Fraction
