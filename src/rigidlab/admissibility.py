@@ -375,14 +375,6 @@ def _normalize_weights(z: np.ndarray) -> np.ndarray:
     return shifted
 
 
-def _cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    out = np.empty(3, dtype=a.dtype)
-    out[0] = a[1] * b[2] - a[2] * b[1]
-    out[1] = a[2] * b[0] - a[0] * b[2]
-    out[2] = a[0] * b[1] - a[1] * b[0]
-    return out
-
-
 def classify_admissible(p: PointConfiguration, s: MotionSpace,
                         tol: float | None = None) -> Classification:
     """Normal form of an admissible 2-dimensional subspace.
@@ -419,7 +411,7 @@ def classify_admissible(p: PointConfiguration, s: MotionSpace,
                               "every motion in the subspace is affine")
 
     q1 = q[:, 0]
-    d = _cross3(q1, c)
+    d = np.cross(q1, c)
     if is_zero(d, tol):
         raise HypothesisViolatedError("first point is zero or aligned with the "
                                       "row-sum gap; translate the configuration")

@@ -18,7 +18,7 @@ import numpy as np
 from . import linalg
 from .errors import NotIsostaticError
 from .linalg import Subspace
-from .motions import PointConfiguration, skew_basis
+from .motions import PointConfiguration, skew_basis, strains
 from .rigidity import (Framework, Graph, _implied_pairs_at, analyze,
                        complete_quadruple, henneberg_extend,
                        is_generically_isostatic, normalize_edge,
@@ -117,17 +117,19 @@ class _Stretches:
         fw = Framework(g, PointConfiguration(q.points[:, :v]))
         if analyze(fw).is_isostatic:
             r = linalg.cleared(rigidity_matrix(fw))[0]
-            w = linalg.cleared(linalg.solve(r @ r.T, r))[0].tolist()
+            w = linalg.cleared(linalg.solve(r @ r.T, r))[0]
+            edges, pairs = g.sorted_edges(), list(combinations(range(1, v + 1), 2))
             self.motions = {e: [row[n * k:n * k + n] for k in range(v)]
-                            for e, row in zip(g.sorted_edges(), w)}
+                            for e, row in zip(edges, w.tolist())}
+            rows = strains(fw.config, w, pairs).tolist()
+            self.table = {(ij, e): s for e, row in zip(edges, rows)
+                          for ij, s in zip(pairs, row)}
 
-    def strain(self, pair, e) -> int:
-        """r_ij . u_e: the coefficient of edge e in the expansion of pair
-        ij's row in the rows of R, up to the common scale."""
-        i, j = pair
-        u = self.motions[e]
-        return sum((a - b) * (c - d) for a, b, c, d in zip(
-            self.points[i - 1], self.points[j - 1], u[i - 1], u[j - 1]))
+    def strain(self, pair, e):
+        """r_ij . u_e, from the table built once: the coefficient of edge e
+        in the expansion of pair ij's row in the rows of R, up to the
+        common scale."""
+        return self.table[pair, e]
 
     def extension_rigid(self, xs, e, f) -> bool:
         """Flexes of g - e - f are trivial(p) + span(u_e, u_f), so the
@@ -145,8 +147,7 @@ class _Stretches:
                              for a, b in combinations(range(len(d)), 2)]
                         + [sum(map(mul, d, self.motions[h][k - 1]))
                            for h in (e, f)])
-        pivots = linalg._rref_exact(rows, len(rows[0]), reduce=False)[1]
-        return len(pivots) == len(rows)
+        return linalg.rank(linalg.array(rows)) == len(rows)
 
 
 class ExtensionTable:

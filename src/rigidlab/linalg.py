@@ -404,12 +404,8 @@ class Subspace:
             list(self.basis) + list(other.basis), self.ambient_dim, tol)
 
     def equals(self, other: "Subspace", tol: float | None = None) -> bool:
-        if self.ambient_dim != other.ambient_dim or self.dim != other.dim:
-            return False
-        if self.dim == 0:
-            return True
-        stacked = np.vstack([self.basis, other.basis])
-        return rank(stacked, tol) == self.dim
+        return (self.ambient_dim == other.ambient_dim and self.dim == other.dim
+                and self.contains_subspace(other, tol))
 
     def _check_peer(self, other: "Subspace") -> None:
         if not isinstance(other, Subspace):

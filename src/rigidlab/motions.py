@@ -9,6 +9,7 @@ rigidity matrices.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -45,15 +46,16 @@ class PointConfiguration:
             raise ValueError(f"point index {i} out of range 1..{self.count}")
         return self.points[:, i - 1]
 
+    def affine_rank(self, tol: float | None = None) -> int:
+        """Dimension of the affine span: the rank of the columns p_i - p_1
+        (0 for a single point)."""
+        return linalg.rank((self.points[:, 1:] - self.points[:, :1]).T, tol)
+
     def is_general_position(self, tol: float | None = None) -> bool:
         """True when every subset of at most dim+1 points is affinely independent."""
         size = min(self.dim + 1, self.count)
-        for subset in combinations(range(self.count), size):
-            base = self.points[:, [subset[0]]]
-            diffs = self.points[:, list(subset[1:])] - base
-            if linalg.rank(diffs.T, tol) < size - 1:
-                return False
-        return True
+        return all(PointConfiguration(self.points[:, list(subset)]).affine_rank(tol)
+                   == size - 1 for subset in combinations(range(self.count), size))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PointConfiguration)
@@ -99,18 +101,38 @@ def skew_basis(n: int, exact: bool = True) -> list[np.ndarray]:
     return out
 
 
-def _preserves_distances(p: PointConfiguration, u: np.ndarray, ids,
+def pair_indices(pairs) -> tuple[np.ndarray, np.ndarray]:
+    """0-based index arrays (i, j) of an iterable of 1-based pairs."""
+    return np.array([(a - 1, b - 1) for a, b in pairs], dtype=int).reshape(-1, 2).T
+
+
+def strains(p: PointConfiguration, motions, pairs) -> np.ndarray:
+    """(u_a - u_b) . (p_a - p_b): one row per flattened motion u, one column
+    per 1-based pair (a, b); the rigidity matrix is this map on the edges.
+    Exact motions are kept as given, so Python ints stay unbounded; exact
+    points are cleared to ints, the sums divided by their denominator."""
+    i, j = pair_indices(pairs)
+    u = linalg.array(motions, p.exact).reshape(-1, p.count, p.dim)
+    pts, d = linalg.cleared(p.points.T)
+    out = ((u[:, i] - u[:, j]) * (pts[i] - pts[j])).sum(axis=2)
+    return out if d == 1 else out * Fraction(1, d)
+
+
+def _preserves_distances(p: PointConfiguration, motions, ids,
                          tol: float | None) -> bool:
-    """True when (u_a - u_b) . (p_a - p_b) is zero for every pair of the
-    1-based points ids; a float pair is scaled by |u_a - u_b| |p_a - p_b|."""
-    pts = p.points
-    for a, b in combinations(ids, 2):
-        du = u[:, a - 1] - u[:, b - 1]
-        dp = pts[:, a - 1] - pts[:, b - 1]
-        scale = 1.0 if p.exact else float(np.linalg.norm(du) * np.linalg.norm(dp))
-        if not is_zero(du @ dp, tol, scale):
-            return False
-    return True
+    """True when each flattened motion has zero strain on every pair of the
+    1-based points ids; a float strain is scaled by |u_a - u_b| |p_a - p_b|.
+    Exact motions are cleared to ints first: the same zeros, no Fraction."""
+    pairs = list(combinations(ids, 2))
+    u = linalg.cleared(linalg.array(motions, p.exact))[0]
+    values = strains(p, u, pairs)
+    if p.exact:
+        return is_zero(values)
+    i, j = pair_indices(pairs)
+    u, pts = u.reshape(-1, p.count, p.dim), p.points.T
+    scale = (np.linalg.norm(u[:, i] - u[:, j], axis=2)
+             * np.linalg.norm(pts[i] - pts[j], axis=1))
+    return bool(linalg.zero_rows(values.reshape(-1, 1), tol, scale.reshape(-1, 1)).all())
 
 
 def is_infinitesimal_isometry(p: PointConfiguration, u: np.ndarray,
@@ -119,7 +141,7 @@ def is_infinitesimal_isometry(p: PointConfiguration, u: np.ndarray,
     u = np.asarray(u)
     if u.shape != p.points.shape:
         raise ValueError("motion shape does not match configuration")
-    return _preserves_distances(p, u, range(1, p.count + 1), tol)
+    return _preserves_distances(p, [flatten_motion(u)], range(1, p.count + 1), tol)
 
 
 class MotionSpace:
@@ -203,18 +225,13 @@ def _ranks_mod_trivial(p: PointConfiguration, motion_sets,
                        tol: float | None = None) -> list[int]:
     """dim(span S + T) - dim T for each set S of flattened motions, T the
     trivial motions of p.  At affine rank min(k-1, n) K_k is infinitesimally
-    rigid at p (Asimow-Roth), so T is the kernel of the strains (u_i - u_j)
-    .(p_i - p_j), i < j, and an exact S is ranked by its strains on cleared
-    ints.  Else the answer is rank [T basis; S] - dim T, T built once."""
-    n, k, pts = p.dim, p.count, p.points
-    if p.exact and linalg.rank((pts[:, 1:] - pts[:, :1]).T) == min(k - 1, n):
-        i, j = np.triu_indices(k, 1)
-        ints = linalg.cleared(pts)[0].T
-        chords = ints[i] - ints[j]
-        sets = (linalg.cleared(linalg.array(m))[0].reshape(-1, k, n)
-                for m in motion_sets)
-        return [linalg.rank(((u[:, i] - u[:, j]) * chords).sum(axis=2))
-                for u in sets]
+    rigid at p (Asimow-Roth), so T is the kernel of the strains on all
+    pairs, and an exact S is ranked by its strains on cleared ints.  Else
+    the answer is rank [T basis; S] - dim T, T built once."""
+    if p.exact and p.affine_rank() == min(p.count - 1, p.dim):
+        pairs = list(combinations(range(1, p.count + 1), 2))
+        return [linalg.rank(strains(p, linalg.cleared(linalg.array(m))[0], pairs))
+                for m in motion_sets]
     triv = trivial_motion_space(p, tol).subspace
     return [linalg.rank(np.vstack([triv.basis, *m]), tol) - triv.dim
             for m in motion_sets]
@@ -241,4 +258,4 @@ def restricts_to_isometry(p: PointConfiguration, s: MotionSpace, subset,
             raise ValueError(f"point index {i} out of range 1..{p.count}")
     if s.config != p:
         raise ValueError("motion space does not belong to this configuration")
-    return all(_preserves_distances(p, u, ids, tol) for u in s.basis_motions())
+    return _preserves_distances(p, s.subspace.basis, ids, tol)

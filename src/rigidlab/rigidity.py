@@ -9,13 +9,13 @@ samples agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 
 import numpy as np
 
 from . import linalg
 from .errors import BadSupportError
-from .motions import MotionSpace, PointConfiguration
+from .motions import MotionSpace, PointConfiguration, pair_indices, strains
 from .sampling import random_config, subrng
 
 
@@ -103,25 +103,17 @@ class RigidityReport:
         return self.flex_dim == self.trivial_dim
 
 
-def _edge_row(pts: np.ndarray, i: int, j: int, exact: bool) -> list:
-    """Row of the rigidity matrix for edge (i, j), 1-based, flattened
-    column-major over points."""
-    n, k = pts.shape
-    row = linalg.zeros(n * k, exact).tolist()
-    diff = pts[:, i - 1] - pts[:, j - 1]
-    for c in range(n):
-        row[n * (i - 1) + c] = diff[c]
-        row[n * (j - 1) + c] = -diff[c]
-    return row
-
-
 def rigidity_matrix(fw: Framework) -> np.ndarray:
-    """One row per edge: (p_i - p_j)^T in block i, the negative in block j."""
+    """The strain map on the edges as a matrix: row ij is (p_i - p_j)^T in
+    block i, its negative in block j (R @ u is strains(p, [u], edges))."""
     p = fw.config
-    rows = [_edge_row(p.points, i, j, p.exact) for i, j in fw.graph.sorted_edges()]
-    if not rows:
-        return linalg.zeros((0, p.dim * p.count), p.exact)
-    return linalg.array(rows, p.exact)
+    i, j = pair_indices(fw.graph.sorted_edges())
+    d = p.points.T[i] - p.points.T[j]
+    r = linalg.zeros((len(d), p.dim * p.count), p.exact)
+    rows, cols = np.arange(len(d))[:, None], np.arange(p.dim)
+    r[rows, p.dim * i[:, None] + cols] = d
+    r[rows, p.dim * j[:, None] + cols] = -d
+    return r
 
 
 def flex_space(fw: Framework, tol: float | None = None) -> MotionSpace:
@@ -145,7 +137,7 @@ def analyze(fw: Framework, tol: float | None = None) -> RigidityReport:
     r = rigidity_matrix(fw)
     base_rank = linalg.rank(r, tol)
     flex_dim = total - base_rank
-    a = linalg.rank((p.points[:, 1:] - p.points[:, :1]).T, tol)
+    a = p.affine_rank(tol)
     trivial_dim = n * (n + 1) // 2 - (n - a) * (n - a - 1) // 2
     isostatic = flex_dim == trivial_dim and base_rank == r.shape[0]
     return RigidityReport(flex_dim=flex_dim, trivial_dim=trivial_dim,
@@ -176,23 +168,11 @@ def is_generically_isostatic(g: Graph, n: int, seed: int = 0) -> bool:
 
 
 def _implied_pairs_at(g: Graph, p: PointConfiguration, candidates) -> set:
-    """Pairs whose edge row already lies in the rigidity row space at p.
-
-    One elimination of the columns [edge rows | new-pair rows]: a new
-    pair is implied when its column is no pivot and has no component
-    along a pivot column of another new pair.
-    """
-    out = {pair for pair in candidates if pair in g.edges}
-    new = [pair for pair in candidates if pair not in g.edges]
-    cols = [_edge_row(p.points, i, j, True) for i, j in g.sorted_edges() + new]
-    red, pivots = linalg._rref_exact(list(zip(*cols)), len(cols))
-    first = g.edge_count
-    blocking = [row for row, pc in zip(red, pivots) if pc >= first]
-    pivot_set = set(pivots)
-    for col, pair in enumerate(new, start=first):
-        if col not in pivot_set and all(row[col] == 0 for row in blocking):
-            out.add(pair)
-    return out
+    """Candidate pairs on which every flex of g at p has zero strain: the
+    rigidity row space is the annihilator of the flexes, so these are the
+    pairs whose row already lies in it."""
+    flexes = linalg.cleared(flex_space(Framework(g, p)).subspace.basis)[0]
+    return set(compress(candidates, linalg.zero_rows(strains(p, flexes, candidates).T)))
 
 
 def implied_pairs(g: Graph, candidates, n: int, seed: int = 0) -> set:

@@ -90,6 +90,18 @@ def test_subspace_canonical_basis():
     assert not s1.contains(exact_matrix([0, 0, 0, 1]))
 
 
+def test_subspace_containment_and_equality():
+    a, b, c = random_exact_matrix(3, 6, subrng(4, "contains-subspace", 0), 9)
+    for cast in (lambda v: v, linalg.to_float):
+        big = Subspace.from_spanning([cast(a), cast(b), cast(c)], 6)
+        small = Subspace.from_spanning([cast(a + b * 2)], 6)
+        other = Subspace.from_spanning([cast(a), cast(b), cast(c + 1)], 6)
+        assert big.contains_subspace(small) and not small.contains_subspace(big)
+        assert big.contains_subspace(Subspace.from_spanning([], 6))
+        assert big.equals(Subspace.from_spanning([cast(b), cast(c), cast(a - c)], 6))
+        assert not big.equals(small) and not big.equals(other)
+
+
 def test_subspace_intersection_and_join():
     rng = subrng(4, "meet", 0)
     shared = random_exact_matrix(1, 5, rng, 9)[0]
@@ -332,6 +344,13 @@ def test_zero_rule_lives_in_linalg():
     src = Path(linalg.__file__).parent
     offenders = [path.name for path in sorted(src.glob("*.py"))
                  if path.name != "linalg.py" and "_tol" in path.read_text()]
+    assert offenders == []
+
+
+def test_exact_kernel_lives_in_linalg():
+    src = Path(linalg.__file__).parent
+    offenders = [path.name for path in sorted(src.glob("*.py"))
+                 if path.name != "linalg.py" and "_rref_exact" in path.read_text()]
     assert offenders == []
 
 

@@ -2,16 +2,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rigidlab.linalg import Subspace, exact_matrix, ones_vector, to_float, zeros
 from rigidlab.motions import (MotionSpace, PointConfiguration,
                               _ranks_mod_trivial, affine_motion_parts,
                               flatten_motion, is_infinitesimal_isometry,
                               linear_motion_matrix, p_equivalent,
-                              restricts_to_isometry, skew_basis, take_points,
-                              trivial_motion_space, unflatten_motion)
+                              restricts_to_isometry, skew_basis, strains,
+                              take_points, trivial_motion_space,
+                              unflatten_motion)
 from rigidlab.admissibility import proportional_pair_space, single_vertex_space
-from rigidlab.rigidity import Framework, Graph, analyze, flex_space
+from rigidlab.rigidity import (Framework, Graph, analyze, flex_space,
+                               rigidity_matrix)
 from rigidlab.sampling import random_config, random_exact_matrix, subrng
 
 STANDARD = PointConfiguration(exact_matrix(
@@ -68,6 +72,63 @@ def test_trivial_dimension_cases():
                 fw = Framework(Graph.complete(q.count), q)
                 got = analyze(fw).trivial_dim
                 assert got == trivial_motion_space(q).dim == want, (n, name)
+
+
+def test_affine_rank_cases():
+    for n in (2, 3):
+        for name, pts, _ in _affine_configs(n):
+            want = {"generic": n, "coplanar": 2, "collinear": 1}.get(name, 0)
+            for q in (PointConfiguration(pts), PointConfiguration(to_float(pts))):
+                assert q.affine_rank() == want, (n, name)
+
+
+@st.composite
+def _strain_cases(draw):
+    """k points in R^n, one to three flattened motions and distinct pairs:
+    exact, with coordinates (Fractions) and motion entries of magnitude in
+    [2**62, 2**63), where int64 differences overflow, or in [2**69, 2**70),
+    mixed with small ones; or float64."""
+    n, k = draw(st.integers(1, 3), label="n"), draw(st.integers(2, 6), label="k")
+    if draw(st.booleans(), label="exact"):
+        bits = draw(st.sampled_from([63, 70]), label="bits")
+        big = st.integers(-9, 9) | st.builds(
+            int.__mul__, st.sampled_from([-1, 1]), st.integers(2**(bits - 1), 2**bits - 1))
+        coord = st.builds(Fraction, big, st.integers(1, 6))
+        points = exact_matrix(draw(st.lists(st.lists(coord, min_size=k, max_size=k),
+                                            min_size=n, max_size=n), label="points"))
+    else:
+        big = st.floats(-1e3, 1e3)
+        points = np.array(draw(st.lists(st.lists(big, min_size=k, max_size=k),
+                                        min_size=n, max_size=n), label="points"))
+    motions = draw(st.lists(st.lists(big, min_size=n * k, max_size=n * k),
+                            min_size=1, max_size=3), label="motions")
+    pairs = draw(st.lists(st.tuples(st.integers(1, k), st.integers(1, k)).filter(
+        lambda ab: ab[0] < ab[1]), unique=True, max_size=6), label="pairs")
+    return PointConfiguration(points), motions, pairs
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=_strain_cases())
+@example(case=(PointConfiguration(exact_matrix([[0, 1]])),
+               [[2**62 + 7, -2**62 - 9]], [(1, 2)]))
+def test_strains_are_the_rigidity_matrix_on_each_motion(case):
+    # Exact motions arrive as lists of Python ints, as cleared gives them:
+    # taken through np.asarray they would become int64 and overflow.
+    p, motions, pairs = case
+    fw = Framework(Graph.from_edges(p.count, pairs), p)
+    flat = exact_matrix(motions) if p.exact else np.array(motions)
+    want = dict(zip(fw.graph.sorted_edges(), rigidity_matrix(fw) @ flat.T))
+    as_set = set(pairs)
+    for order, given_pairs in ((list(as_set), as_set), (pairs, iter(pairs))):
+        got = strains(p, motions, given_pairs)
+        assert got.shape == (len(motions), len(pairs))
+        for column, pair in zip(got.T, order):
+            if p.exact:
+                assert column.tolist() == want[pair].tolist()
+            else:
+                np.testing.assert_allclose(column.astype(float), want[pair],
+                                           rtol=1e-9, atol=1e-6)
+    assert strains(p, motions, []).shape == (len(motions), 0)
 
 
 def test_trivial_space_is_spanned_by_the_skew_basis_products():

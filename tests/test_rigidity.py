@@ -9,7 +9,7 @@ from rigidlab import linalg, motions
 from rigidlab.errors import BadSupportError
 from rigidlab.linalg import _rref_exact, exact_matrix, rank
 from rigidlab.motions import PointConfiguration, trivial_motion_space
-from rigidlab.rigidity import (Framework, Graph, _edge_row, _implied_pairs_at,
+from rigidlab.rigidity import (Framework, Graph, _implied_pairs_at,
                                analyze, double_banana, find_implied_k4,
                                flex_space, henneberg_extend, implied_pairs,
                                is_generically_rigid, is_implied_edge,
@@ -202,15 +202,15 @@ def _implied_pairs_by_row_reduction(g: Graph, p: PointConfiguration,
                                     candidates) -> set:
     """Reference: reduce each candidate's row against the RREF of the edge
     rows in Fraction arithmetic; implied when nothing is left."""
-    pts = p.points
-    rows = [_edge_row(pts, i, j, True) for i, j in g.sorted_edges()]
+    rows = rigidity_matrix(Framework(g, p)).tolist()
     red, pivots = _rref_exact(rows, p.dim * p.count) if rows else ([], [])
     out = set()
     for pair in candidates:
         if pair in g.edges:
             out.add(pair)
             continue
-        row = _edge_row(pts, pair[0], pair[1], True)
+        single = Graph.from_edges(g.vertex_count, [pair])
+        row = rigidity_matrix(Framework(single, p))[0].tolist()
         for ri, pc in enumerate(pivots):
             f = row[pc]
             if f != 0:
