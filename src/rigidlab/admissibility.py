@@ -411,7 +411,8 @@ def classify_admissible(p: PointConfiguration, s: MotionSpace,
                               "every motion in the subspace is affine")
 
     q1 = q[:, 0]
-    d = np.cross(q1, c)
+    d = linalg.array([q1[1] * c[2] - q1[2] * c[1], q1[2] * c[0] - q1[0] * c[2],
+                      q1[0] * c[1] - q1[1] * c[0]], exact)
     if is_zero(d, tol):
         raise HypothesisViolatedError("first point is zero or aligned with the "
                                       "row-sum gap; translate the configuration")

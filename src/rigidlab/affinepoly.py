@@ -27,22 +27,15 @@ class PolyDependence(Enum):
     NONE = "none"
 
 
-def _as_linear(l) -> np.ndarray:
-    return exact_matrix(l).reshape(-1)
-
-
-def _as_quadratic(q, nvars: int) -> np.ndarray:
-    arr = exact_matrix(q)
-    if arr.shape != (nvars + 1, nvars + 1):
+def _cleared_pair(l: np.ndarray, q, size: int):
+    """(l, q), entries anything frac accepts, scaled to ints by one factor,
+    as (l, S) with S = Q + Q^T: twice the part of Q that counts."""
+    q = np.asarray(q)
+    if q.shape != (size, size):
         raise ValueError("quadratic coefficient matrix has the wrong shape")
-    return _sym(arr)
-
-
-def _sym(m: np.ndarray) -> np.ndarray:
-    if (m == m.T).all():
-        return m
-    half = frac("1/2")
-    return (m + m.T) * half
+    ints, _ = linalg.cleared([*l, *q.flat])
+    return ints[:size], [[ints[size * (1 + a) + b] + ints[size * (1 + b) + a]
+                          for b in range(size)] for a in range(size)]
 
 
 def quadratic_value(q: np.ndarray, z) -> object:
@@ -52,7 +45,8 @@ def quadratic_value(q: np.ndarray, z) -> object:
 
 def linear_product_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Quadratic coefficient matrix of the product of two affine linears."""
-    return _sym(np.outer(a, b))
+    m = np.outer(a, b)
+    return (m + m.T) * frac("1/2")
 
 
 def affine_poly_dependence(l1, q1, l2, q2) -> PolyDependence:
@@ -61,35 +55,29 @@ def affine_poly_dependence(l1, q1, l2, q2) -> PolyDependence:
     Checks, in order: the two coefficient pairs are dependent over the
     rationals; both linear parts vanish; the quadratics are a common
     affine linear multiple of the linears.  Returns NONE when the values
-    are independent away from a measure-zero set.
+    are independent away from a measure-zero set.  Scaling one pair by a
+    nonzero number changes none of the three, so each pair is cleared to
+    ints (_cleared_pair) and every test is an integer elimination.
     """
-    l1 = _as_linear(l1)
-    l2 = _as_linear(l2)
+    l1, l2 = np.ravel(l1), np.ravel(l2)
     if l1.size != l2.size:
         raise ValueError("linear parts disagree on variable count")
-    nvars = l1.size - 1
-    q1 = _as_quadratic(q1, nvars)
-    q2 = _as_quadratic(q2, nvars)
+    size = l1.size
+    pairs = [_cleared_pair(l, q, size) for l, q in ((l1, q1), (l2, q2))]
 
-    tri = [(a, b) for a in range(nvars + 1) for b in range(a, nvars + 1)]
-    longs = linalg.array([[*l, *(q[a, b] for a, b in tri)]
-                          for l, q in ((l1, q1), (l2, q2))])
+    tri = [(a, b) for a in range(size) for b in range(a, size)]
+    longs = linalg.array([[*l, *(s[a][b] for a, b in tri)] for l, s in pairs])
     if linalg.rank(longs) <= 1:
         return PolyDependence.DEPENDENT_PAIR
 
-    zero1 = all(v == 0 for v in l1)
-    zero2 = all(v == 0 for v in l2)
-    if zero1 and zero2:
+    if not any(pairs[0][0]) and not any(pairs[1][0]):
         return PolyDependence.BOTH_LINEAR_ZERO
 
-    # Common factor: find one affine linear m with q_i == m * l_i, i.e.
-    # Sym(outer(m, l_i)) == q_i, a linear system in m's coefficients.
-    rows: list[list] = []
-    rhs: list = []
-    for l_vec, q_mat in ((l1, q1), (l2, q2)):
-        srows, index = linalg.sym_outer_rows(l_vec)
-        rows += srows
-        rhs += [q_mat[a, b] for a, b in index]
-    if linalg.solve(linalg.array(rows), linalg.array(rhs)) is not None:
+    # Common factor: one affine linear m with m l_i^T + l_i m^T == S_i for
+    # both i, a linear system in m's coefficients: is its right-hand side
+    # in the span of its columns?
+    rows = [[l[b] * (c == a) + l[a] * (c == b) for c in range(size)] + [s[a][b]]
+            for l, s in pairs for a, b in tri]
+    if linalg.spanned_columns(linalg.array(rows), size)[0]:
         return PolyDependence.COMMON_LINEAR_FACTOR
     return PolyDependence.NONE

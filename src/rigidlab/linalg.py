@@ -7,12 +7,12 @@ is a bug.  zero_rows holds the zero rule of each backend, row by row
 float values when max|value| <= tol * max(scale, 1); float ranks count
 singular values above tol times the largest (a stack: one batched SVD).
 Exact entries are fractions.Fraction at the boundary only: every exact
-rank, nullspace, solve and inverse runs _rref_exact, which is Bareiss
-fraction-free elimination on Python ints: Gauss-Jordan for nullspace,
-solve and inverse, forward only (rows below each pivot) for rank.  Its
-divisions are exact in both modes.
-cleared, the one denominator-clearing helper, scales exact values by
-the lcm of their denominators: kernel rows, pin samples, check 12.
+rank, nullspace, solve and inverse runs _rref_exact, Bareiss elimination
+on Python ints: Gauss-Jordan for nullspace, solve and inverse, forward
+only for rank and spanned_columns, the row-space test.  Divisions are
+exact in both modes.  cleared, the one denominator-clearing helper,
+scales exact values by the lcm of their denominators (a list of Python
+ints passes as it is): kernel rows, pin samples, check 12.
 
 Only this module names the array format of a backend: other modules
 build their matrices with array, zeros, identity, ones_vector or
@@ -127,12 +127,14 @@ def cleared(values):
     object array for an array; a float array comes back with d = 1.
     Python ints and Fractions are taken as stored; any other entry
     (np.integer, str, float) goes through frac, so no fixed-width int
-    comes back."""
+    comes back.  A list of Python ints is returned as it is, d = 1."""
     if isinstance(values, np.ndarray):
         if not is_exact(values):
             return values, 1
         ints, d = cleared(values.ravel().tolist())
         return np.array(ints, dtype=object).reshape(values.shape), d
+    if type(values) is list and all(type(v) is int for v in values):
+        return values, 1
     values = [v if isinstance(v, (int, Fraction)) else frac(v) for v in values]
     # A set, not a generator: a resized *args tuple lands in another
     # size's tuple freelist on CPython, and peak RSS creeps up per call.
@@ -142,7 +144,8 @@ def cleared(values):
 
 def _rref_exact(rows: list[list], ncols: int, reduce: bool = True):
     """Reduced row echelon form; returns (nonzero rows, pivot columns),
-    or (None, pivot columns) when reduce is false.
+    or (integer rows, pivot columns) when reduce is false: every row, in
+    echelon form, those below the rank zero in the first ncols columns.
 
     Entries are ints, Fractions or anything frac accepts.  Each row is
     scaled by the lcm of its denominators (cleared), which keeps the row
@@ -175,14 +178,15 @@ def _rref_exact(rows: list[list], ncols: int, reduce: bool = True):
         for i in range(0 if reduce else lead + 1, len(mat)):
             if i != lead:
                 f = mat[i][col]
-                mat[i] = [(a * p - f * b) // prev for a, b in zip(mat[i], base)]
+                mat[i] = ([(a * p - f * b) // prev for a, b in zip(mat[i], base)] if f
+                          else [a * p // prev for a in mat[i]])
         prev = p
         pivots.append(col)
         lead += 1
         if lead == len(mat):
             break
     if not reduce:
-        return None, pivots
+        return mat, pivots
     reduced = [[Fraction(v, row[pc]) for v in row]
                for row, pc in zip(mat, pivots)]
     return reduced, pivots
@@ -207,6 +211,14 @@ def rank(m: np.ndarray, tol: float | None = None):
         ranks = _svd_rank(np.linalg.svd(stack.astype(float), compute_uv=False),
                           tol).tolist()
     return ranks if m.ndim == 3 else ranks[0]
+
+
+def spanned_columns(m: np.ndarray, ncols: int) -> list[bool]:
+    """Whether each column of the exact matrix m after the first ncols lies
+    in their span: forward elimination with pivots in those columns only,
+    and a column is spanned when it is zero in every row below the rank."""
+    rows, pivots = _rref_exact(m.tolist(), ncols, reduce=False)
+    return [not any(row[j] for row in rows[len(pivots):]) for j in range(ncols, m.shape[1])]
 
 
 def nullspace_rows(m: np.ndarray, tol: float | None = None) -> np.ndarray:

@@ -251,11 +251,12 @@ def p_equivalent(s1: MotionSpace, s2: MotionSpace,
 
 def restricts_to_isometry(p: PointConfiguration, s: MotionSpace, subset,
                           tol: float | None = None) -> bool:
-    """True when every motion in s preserves distances within the subset."""
+    """True when every motion in s preserves distances within the subset:
+    each basis motion in turn, up to the first that strains a pair."""
     ids = sorted(set(subset))
     for i in ids:
         if not 1 <= i <= p.count:
             raise ValueError(f"point index {i} out of range 1..{p.count}")
     if s.config != p:
         raise ValueError("motion space does not belong to this configuration")
-    return _preserves_distances(p, s.subspace.basis, ids, tol)
+    return all(_preserves_distances(p, [u], ids, tol) for u in s.subspace.basis)

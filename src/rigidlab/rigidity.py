@@ -168,11 +168,12 @@ def is_generically_isostatic(g: Graph, n: int, seed: int = 0) -> bool:
 
 
 def _implied_pairs_at(g: Graph, p: PointConfiguration, candidates) -> set:
-    """Candidate pairs on which every flex of g at p has zero strain: the
-    rigidity row space is the annihilator of the flexes, so these are the
-    pairs whose row already lies in it."""
-    flexes = linalg.cleared(flex_space(Framework(g, p)).subspace.basis)[0]
-    return set(compress(candidates, linalg.zero_rows(strains(p, flexes, candidates).T)))
+    """Candidate pairs whose rigidity row is in g's row space at the exact
+    configuration p: the unit motions' strains on the edges, then on the
+    candidates, are [R^T | C^T] on ints, and one elimination decides all."""
+    pairs = [*g.sorted_edges(), *candidates]
+    cols = strains(p, np.eye(p.dim * p.count, dtype=int), pairs)
+    return set(compress(pairs[g.edge_count:], linalg.spanned_columns(cols, g.edge_count)))
 
 
 def implied_pairs(g: Graph, candidates, n: int, seed: int = 0) -> set:

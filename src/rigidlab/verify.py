@@ -357,28 +357,45 @@ def _poly_case_instance(case: PolyDependence, rng):
             return l1, q1, l2, q2
 
 
+def _oracle_draws(rng, count: int):
+    """The next count values of rng.randint(-50, 50), drawn in blocks, and
+    the generator words used through each; rng comes back unchanged.  The
+    value is getrandbits(7), a word's top 7 bits, redrawn while 101 or more,
+    and getrandbits(32 k) is the next k words, the first least significant."""
+    state, top = rng.getstate(), np.empty(0, np.uint32)
+    while len(kept := np.flatnonzero(top < 101)) < count:
+        block = rng.getrandbits(32 * 1024).to_bytes(4 * 1024, "little")
+        top = np.append(top, np.frombuffer(block, "<u4") >> 25)
+    rng.setstate(state)
+    return top[kept[:count]].astype(np.int64) - 50, kept[:count] + 1
+
+
 def _values_dependent(l1, q1, l2, q2, rng) -> bool:
-    """Whether l1*q2 - l2*q1 vanishes at 200 random integer points.  Scaling
-    pair i by the lcm d_i of its denominators scales l1*q2 - l2*q1 by d1*d2:
-    the same zeros, evaluated on ints."""
+    """Whether l1*q2 - l2*q1 vanishes at 200 random integer points, with
+    the draws and final rng state of a loop that stops at the first nonzero
+    point.  Pair i scaled by the lcm d_i of its denominators scales
+    l1*q2 - l2*q1 by d1*d2: the same zeros, on ints, all points as one
+    array (int64 when a coefficient bound rules out overflow)."""
     pairs = []
     for l, q in ((l1, q1), (l2, q2)):
         ints, _ = cleared([*l, *q.flat])
         # zhat^T Q zhat on the upper triangle of Q, off-diagonal terms doubled.
         upper = [ints[4 + 4 * a + b] + (a != b) * ints[4 + 4 * b + a]
                  for a in range(4) for b in range(a, 4)]
-        pairs.append((*ints[:4], *upper))
-    for _ in range(200):
-        # randint(-50, 50) is randrange(-50, 51): the same draws.
-        x, y, w = [rng.randrange(-50, 51) for _ in range(3)]
-        (a1, b1), (a2, b2) = [
-            (l0 + lx * x + ly * y + lw * w,
-             c + x * (cx + cxx * x + cxy * y + cxw * w)
-             + y * (cy + cyy * y + cyw * w) + w * (cw + cww * w))
-            for l0, lx, ly, lw, c, cx, cy, cw, cxx, cxy, cxw, cyy, cyw, cww in pairs]
-        if a1 * b2 != a2 * b1:
-            return False
-    return True
+        pairs.append([*ints[:4], *upper])
+    # Bounds every partial value of a pair: degree <= 2 at |x|, |y|, |w| <= 50.
+    bounds = [2500 * sum(map(abs, c)) + 1 for c in pairs]
+    coeffs = (np.array(pairs, np.int64) if bounds[0] * bounds[1] < 2 ** 63
+              else linalg.array(pairs))
+    draws, used = _oracle_draws(rng, 600)
+    x, y, w = draws.reshape(-1, 3).T.astype(coeffs.dtype)
+    l0, lx, ly, lw, c, cx, cy, cw, cxx, cxy, cxw, cyy, cyw, cww = coeffs.T[:, :, None]
+    a = l0 + lx * x + ly * y + lw * w
+    b = (c + x * (cx + cxx * x + cxy * y + cxw * w)
+         + y * (cy + cyy * y + cyw * w) + w * (cw + cww * w))
+    nonzero = np.flatnonzero(a[0] * b[1] != a[1] * b[0])
+    rng.getrandbits(32 * int(used[3 * nonzero[0] + 2 if len(nonzero) else 599]))
+    return not len(nonzero)
 
 
 def _check_affine_poly(seed: int, samples: int | None):

@@ -254,8 +254,13 @@ def test_rref_matches_fraction_reference(case):
     want_red, want_pivots = reference_rref(rows, ncols)
     assert pivots == want_pivots
     assert red == want_red
-    # The rank-only mode eliminates forward only and finds the same pivots.
-    assert _rref_exact(rows, ncols, reduce=False) == (None, want_pivots)
+    # The rank-only mode eliminates forward only and finds the same pivots;
+    # with pivots allowed in every column, the rows below the rank are zero.
+    forward, pivots = _rref_exact(rows, ncols, reduce=False)
+    assert pivots == want_pivots
+    assert len(forward) == len(rows)
+    assert not any(v for row in forward[len(pivots):] for v in row)
+    assert all(type(v) is int for row in forward for v in row)
     assert all(type(v) is Fraction for row in red for v in row)
     m = np.empty((len(rows), ncols), dtype=object)
     for i, row in enumerate(rows):
@@ -309,6 +314,62 @@ def test_stacked_rank_of_zero_and_empty_stacks():
     assert rank(zeros((0, 3, 3))) == rank(np.zeros((0, 3, 3))) == []
 
 
+@st.composite
+def row_space_cases(draw):
+    """(m, c): r x n and k x n exact matrices, r, k or n possibly 0.  m is
+    a planted low-rank integer product with zeroed rows and columns; each
+    row of c is a combination of m's factor rows (in the row space unless
+    zeroing cut it) or a free integer row."""
+    r, k, n = draw(st.integers(0, 5)), draw(st.integers(0, 4)), draw(st.integers(0, 6))
+    ints = st.integers(-9, 9)
+
+    def grid(rows, cols):
+        return draw(st.lists(st.lists(ints, min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+
+    inner = draw(st.integers(1, 3))
+    factor = exact_matrix(grid(inner, n)).reshape(inner, n)
+    m = exact_matrix(grid(r, inner)).reshape(r, inner) @ factor
+    c = zeros((k, n))
+    for row in c:
+        row[:] = (exact_matrix(grid(1, inner)).reshape(inner) @ factor
+                  if draw(st.booleans()) else exact_matrix(grid(1, n)).reshape(n))
+    m[sorted(draw(st.sets(st.integers(0, max(r - 1, 0)), max_size=2))) if r else [], :] = 0
+    m[:, sorted(draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=2))) if n else []] = 0
+    return m, c
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_space_cases())
+def test_spanned_columns_is_the_row_space_test(case):
+    """Row j of c lies in the row space of m exactly when column j of
+    [m^T | c^T] is spanned by the first r columns."""
+    m, c = case
+    got = linalg.spanned_columns(np.hstack([m.T, c.T]), len(m))
+    base = len(reference_rref(m.tolist(), m.shape[1])[1])
+    assert got == [len(reference_rref([*m.tolist(), row.tolist()], m.shape[1])[1]) == base
+                   for row in c]
+
+
+def test_spanned_columns_with_empty_parts():
+    # No spanning columns: only a zero column is spanned.
+    assert linalg.spanned_columns(exact_matrix([[0, 1], [0, 0]]), 0) == [True, False]
+    # No columns to test, and no rows at all.
+    assert linalg.spanned_columns(exact_matrix([[1, 2], [3, 4]]), 2) == []
+    assert linalg.spanned_columns(zeros((0, 3)), 1) == [True, True]
+
+
+def test_cleared_returns_python_ints_as_they_are():
+    ints = [3, -7, 0, 2 ** 80]
+    assert linalg.cleared(ints) == (ints, 1)
+    assert linalg.cleared(ints)[0] is ints
+    mixed = [np.int64(4), 6, Fraction(1, 3)]
+    got, d = linalg.cleared(mixed)
+    assert (got, d) == ([12, 18, 1], 3)
+    assert all(type(v) is int for v in got)
+    assert all(type(v) is int for v in linalg.cleared([np.int64(5), np.int64(-2)])[0])
+
+
 @pytest.mark.parametrize("cast", [int, np.int64])
 def test_integer_entries_match_fraction_results(cast):
     """Object arrays of Python ints or of np.int64 give the Fraction
@@ -333,7 +394,9 @@ def test_integer_entries_match_fraction_results(cast):
     assert all(type(v) is int for v in linalg.cleared(flat)[0].flat)
     for m, m_frac in ((flat, flat_frac), (square, square_frac)):
         want = reference_rref(m_frac.tolist(), m.shape[1])[1]
-        assert _rref_exact(m.tolist(), m.shape[1], reduce=False) == (None, want)
+        forward, pivots = _rref_exact(m.tolist(), m.shape[1], reduce=False)
+        assert pivots == want
+        assert not any(v for row in forward[len(pivots):] for v in row)
     assert rank(flat) == rank(flat_frac) == 3
     assert (nullspace_rows(flat) == nullspace_rows(flat_frac)).all()
     assert (solve(flat, flat[:, 0]) == solve(flat_frac, flat_frac[:, 0])).all()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rigidlab import linalg, motions
+from rigidlab import linalg, motions, rigidity
 from rigidlab.errors import BadSupportError
 from rigidlab.linalg import _rref_exact, exact_matrix, rank
 from rigidlab.motions import PointConfiguration, trivial_motion_space
@@ -238,6 +238,23 @@ def test_implied_pairs_at_matches_row_reduction(name, g, seed):
     candidates = [(i, j) for i in vertices for j in vertices if i < j]
     assert _implied_pairs_at(g, p, candidates) == \
         _implied_pairs_by_row_reduction(g, p, candidates)
+
+
+@pytest.mark.parametrize("g, want", [(K5E, {(4, 5)}), (double_banana(), {(1, 2)})],
+                         ids=["K5-e", "double-banana"])
+def test_implied_pairs_build_no_flex_space(monkeypatch, g, want):
+    """Implied pairs are one forward elimination of the strains: no flex
+    space and no kernel basis is built."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("implied pairs built a kernel")
+
+    monkeypatch.setattr(rigidity, "flex_space", refuse)
+    monkeypatch.setattr(linalg, "nullspace_rows", refuse)
+    p = random_config(3, g.vertex_count, subrng(3, "no-kernel", 0))
+    vertices = range(1, g.vertex_count + 1)
+    nonedges = [(i, j) for i in vertices for j in vertices
+                if i < j and not g.has_edge(i, j)]
+    assert _implied_pairs_at(g, p, nonedges) == want
 
 
 def _integer_rows(rows: int, cols: int, bound: int):

@@ -5,7 +5,7 @@ import pytest
 from rigidlab import verify
 from rigidlab.affinepoly import (PolyDependence, linear_product_matrix,
                                  quadratic_value)
-from rigidlab.linalg import exact_matrix, frac
+from rigidlab.linalg import cleared, exact_matrix, frac
 from rigidlab.sampling import subrng
 from rigidlab.verify import CHECK_NAMES, CheckResult, run_battery, run_check
 
@@ -112,3 +112,63 @@ LAM = Fraction(3, 7)
 ], ids=["dependent-pair", "unequal-ratios", "common-factor", "no-common-factor"])
 def test_integer_oracle_on_mixed_denominators(pair, dependent):
     assert _agree(*pair, 0, "hand-built", 0) == dependent
+
+
+def _loop_oracle(l1, q1, l2, q2, rng):
+    """Reference for the block-drawn oracle: one point at a time, three
+    randint(-50, 50) draws each, zhat^T Q zhat summed over every entry of
+    the cleared Q.  Returns the verdict and the points drawn."""
+    pairs = []
+    for l, q in ((l1, q1), (l2, q2)):
+        ints, _ = cleared([*l, *q.flat])
+        pairs.append((ints[:4], [ints[4 + 4 * a:8 + 4 * a] for a in range(4)]))
+    points = []
+    for _ in range(200):
+        points.append([rng.randint(-50, 50) for _ in range(3)])
+        z = [1, *points[-1]]
+        (a1, b1), (a2, b2) = [
+            (sum(c * v for c, v in zip(l, z)),
+             sum(q[a][b] * z[a] * z[b] for a in range(4) for b in range(4)))
+            for l, q in pairs]
+        if a1 * b2 != a2 * b1:
+            return False, points
+    return True, points
+
+
+@pytest.mark.parametrize("case", list(PolyDependence), ids=lambda c: c.value)
+def test_block_drawn_oracle_matches_one_point_at_a_time(case):
+    """Check 12's 100 instances of each case at seed 0: the block draw gives
+    the loop's 600 values, and the oracle its points, verdict and state."""
+    tag = f"poly-z-{case.value}"
+    for idx in range(100):
+        pair = verify._poly_case_instance(case, subrng(0, f"poly-{case.value}", idx))
+        block, loop, fresh = (subrng(0, tag, idx) for _ in range(3))
+        draws, used = verify._oracle_draws(block, 600)
+        assert block.getstate() == fresh.getstate()
+        assert draws.tolist() == [fresh.randint(-50, 50) for _ in range(600)]
+        block.getrandbits(32 * int(used[-1]))
+        assert block.getstate() == fresh.getstate()
+        block = subrng(0, tag, idx)
+        want, points = _loop_oracle(*pair, loop)
+        assert draws.reshape(-1, 3)[:len(points)].tolist() == points
+        assert verify._values_dependent(*pair, block) == want == (
+            case is not PolyDependence.NONE)
+        assert block.getstate() == loop.getstate()
+
+
+def test_block_drawn_oracle_past_int64():
+    """l1 = l2 = 2^24 (1 + x) and q2 = q1 + 2^40, so l1 q2 - l2 q1 =
+    2^64 (1 + x): nonzero off x = -1, but 0 mod 2^64, so int64 products
+    would wrap to "dependent" at every point.  The coefficient bound sends
+    this pair to Python ints."""
+    lin = exact_matrix([2 ** 24, 2 ** 24, 0, 0])
+    shifted = Q1.copy()
+    shifted[0, 0] += 2 ** 40
+    rng, loop = subrng(0, "past-int64", 0), subrng(0, "past-int64", 0)
+    assert verify._values_dependent(lin, Q1, lin, shifted, rng) is False
+    assert _loop_oracle(lin, Q1, lin, shifted, loop)[0] is False
+    assert rng.getstate() == loop.getstate()
+    # A zero linear part bounds no product: the 2^70 entry still needs ints.
+    zero, huge = exact_matrix([0, 0, 0, 0]), Q1.copy()
+    huge[1, 1] += 2 ** 70
+    assert verify._values_dependent(zero, huge, zero, Q1, rng) is True
