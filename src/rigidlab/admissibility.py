@@ -13,19 +13,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import combinations
 
 import numpy as np
 
 from . import linalg
 from .errors import (DegenerateConfigError, HypothesisViolatedError,
                      ParallelSpanError, SingularMatrixError)
-from .linalg import (Subspace, frac, invert, is_zero, ones_vector,
-                     sym_outer_rows)
+from .linalg import (Subspace, exact_matrix, frac, is_zero, ones_vector,
+                     sym_outer_system)
 from .motions import (MotionSpace, PointConfiguration, _ranks_mod_trivial,
                       affine_motion_parts, flatten_motion, linear_motion_matrix,
-                      p_equivalent, take_points)
+                      p_equivalent, same_mod_trivial, take_points,
+                      unflatten_motion)
 from .pins import PinContext, pin_velocity, scale_factor
-from .sampling import (DEFAULT_BOUND, random_exact_vector, random_float_vector,
+from .sampling import (DEFAULT_BOUND, random_float_vector, random_int_vector,
                        subrng)
 
 # The two pin blocks of a five-point configuration share point 1: one
@@ -78,14 +80,22 @@ def _mismatch_sampler(p: PointConfiguration, motions, tol: float | None,
     """Set up once for motions of p pinned on two blocks of p.dim points:
     k cleared positions X = x xi, one per row, give (usable rows, the
     stack sigma_r N_q - sigma_q N_r, sigma_q sigma_r as a k x 1 x 1 stack)
-    by the formulas of check_admissibility."""
+    by the formulas of check_admissibility.  Each block's inverse is
+    (A, delta) from linalg.adjugate: integers when exact, (q^{-1}, 1) on
+    float64, so the float arithmetic is the formula with every
+    denominator 1."""
     motions = [linalg.cleared(u)[0] for u in motions]
     sides = []
-    for ctx, block in zip(_pin_sides(p, blocks), blocks):
+    for block in blocks:
+        q = take_points(p.points, block)
+        try:
+            a_int, delta = linalg.adjugate(q)
+        except SingularMatrixError as exc:
+            raise DegenerateConfigError(f"pin block is singular: {exc}") from exc
         v = np.stack([take_points(u, block).T for u in motions])
-        q_int, kappa = linalg.cleared(ctx.q)
+        q_int, kappa = linalg.cleared(q)
         stress = (v * q_int.T).sum(axis=2).T
-        sides.append((*linalg.cleared(ctx.q_inv), kappa, v, stress))
+        sides.append((a_int, delta, kappa, v, stress))
 
     def mismatch(x_int: np.ndarray, xi: np.ndarray) -> tuple:
         usable, out = True, []
@@ -99,6 +109,22 @@ def _mismatch_sampler(p: PointConfiguration, motions, tol: float | None,
         (n_q, sigma_q), (n_r, sigma_r) = out
         return usable, sigma_r * n_q - sigma_q * n_r, sigma_q * sigma_r
     return mismatch
+
+
+def _mismatch_ranks(m: np.ndarray) -> list[int]:
+    """Ranks of an exact stack of 3-row samples, whose rank is at most 2
+    (both pin blocks contain point 1, so (X - xi p1)^T M = 0): 0 when M is
+    zero, 2 when two of its columns have a nonzero cross product, else 1.
+    One product over the whole stack; the zero tests run on Python lists,
+    which spares numpy's reduction buffers on object arrays."""
+    pairs = list(combinations(range(m.shape[2]), 2))
+    a = m[:, :, [i for i, _ in pairs]]
+    b = m[:, :, [j for _, j in pairs]]
+    cross = np.hstack([a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1],
+                       a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2],
+                       a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]])
+    return [2 if any(c) else int(any(v))
+            for v, c in zip(m.reshape(len(m), -1).tolist(), cross.tolist())]
 
 
 @dataclass
@@ -115,10 +141,12 @@ class AdmissibilityReport:
 def _pin_samples(p: PointConfiguration, samples: int, seed: int, tag: str,
                  evaluate) -> tuple:
     """(positions, *stacks) at the first `samples` usable positions in draw
-    order, position idx drawn in R^p.dim from the (seed, tag, idx) stream;
-    evaluate maps cleared positions (X, xi) to (usable mask, *stacks).  The
-    first `samples` draws go to one call, each further call draws as many
-    as were skipped; after 10*samples draws, DegenerateConfigError."""
+    order, position idx drawn in R^p.dim from the (seed, tag, idx) stream,
+    as Python ints when exact (random_int_vector: the draws of
+    random_exact_vector) and float64 at DEFAULT_BOUND; evaluate maps
+    cleared positions (X, xi) to (usable mask, *stacks).  The first
+    `samples` draws go to one call, each further call draws as many as
+    were skipped; after 10*samples draws, DegenerateConfigError."""
     if samples < 1:
         raise ValueError("samples must be positive")
     kept, parts, drawn = [], [], 0
@@ -127,7 +155,7 @@ def _pin_samples(p: PointConfiguration, samples: int, seed: int, tag: str,
         if want == 0:
             raise DegenerateConfigError("could not collect enough valid pin samples")
         rngs = [subrng(seed, tag, idx) for idx in range(drawn, drawn + want)]
-        xs = [random_exact_vector(p.dim, rng) if p.exact
+        xs = [random_int_vector(p.dim, rng) if p.exact
               else random_float_vector(p.dim, rng, float(DEFAULT_BOUND)) for rng in rngs]
         drawn += want
         cols = [linalg.cleared(x) for x in xs]
@@ -152,7 +180,9 @@ def check_admissibility(p: PointConfiguration, s: MotionSpace,
     N = A^T (1 a^T R - D R) and sigma = delta kappa xi D: the pin velocity
     of u is N[:, u]/(sigma lambda_u).  A zero D (by the zero rule against
     a) skips the sample uncounted.  All samples of a query are evaluated
-    as one stack (_pin_samples) and ranked by one linalg.rank call.
+    as one stack (_pin_samples) and ranked at once: exact samples in
+    closed form (_mismatch_ranks), float64 ones by one linalg.rank call.
+    Witness positions are returned as Fractions when exact.
     """
     _require_five_points(p)
     if s.dim < 1:
@@ -162,8 +192,9 @@ def check_admissibility(p: PointConfiguration, s: MotionSpace,
     intersects = _ranks_mod_trivial(p, [s.subspace.basis], tol)[0] < s.dim
     xs, m, _ = _pin_samples(p, samples, seed, "pin-sample",
                             _mismatch_sampler(p, s.basis_motions(), tol))
-    ranks = linalg.rank(m, tol)
-    failures = [x for x, rk in zip(xs, ranks) if rk >= s.dim]
+    ranks = _mismatch_ranks(m) if p.exact else linalg.rank(m, tol)
+    failures = [exact_matrix(x) if p.exact else x
+                for x, rk in zip(xs, ranks) if rk >= s.dim]
     return AdmissibilityReport(
         candidate_dim=s.dim,
         intersects_trivial=intersects,
@@ -359,20 +390,19 @@ class Classification:
         return self.kind is ClassificationKind.ANOMALY
 
 
-def _normalize_weights(z: np.ndarray) -> np.ndarray:
-    """Canonical representative of z modulo all-ones shifts and scaling.
+def _normalize_weights(z: np.ndarray) -> tuple:
+    """Canonical representative of integer z modulo all-ones shifts and
+    scaling, as (shifted, lead): z less its most frequent entry, and the
+    first nonzero entry of that (1 when there is none).
 
     Shifting z by a multiple of the all-ones vector only changes the
     reconstruction by translations, so the most frequent entry is zeroed
-    out and the first nonzero entry scaled to one.
+    out and the first nonzero entry scaled to one: shifted / lead.
     """
-    values = list(z)
+    values = z.tolist()
     best = max(values, key=lambda v: (values.count(v), -values.index(v)))
     shifted = linalg.array([v - best for v in values])
-    for v in shifted:
-        if v != 0:
-            return shifted / v
-    return shifted
+    return shifted, next((v for v in shifted if v), 1)
 
 
 def classify_admissible(p: PointConfiguration, s: MotionSpace,
@@ -385,31 +415,47 @@ def classify_admissible(p: PointConfiguration, s: MotionSpace,
     reconstruction is reported loudly as an anomaly, never silently.
     Requires both pin blocks invertible and their inverse-transpose row
     sums distinct.
+
+    Exact inputs are computed on integers: the cleared points p = P/kappa
+    and basis motions u = U/lambda, q^{-1} = A_q/dq and r^{-1} = A_r/dr
+    (linalg.adjugate), and each solve's numerators over its last pivot
+    (linalg.solve_parts).  Every quantity is an integer array over one
+    denominator, named where it is formed; only the returned plane and
+    weights are Fractions.  On float64 every denominator is 1 and the
+    formulas are the float arithmetic as it stands.
     """
     _require_five_points(p)
     if s.config != p:
         raise ValueError("motion space does not belong to this configuration")
     if s.dim != 2:
         raise ValueError("classification expects a 2-dimensional subspace")
-    q, r = split_blocks(p.points)
+    exact = p.exact
+    pts = linalg.cleared(p.points)[0]
+    q, r = split_blocks(pts)
     try:
-        q_inv = invert(q, tol)
-        r_inv = invert(r, tol)
+        (a_q, dq), (a_r, dr) = (linalg.adjugate(b, tol) for b in split_blocks(p.points))
     except SingularMatrixError as exc:
         raise HypothesisViolatedError(f"pin block is singular: {exc}") from exc
-    exact = p.exact
-    ones = ones_vector(3, exact)
-    c = r_inv.T @ ones - q_inv.T @ ones
+    ones = linalg.array([1] * 3, exact)
+    # The gap of the inverse-transpose row sums: c / (dq dr).
+    c = dq * (a_r.T @ ones) - dr * (a_q.T @ ones)
     if is_zero(c, tol):
         raise HypothesisViolatedError(
             "the two pin blocks have equal inverse-transpose row sums "
             "(coplanar configuration)")
 
-    basis = s.basis_motions()
-    if all(affine_motion_parts(p, u, tol) is not None for u in basis):
+    motions = [unflatten_motion(u, p.dim, p.count)
+               for u in linalg.cleared(s.subspace.basis)[0]]
+    if exact:
+        lhs = np.hstack([pts.T, linalg.array([[1]] * p.count), *(u.T for u in motions)])
+        affine = all(linalg.spanned_columns(lhs, p.dim + 1))
+    else:
+        affine = all(affine_motion_parts(p, u, tol) is not None for u in motions)
+    if affine:
         return Classification(ClassificationKind.ALL_AFFINE, None, None,
                               "every motion in the subspace is affine")
 
+    # p1 x c: d / (kappa dq dr).
     q1 = q[:, 0]
     d = linalg.array([q1[1] * c[2] - q1[2] * c[1], q1[2] * c[0] - q1[0] * c[2],
                       q1[0] * c[1] - q1[1] * c[0]], exact)
@@ -419,18 +465,22 @@ def classify_admissible(p: PointConfiguration, s: MotionSpace,
     cd = linalg.array([c, d], exact).T
 
     k_vecs = []
-    w_shifted = []
-    for u in basis:
+    targets = []
+    for u in motions:
         v, w = split_blocks(u)
-        a_t = (w @ r_inv - v @ q_inv).T
-        coeffs = linalg.solve(cd, a_t, tol)
-        if coeffs is None:
+        # [c d] Y = (dq w A_r - dr v A_q)^T on integers, Y = y / eta.  In
+        # rationals the mismatch (w r^{-1} - v q^{-1})^T is then
+        # c (-shift)^T + d k^T with shift = -y[0] / (lambda eta) and
+        # k = kappa y[1] / (lambda eta).
+        parts = linalg.solve_parts(cd, (dq * (w @ a_r) - dr * (v @ a_q)).T, tol)
+        if parts is None:
             return Classification(
                 ClassificationKind.ANOMALY, None, None,
                 "mismatch columns leave the plane orthogonal to p1")
-        shift = -coeffs[0]
-        k_vecs.append(coeffs[1])
-        w_shifted.append(w + np.outer(shift, ones))
+        y, eta = parts
+        k_vecs.append(y[1])
+        # ((w + shift 1^T) r^{-1})^T, times lambda eta dr.
+        targets.append(((eta * w - np.outer(y[0], ones)) @ a_r).T)
 
     plane = Subspace.from_spanning(k_vecs, 3, tol)
     if plane.dim != 2:
@@ -440,20 +490,21 @@ def classify_admissible(p: PointConfiguration, s: MotionSpace,
 
     rows: list[list] = []
     rhs: list = []
-    for k_vec, w_t in zip(k_vecs, w_shifted):
-        target = (w_t @ r_inv).T
-        srows, index = sym_outer_rows(k_vec)
-        for row, (a, b) in zip(srows, index):
-            rows.append(row)
-            rhs.append(target[a, b] if a == b else (target[a, b] + target[b, a]) / 2)
-    lvec = linalg.solve(linalg.array(rows, exact), linalg.array(rhs, exact), tol)
-    if lvec is None:
+    for k_vec, target in zip(k_vecs, targets):
+        k_rows, k_rhs = sym_outer_system(k_vec, target)
+        rows += k_rows
+        rhs += k_rhs
+    # The common linear part l is lvec / (ell kappa dr).
+    parts = linalg.solve_parts(linalg.array(rows, exact), linalg.array(rhs, exact), tol)
+    if parts is None:
         return Classification(
             ClassificationKind.ANOMALY, None, None,
             "no common linear part solves the symmetric-part equations")
+    lvec, ell = parts
 
-    front = r.T @ lvec
-    rear = q.T @ (lvec - d)
+    # r^T l and q^T (l - d), both over kappa^2 ell dq dr.
+    front = dq * (r.T @ lvec)
+    rear = q.T @ (dq * lvec - ell * d)
     weights = linalg.array([*front, *rear[1:]], exact)
     if not is_zero(front[0] - rear[0], tol, np.array([front[0], rear[0]])):
         return Classification(
@@ -461,10 +512,16 @@ def classify_admissible(p: PointConfiguration, s: MotionSpace,
             "weight consistency across the shared point failed")
 
     if exact:
-        weights = _normalize_weights(weights)
-    recon = MotionSpace.from_motions(
-        p, [np.outer(direction, weights) for direction in plane.basis], tol)
-    if recon.dim != 2 or not p_equivalent(s, recon, tol):
+        shifted, lead = _normalize_weights(weights)
+        weights = linalg.over(shifted, lead)
+        recon = [flatten_motion(np.outer(k_vec, shifted)) for k_vec in k_vecs]
+        equivalent = (linalg.rank(linalg.array(recon)) == 2
+                      and same_mod_trivial(p, s.subspace.basis, recon, tol))
+    else:
+        recon = MotionSpace.from_motions(
+            p, [np.outer(direction, weights) for direction in plane.basis], tol)
+        equivalent = recon.dim == 2 and p_equivalent(s, recon, tol)
+    if not equivalent:
         return Classification(
             ClassificationKind.ANOMALY, plane, weights,
             "reconstructed rank-one space is not p-equivalent to the input")

@@ -189,6 +189,12 @@ def builtin_space(token: str, p: PointConfiguration, seed: int):
             ratio = Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"builtin {token!r}: bad ratio {text!r}") from exc
+        if not p.exact:
+            try:
+                float(ratio)
+            except OverflowError as exc:
+                raise ParseError(f"builtin {token!r}: ratio magnitude beyond "
+                                 "the float64 range") from exc
         return proportional_pair_space(p, ratio)
     if token.startswith("constructed:"):
         text = token.split(":", 1)[1]

@@ -7,12 +7,14 @@ is a bug.  zero_rows holds the zero rule of each backend, row by row
 float values when max|value| <= tol * max(scale, 1); float ranks count
 singular values above tol times the largest (a stack: one batched SVD).
 Exact entries are fractions.Fraction at the boundary only: every exact
-rank, nullspace, solve and inverse runs _rref_exact, Bareiss elimination
+rank, nullspace, solve and inverse runs _bareiss, Bareiss elimination
 on Python ints: Gauss-Jordan for nullspace, solve and inverse, forward
 only for rank and spanned_columns, the row-space test.  Divisions are
-exact in both modes.  cleared, the one denominator-clearing helper,
-scales exact values by the lcm of their denominators (a list of Python
-ints passes as it is): kernel rows, pin samples, check 12.
+exact in both modes.  adjugate and solve_parts return integers over
+one denominator; invert and solve make Fractions of them (over).
+cleared, the one denominator-clearing helper, scales exact values by
+the lcm of their denominators (a list of Python ints passes as it is):
+kernel rows, pin samples, check 12.
 
 Only this module names the array format of a backend: other modules
 build their matrices with array, zeros, identity, ones_vector or
@@ -142,23 +144,24 @@ def cleared(values):
     return [v.numerator * (d // v.denominator) for v in values], d
 
 
-def _rref_exact(rows: list[list], ncols: int, reduce: bool = True):
-    """Reduced row echelon form; returns (nonzero rows, pivot columns),
-    or (integer rows, pivot columns) when reduce is false: every row, in
-    echelon form, those below the rank zero in the first ncols columns.
+def _bareiss(rows: list[list], ncols: int, reduce: bool = True):
+    """Fraction-free elimination: (integer rows, pivot columns, d), d the
+    last pivot (1 when there is none).
 
     Entries are ints, Fractions or anything frac accepts.  Each row is
     scaled by the lcm of its denominators (cleared), which keeps the row
-    space, and Bareiss fraction-free elimination runs on the integer
-    rows; every entry it forms is a minor of the cleared rows, so the
-    division by the previous pivot is exact under each mode's rule.
-    reduce=True is Gauss-Jordan: exact provided every row but the pivot
-    row, whatever its entry in the pivot column, is updated at every
-    step; pivot rows become Fractions only at the end, divided by their
-    pivot.  reduce=False is forward elimination: only the rows below the
-    pivot are updated, exact provided each of them is updated at every
-    step, a zero in the pivot column included.  The rows below never
-    read the rows above, so both modes find the same pivots.
+    space, and Bareiss elimination runs on the integer rows; every entry
+    it forms is a minor of the cleared rows, so the division by the
+    previous pivot is exact under each mode's rule.  reduce=True is
+    Gauss-Jordan: exact provided every row but the pivot row, whatever
+    its entry in the pivot column, is updated at every step; each pivot
+    row's pivot then ends equal to d, so the reduced row echelon form is
+    the pivot rows over d.  reduce=False is forward elimination: only the
+    rows below the pivot are updated, exact provided each of them is
+    updated at every step, a zero in the pivot column included; every
+    row comes back in echelon form, those below the rank zero in the
+    first ncols columns.  The rows below never read the rows above, so
+    both modes find the same pivots.
     """
     mat = [cleared(row)[0] for row in rows]
     pivots: list[int] = []
@@ -185,11 +188,17 @@ def _rref_exact(rows: list[list], ncols: int, reduce: bool = True):
         lead += 1
         if lead == len(mat):
             break
+    return mat, pivots, prev
+
+
+def _rref_exact(rows: list[list], ncols: int, reduce: bool = True):
+    """_bareiss without d: reduce=True gives the nonzero rows of the
+    reduced row echelon form as Fractions, reduce=False the integer
+    rows."""
+    mat, pivots, _ = _bareiss(rows, ncols, reduce)
     if not reduce:
         return mat, pivots
-    reduced = [[Fraction(v, row[pc]) for v in row]
-               for row, pc in zip(mat, pivots)]
-    return reduced, pivots
+    return [[Fraction(v, row[pc]) for v in row] for row, pc in zip(mat, pivots)], pivots
 
 
 def _svd_rank(s: np.ndarray, tol: float | None):
@@ -242,7 +251,20 @@ def nullspace_rows(m: np.ndarray, tol: float | None = None) -> np.ndarray:
     return vh[_svd_rank(s, tol):].copy()
 
 
-def invert(m: np.ndarray, tol: float | None = None) -> np.ndarray:
+def over(num: np.ndarray, den) -> np.ndarray:
+    """num / den, the edge where integer results become Fractions; a
+    float array, whose den is 1, comes back as it is."""
+    if not is_exact(num):
+        return num
+    return np.array([Fraction(v, den) for v in num.ravel().tolist()],
+                    dtype=object).reshape(num.shape)
+
+
+def adjugate(m: np.ndarray, tol: float | None = None):
+    """(a, d) with m^{-1} = a / d.  A float matrix gives (its inverse, 1).
+    An exact one, cleared to M / k, gives integers a = k E and d, where
+    Gauss-Jordan on [M | I] ends at [d I | E] (_bareiss), so E = d M^{-1}
+    and d = +-det M."""
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"invert needs a square matrix, got shape {m.shape}")
@@ -250,21 +272,27 @@ def invert(m: np.ndarray, tol: float | None = None) -> np.ndarray:
     if not is_exact(m):
         if rank(m, tol) < n:
             raise SingularMatrixError("matrix is numerically singular")
-        return np.linalg.inv(m.astype(float))
-    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(m.tolist())]
-    red, pivots = _rref_exact(aug, 2 * n)
-    if pivots[:n] != list(range(n)):
+        return np.linalg.inv(m.astype(float)), 1
+    ints, k = cleared(m)
+    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(ints.tolist())]
+    rows, pivots, d = _bareiss(aug, n)
+    if len(pivots) < n:
         raise SingularMatrixError("matrix is singular")
-    return array([row[n:] for row in red])
+    return np.array([[k * v for v in row[n:]] for row in rows], dtype=object), d
 
 
-def solve(a: np.ndarray, b: np.ndarray, tol: float | None = None):
-    """One solution of a @ x = b, or None when inconsistent.
+def invert(m: np.ndarray, tol: float | None = None) -> np.ndarray:
+    return over(*adjugate(m, tol))
+
+
+def solve_parts(a: np.ndarray, b: np.ndarray, tol: float | None = None):
+    """(x, d) with a @ (x / d) = b, or None when inconsistent.
 
     b may be a vector or a matrix of stacked right-hand sides; free
-    variables are set to zero.  A float system is consistent when the
-    least-squares residual is zero by is_zero, scaled by the largest
-    entry of |a| @ |x| and of |b|.
+    variables are set to zero.  Exact x is integer and d the last pivot
+    of Gauss-Jordan on [a | b] (_bareiss).  Float x is the least-squares
+    solution and d = 1; the system is consistent when the residual is
+    zero by is_zero, scaled by the largest entry of |a| @ |x| and of |b|.
     """
     a = np.asarray(a)
     b = np.asarray(b)
@@ -275,40 +303,48 @@ def solve(a: np.ndarray, b: np.ndarray, tol: float | None = None):
     ncols, nrhs = a.shape[1], brows.shape[1]
     if is_exact(a):
         aug = [ra + rb for ra, rb in zip(a.tolist(), brows.tolist())]
-        red, pivots = _rref_exact(aug, ncols + nrhs)
+        rows, pivots, d = _bareiss(aug, ncols + nrhs)
         if any(pc >= ncols for pc in pivots):
             return None
-        x = zeros((ncols, nrhs))
-        for ri, pc in enumerate(pivots):
-            for j in range(nrhs):
-                x[pc, j] = red[ri][ncols + j]
-        return x[:, 0] if vector_rhs else x
+        x = np.zeros((ncols, nrhs), dtype=object)
+        for row, pc in zip(rows, pivots):
+            x[pc] = row[ncols:]
+        return (x[:, 0] if vector_rhs else x), d
     af = a.astype(float)
     bf = brows.astype(float)
     x, *_ = np.linalg.lstsq(af, bf, rcond=None)
     if not is_zero(af @ x - bf, tol, np.hstack([np.abs(af) @ np.abs(x), bf])):
         return None
-    return x[:, 0] if vector_rhs else x
+    return (x[:, 0] if vector_rhs else x), 1
 
 
-def sym_outer_rows(vec: np.ndarray):
-    """Rows of the linear system Sym(y vec^T) = S in the unknown y, one per
-    entry (a, b) of S with a <= b in row-major order, and those (a, b)."""
+def solve(a: np.ndarray, b: np.ndarray, tol: float | None = None):
+    """One solution of a @ x = b, or None when inconsistent (solve_parts)."""
+    parts = solve_parts(a, b, tol)
+    return None if parts is None else over(*parts)
+
+
+def sym_outer_system(vec: np.ndarray, target: np.ndarray):
+    """(rows, rhs) of the linear system Sym(y vec^T) = Sym(target) in the
+    unknown y, one equation per entry (a, b) with a <= b in row-major
+    order.  Exact off-diagonal equations are doubled, so integer vec and
+    target give integer rows."""
     n = len(vec)
-    zero, half = (Fraction(0), Fraction(1, 2)) if is_exact(vec) else (0.0, 0.5)
+    half = 1 if is_exact(vec) else 0.5
     rows = []
-    index = []
+    rhs = []
     for a in range(n):
         for b in range(a, n):
-            coeff = [zero] * n
+            coeff = [0] * n
             if a == b:
                 coeff[a] = vec[a]
+                rhs.append(target[a, a])
             else:
                 coeff[a] = vec[b] * half
                 coeff[b] = vec[a] * half
+                rhs.append((target[a, b] + target[b, a]) * half)
             rows.append(coeff)
-            index.append((a, b))
-    return rows, index
+    return rows, rhs
 
 
 def sherman_morrison_inverse(q: np.ndarray, x: np.ndarray,

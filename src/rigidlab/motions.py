@@ -48,8 +48,9 @@ class PointConfiguration:
 
     def affine_rank(self, tol: float | None = None) -> int:
         """Dimension of the affine span: the rank of the columns p_i - p_1
-        (0 for a single point)."""
-        return linalg.rank((self.points[:, 1:] - self.points[:, :1]).T, tol)
+        (0 for a single point), on the cleared points."""
+        pts = linalg.cleared(self.points)[0]
+        return linalg.rank((pts[:, 1:] - pts[:, :1]).T, tol)
 
     def is_general_position(self, tol: float | None = None) -> bool:
         """True when every subset of at most dim+1 points is affinely independent."""
@@ -242,10 +243,15 @@ def p_equivalent(s1: MotionSpace, s2: MotionSpace,
     """True when s1 and s2 have equal images modulo the trivial motions."""
     if s1.config != s2.config:
         raise ValueError("motion spaces live on different configurations")
-    if s1.dim != s2.dim:
-        return False
-    b1, b2 = s1.subspace.basis, s2.subspace.basis
-    r1, r2, r12 = _ranks_mod_trivial(s1.config, [b1, b2, np.vstack([b1, b2])], tol)
+    return s1.dim == s2.dim and same_mod_trivial(
+        s1.config, s1.subspace.basis, s2.subspace.basis, tol)
+
+
+def same_mod_trivial(p: PointConfiguration, b1, b2,
+                     tol: float | None = None) -> bool:
+    """True when two sets of flattened motions of p span equal images
+    modulo the trivial motions."""
+    r1, r2, r12 = _ranks_mod_trivial(p, [b1, b2, np.vstack([b1, b2])], tol)
     return r1 == r2 == r12
 
 

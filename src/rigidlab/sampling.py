@@ -37,6 +37,12 @@ def random_exact_vector(n: int, rng: random.Random,
     return random_exact_matrix(1, n, rng, bound)[0]
 
 
+def random_int_vector(n: int, rng: random.Random,
+                      bound: int = DEFAULT_BOUND) -> list[int]:
+    """random_exact_vector's draws as Python ints."""
+    return [rng.randint(-bound, bound) for _ in range(n)]
+
+
 def random_rational_matrix(nrows: int, ncols: int, rng: random.Random,
                            bound: int = DEFAULT_BOUND,
                            den_bound: int = 1000) -> np.ndarray:

@@ -2,10 +2,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rigidlab import admissibility, linalg, motions, pins
-from rigidlab.admissibility import (BLOCK_123, BLOCK_145, _mismatch_sampler,
-                                    _pin_samples, check_admissibility,
+from rigidlab import admissibility, linalg, motions
+from rigidlab.admissibility import (BLOCK_123, BLOCK_145, _mismatch_ranks,
+                                    _mismatch_sampler, _pin_samples,
+                                    check_admissibility,
                                     classify_admissible,
                                     construct_admissible_family,
                                     one_dim_space_inadmissible,
@@ -366,16 +369,43 @@ def test_check_admissibility_rejects_a_space_of_another_config():
         check_admissibility(STANDARD, other)
 
 
+def test_exact_query_builds_a_tenth_of_the_fractions(monkeypatch):
+    # One exact check_admissibility and one classify_admissible on the
+    # first configuration of the five-point benchmark deck run on Python
+    # ints.  Inverting the pin blocks in Fractions, drawing pins as
+    # Fractions and classifying in Fractions built 129 + 630 here.
+    p = random_general_config(3, 5, 0, "perfbench/five-point/0", bound=1000)
+    space = proportional_pair_space(p, Fraction(3, 2))
+    real = Fraction.__new__
+    built = []
+
+    def counting(cls, *args, **kwargs):
+        built.append(cls)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    report = check_admissibility(p, space)
+    checked = len(built)
+    cls = classify_admissible(p, space)
+    monkeypatch.undo()
+    assert report.admissible and cls.kind.value == "rank-one-form"
+    assert len(built) * 10 <= 129 + 630
+    # Only the returned plane and weights are Fractions.
+    assert checked == 0
+    assert len(built) <= cls.plane.basis.size + len(cls.weights)
+
+
 def test_pin_blocks_are_inverted_once_per_query(monkeypatch):
-    # The per-sample work reuses both inverses: no invert per pin sample.
+    # The per-sample work reuses both inverses: no inverse per pin sample.
+    # Every inverse is a linalg.adjugate call, invert's included.
+    real = linalg.adjugate
     calls = []
 
     def counting(m, tol=None):
         calls.append(m.shape)
-        return invert(m, tol)
+        return real(m, tol)
 
-    for module in (linalg, pins, admissibility):
-        monkeypatch.setattr(module, "invert", counting)
+    monkeypatch.setattr(linalg, "adjugate", counting)
     counts = []
     for samples in (5, 40):
         calls.clear()
@@ -456,7 +486,7 @@ def test_pin_samples_refill_skips_in_draw_order(monkeypatch, exact):
     draws = []
     monkeypatch.setattr(admissibility, "subrng",
                         lambda seed, tag, idx: draws.append(idx) or (seed, tag, idx))
-    for name in ("random_exact_vector", "random_float_vector"):
+    for name in ("random_int_vector", "random_float_vector"):
         monkeypatch.setattr(admissibility, name,
                             lambda n, key, *bound: planned(p, *key))
     xs, m, _ = _pin_samples(p, 6, 3, "refill", _mismatch_sampler(
@@ -471,7 +501,7 @@ def test_pin_samples_refill_skips_in_draw_order(monkeypatch, exact):
     assert rank(m) == [rk for _, rk in reference]
 
     draws.clear()
-    monkeypatch.setattr(admissibility, "random_exact_vector" if exact
+    monkeypatch.setattr(admissibility, "random_int_vector" if exact
                         else "random_float_vector",
                         lambda n, key, *bound: planned(p, 0, "", 1))
     with pytest.raises(DegenerateConfigError):
@@ -523,9 +553,41 @@ def test_mismatch_rows_are_orthogonal_to_the_shared_bar(idx):
             assert not ((x_int[k] - xi[k] * p1) @ m[k]).any()
             assert not ((xs[k] - p1) @ m[k]).any()
         assert max(rank(m)) <= 2
+        assert _mismatch_ranks(m) == rank(m)
         space = MotionSpace.from_motions(p, motions_)
         if dim == 3:
             assert check_admissibility(p, space, samples=6, seed=idx).max_mismatch_rank <= 2
+
+
+def _cross(a: list, b: list) -> list:
+    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+            a[0] * b[1] - a[1] * b[0]]
+
+
+TRIPLES = st.lists(st.integers(-3, 3), min_size=3, max_size=3)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 3), count=st.integers(1, 5),
+       scale=st.sampled_from([1, 2 ** 40 + 1, 2 ** 70 - 3]))
+def test_closed_form_sample_ranks_match_elimination(data, dim, count, scale):
+    # Samples of rank <= 2 as the shared bar makes them: every column is
+    # n x g_j for one normal n, or a multiple of one vector (rank <= 1);
+    # zero normals, parallel g_j and entries past int64 included.
+    # linalg.rank's elimination is the reference.
+    stack = []
+    for _ in range(count):
+        n = data.draw(TRIPLES)
+        if data.draw(st.booleans()):
+            cols = [[scale * v for v in _cross(n, data.draw(TRIPLES))]
+                    for _ in range(dim)]
+        else:
+            factors = [scale * data.draw(st.integers(-2, 2)) for _ in range(dim)]
+            cols = [[f * v for v in n] for f in factors]
+        stack.append([list(row) for row in zip(*cols)])
+    m = linalg.array(stack)
+    assert m.shape == (count, 3, dim)
+    assert _mismatch_ranks(m) == rank(m)
 
 
 def _lattice_vandermonde(d: int) -> list:

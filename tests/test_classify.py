@@ -2,14 +2,21 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rigidlab.admissibility import (ClassificationKind, classify_admissible,
+from rigidlab import linalg
+from rigidlab.admissibility import (Classification, ClassificationKind,
+                                    classify_admissible,
                                     construct_admissible_family,
                                     proportional_pair_space,
-                                    single_vertex_space)
-from rigidlab.errors import HypothesisViolatedError
-from rigidlab.linalg import Subspace, exact_matrix, nullspace_rows
-from rigidlab.motions import MotionSpace, PointConfiguration, p_equivalent
+                                    single_vertex_space, split_blocks)
+from rigidlab.errors import (HypothesisViolatedError, RigidLabError,
+                             SingularMatrixError)
+from rigidlab.linalg import (Subspace, exact_matrix, invert, is_zero,
+                             nullspace_rows, ones_vector, to_float)
+from rigidlab.motions import (MotionSpace, PointConfiguration,
+                              affine_motion_parts, p_equivalent)
 from rigidlab.sampling import (random_exact_matrix, random_exact_vector,
                                random_general_config, subrng)
 
@@ -133,3 +140,183 @@ def test_random_config_classifications_match_construction():
     c2 = classify_admissible(p, proportional_pair_space(p, k))
     assert c2.kind is ClassificationKind.RANK_ONE_FORM
     assert list(c2.weights) == [1, k, 0, 0, 0]
+
+
+# -- the Fraction classification as a reference ---------------------------
+
+def _reference_classification(p: PointConfiguration, s: MotionSpace,
+                              tol=None) -> Classification:
+    """classify_admissible as it ran on Fractions (both backends): block
+    inverses, Fraction solves with halved symmetric-part rows, and the
+    reconstructed space built as a MotionSpace."""
+    if s.config != p:
+        raise ValueError("motion space does not belong to this configuration")
+    if s.dim != 2:
+        raise ValueError("classification expects a 2-dimensional subspace")
+    q, r = split_blocks(p.points)
+    try:
+        q_inv = invert(q, tol)
+        r_inv = invert(r, tol)
+    except SingularMatrixError as exc:
+        raise HypothesisViolatedError(f"pin block is singular: {exc}") from exc
+    exact = p.exact
+    ones = ones_vector(3, exact)
+    c = r_inv.T @ ones - q_inv.T @ ones
+    if is_zero(c, tol):
+        raise HypothesisViolatedError(
+            "the two pin blocks have equal inverse-transpose row sums "
+            "(coplanar configuration)")
+
+    basis = s.basis_motions()
+    if all(affine_motion_parts(p, u, tol) is not None for u in basis):
+        return Classification(ClassificationKind.ALL_AFFINE, None, None,
+                              "every motion in the subspace is affine")
+
+    q1 = q[:, 0]
+    d = linalg.array([q1[1] * c[2] - q1[2] * c[1], q1[2] * c[0] - q1[0] * c[2],
+                      q1[0] * c[1] - q1[1] * c[0]], exact)
+    if is_zero(d, tol):
+        raise HypothesisViolatedError("first point is zero or aligned with the "
+                                      "row-sum gap; translate the configuration")
+    cd = linalg.array([c, d], exact).T
+
+    k_vecs = []
+    w_shifted = []
+    for u in basis:
+        v, w = split_blocks(u)
+        a_t = (w @ r_inv - v @ q_inv).T
+        coeffs = linalg.solve(cd, a_t, tol)
+        if coeffs is None:
+            return Classification(
+                ClassificationKind.ANOMALY, None, None,
+                "mismatch columns leave the plane orthogonal to p1")
+        k_vecs.append(coeffs[1])
+        w_shifted.append(w + np.outer(-coeffs[0], ones))
+
+    plane = Subspace.from_spanning(k_vecs, 3, tol)
+    if plane.dim != 2:
+        return Classification(
+            ClassificationKind.ANOMALY, None, None,
+            "direction vectors of the rank-one normal form are dependent")
+
+    zero, half = (Fraction(0), Fraction(1, 2)) if exact else (0.0, 0.5)
+    rows, rhs = [], []
+    for k_vec, w_t in zip(k_vecs, w_shifted):
+        target = (w_t @ r_inv).T
+        for a in range(3):
+            for b in range(a, 3):
+                coeff = [zero] * 3
+                if a == b:
+                    coeff[a] = k_vec[a]
+                    rhs.append(target[a, a])
+                else:
+                    coeff[a] = k_vec[b] * half
+                    coeff[b] = k_vec[a] * half
+                    rhs.append((target[a, b] + target[b, a]) / 2)
+                rows.append(coeff)
+    lvec = linalg.solve(linalg.array(rows, exact), linalg.array(rhs, exact), tol)
+    if lvec is None:
+        return Classification(
+            ClassificationKind.ANOMALY, None, None,
+            "no common linear part solves the symmetric-part equations")
+
+    front = r.T @ lvec
+    rear = q.T @ (lvec - d)
+    weights = linalg.array([*front, *rear[1:]], exact)
+    if not is_zero(front[0] - rear[0], tol, np.array([front[0], rear[0]])):
+        return Classification(
+            ClassificationKind.ANOMALY, None, None,
+            "weight consistency across the shared point failed")
+
+    if exact:
+        values = list(weights)
+        best = max(values, key=lambda v: (values.count(v), -values.index(v)))
+        weights = linalg.array([v - best for v in values])
+        lead = next((v for v in weights if v != 0), None)
+        if lead is not None:
+            weights = weights / lead
+    recon = MotionSpace.from_motions(
+        p, [np.outer(direction, weights) for direction in plane.basis], tol)
+    if recon.dim != 2 or not p_equivalent(s, recon, tol):
+        return Classification(
+            ClassificationKind.ANOMALY, plane, weights,
+            "reconstructed rank-one space is not p-equivalent to the input")
+    return Classification(
+        ClassificationKind.RANK_ONE_FORM, plane, weights,
+        "p-equivalent to directions drawn from a fixed plane scaled by "
+        "per-point weights")
+
+
+def _outcome(classify, p, s):
+    """Everything a caller sees: kind, plane basis, weights and details, or
+    the class and message of the error raised."""
+    try:
+        c = classify(p, s)
+    except (RigidLabError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+    plane = None if c.plane is None else c.plane.basis.tolist()
+    weights = None if c.weights is None else c.weights.tolist()
+    return c.kind, plane, weights, c.details
+
+
+SMALL = st.integers(-12, 12)
+
+
+@st.composite
+def _configurations(draw):
+    """Five points with a per-axis denominator: generic, with a singular
+    pin block (a point of a block a combination of the other two), or on
+    a plane z = h off the origin (equal inverse-transpose row sums)."""
+    kind = draw(st.sampled_from(["generic"] * 3 + ["singular", "coplanar"]))
+    pts = [[draw(SMALL) for _ in range(3)] for _ in range(5)]
+    if kind == "singular":
+        i, j, k = draw(st.sampled_from([(0, 3, 4), (0, 1, 2)]))
+        a, b = draw(SMALL), draw(SMALL)
+        pts[k] = [a * x + b * y for x, y in zip(pts[i], pts[j])]
+    elif kind == "coplanar":
+        h = draw(SMALL.filter(bool))
+        for pt in pts:
+            pt[2] = h
+    dens = [draw(st.integers(1, 9)) for _ in range(3)]
+    return PointConfiguration(exact_matrix(
+        [[Fraction(pt[i], dens[i]) for pt in pts] for i in range(3)]))
+
+
+def _int_matrix(draw, rows: int, cols: int) -> np.ndarray:
+    return exact_matrix([[draw(SMALL) for _ in range(cols)] for _ in range(rows)])
+
+
+@st.composite
+def _spaces(draw, p: PointConfiguration):
+    """Two motions: a rank-one form (a random plane times weights), random
+    motions, affine motions, or a linear motion plus one with a bump at a
+    single point."""
+    kind = draw(st.sampled_from(["rank-one", "random", "affine", "bump"]))
+    if kind == "rank-one":
+        weights = _int_matrix(draw, 1, 5)[0]
+        motions = [np.outer(direction, weights) for direction in _int_matrix(draw, 2, 3)]
+    elif kind == "random":
+        motions = [_int_matrix(draw, 3, 5) for _ in range(2)]
+    elif kind == "affine":
+        motions = [_int_matrix(draw, 3, 3) @ p.points + _int_matrix(draw, 3, 1)
+                   for _ in range(2)]
+    else:
+        linear = _int_matrix(draw, 3, 3) @ p.points
+        bump = linear.copy()
+        bump[:, draw(st.integers(0, 4))] += _int_matrix(draw, 3, 1)[:, 0]
+        motions = [linear, bump]
+    return MotionSpace.from_motions(p, motions)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_classification_matches_the_fraction_reference(data):
+    # The integer classification returns what the Fraction one returned,
+    # errors included, on exact inputs and on their float64 copies.
+    p = data.draw(_configurations())
+    s = data.draw(_spaces(p))
+    assert _outcome(classify_admissible, p, s) == _outcome(_reference_classification, p, s)
+    pf = PointConfiguration(to_float(p.points))
+    sf = MotionSpace.from_motions(pf, [to_float(u) for u in s.basis_motions()])
+    assert (_outcome(classify_admissible, pf, sf)
+            == _outcome(_reference_classification, pf, sf))

@@ -127,6 +127,18 @@ def test_admissible_bad_builtin_token(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("ratio", ["1e400", "-1e309"])
+def test_builtin_ratio_beyond_float64_is_a_parse_error(capsys, ratio):
+    token = f"example2:{ratio}"
+    assert main(["admissible", "--builtin", token, "--backend", "float"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "parse error" in captured.err and token in captured.err
+    # The exact backend takes the same ratio as a rational.
+    assert main(["admissible", "--builtin", token]) == 0
+    assert "admissible: true" in capsys.readouterr().out
+
+
 def test_admissible_jsonl_reports_sample_ranks(tmp_path, capsys):
     config = _config_file(tmp_path, "p.json", STANDARD_POINTS)
     code = main(["admissible", config, "--builtin", "example2:3/2",

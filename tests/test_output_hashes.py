@@ -4,9 +4,9 @@ The sha256 digests were recorded before the code they cover was
 refactored (the elimination kernel, the zero rule, the shared sampling
 and search helpers, check 12's integer oracle, the closed-form trivial
 dimension, the strain rank modulo the trivial motions, the 2-extension
-table); the code must reproduce them byte for byte.  Input files are
-written under fixed relative names, because the manifest record echoes
-the paths it was given.
+table, the integer admissibility path); the code must reproduce them
+byte for byte.  Input files are written under fixed relative names,
+because the manifest record echoes the paths it was given.
 """
 
 import hashlib
@@ -65,6 +65,15 @@ CASES = [
      "451ef877aee340d725e91b6c91a068f48d4b2181cae9c75a992ed9b006d8eb1f"),
     (["admissible", "--builtin", "constructed:1", "--backend", "float"], 0,
      "0fa64e9336bebb0df78232405a2937aa1a9f1c2ebb55c4e5a7229b8eb8434480"),
+    # Exact pin samples and the integer classification: rank-one form
+    # and all-affine.
+    (["admissible", "--builtin", "example2:3/7"], 0,
+     "c8dd199845e25865af1eb0040122a84310b318f422bdab88208f47fdfe962b06"),
+    (["admissible", "--builtin", "constructed:1"], 0,
+     "d4bbc9a389560be28f911c00c96b201b6737c227b34ee331c7e1392e5b15ad5e"),
+    (["verify", "--checks", "example-spaces-admissible",
+      "classification-trichotomy", "one-dim-inadmissible", "--seed", "0"], 0,
+     "99cc6bff88c198973ea9f20e07342e701a3ba2a58b9141872850d8721ff0d4d0"),
     (["conic", "--probe", "triangle-and-path", "--backend", "float"], 0,
      "7711ceae647c3fa379696bc86035b9934c4f865ddc9cf9c3e29f479b7f1404c2"),
     (["implied", "k5e.json", "--pair", "4", "5"], 0,
