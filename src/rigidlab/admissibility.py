@@ -11,9 +11,9 @@ pin velocities.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations
 
 import numpy as np
 
@@ -23,9 +23,8 @@ from .errors import (DegenerateConfigError, HypothesisViolatedError,
 from .linalg import (Subspace, exact_matrix, frac, is_zero, ones_vector,
                      sym_outer_system)
 from .motions import (MotionSpace, PointConfiguration, _ranks_mod_trivial,
-                      affine_motion_parts, flatten_motion, linear_motion_matrix,
-                      p_equivalent, same_mod_trivial, take_points,
-                      unflatten_motion)
+                      flatten_motion, linear_motion_matrix, p_equivalent,
+                      same_mod_trivial, take_points, unflatten_motion)
 from .pins import PinContext, pin_velocity, scale_factor
 from .sampling import (DEFAULT_BOUND, random_float_vector, random_int_vector,
                        subrng)
@@ -47,14 +46,21 @@ def split_blocks(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return take_points(mat, BLOCK_145), take_points(mat, BLOCK_123)
 
 
+@contextmanager
+def _pin_blocks_invertible(error=DegenerateConfigError):
+    """Report a singular pin block as `error`."""
+    try:
+        yield
+    except SingularMatrixError as exc:
+        raise error(f"pin block is singular: {exc}") from exc
+
+
 def _pin_sides(p: PointConfiguration,
                blocks=(BLOCK_145, BLOCK_123)) -> tuple[PinContext, ...]:
     """One PinContext per block of points, with zero velocities."""
     zero = linalg.zeros((p.dim, p.dim), p.exact)
-    try:
+    with _pin_blocks_invertible():
         return tuple(PinContext(take_points(p.points, ids), zero) for ids in blocks)
-    except SingularMatrixError as exc:
-        raise DegenerateConfigError(f"pin block is singular: {exc}") from exc
 
 
 def pin_mismatch_map(p: PointConfiguration, s: MotionSpace, x: np.ndarray,
@@ -88,10 +94,8 @@ def _mismatch_sampler(p: PointConfiguration, motions, tol: float | None,
     sides = []
     for block in blocks:
         q = take_points(p.points, block)
-        try:
+        with _pin_blocks_invertible():
             a_int, delta = linalg.adjugate(q)
-        except SingularMatrixError as exc:
-            raise DegenerateConfigError(f"pin block is singular: {exc}") from exc
         v = np.stack([take_points(u, block).T for u in motions])
         q_int, kappa = linalg.cleared(q)
         stress = (v * q_int.T).sum(axis=2).T
@@ -109,22 +113,6 @@ def _mismatch_sampler(p: PointConfiguration, motions, tol: float | None,
         (n_q, sigma_q), (n_r, sigma_r) = out
         return usable, sigma_r * n_q - sigma_q * n_r, sigma_q * sigma_r
     return mismatch
-
-
-def _mismatch_ranks(m: np.ndarray) -> list[int]:
-    """Ranks of an exact stack of 3-row samples, whose rank is at most 2
-    (both pin blocks contain point 1, so (X - xi p1)^T M = 0): 0 when M is
-    zero, 2 when two of its columns have a nonzero cross product, else 1.
-    One product over the whole stack; the zero tests run on Python lists,
-    which spares numpy's reduction buffers on object arrays."""
-    pairs = list(combinations(range(m.shape[2]), 2))
-    a = m[:, :, [i for i, _ in pairs]]
-    b = m[:, :, [j for _, j in pairs]]
-    cross = np.hstack([a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1],
-                       a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2],
-                       a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]])
-    return [2 if any(c) else int(any(v))
-            for v, c in zip(m.reshape(len(m), -1).tolist(), cross.tolist())]
 
 
 @dataclass
@@ -180,8 +168,7 @@ def check_admissibility(p: PointConfiguration, s: MotionSpace,
     N = A^T (1 a^T R - D R) and sigma = delta kappa xi D: the pin velocity
     of u is N[:, u]/(sigma lambda_u).  A zero D (by the zero rule against
     a) skips the sample uncounted.  All samples of a query are evaluated
-    as one stack (_pin_samples) and ranked at once: exact samples in
-    closed form (_mismatch_ranks), float64 ones by one linalg.rank call.
+    as one stack (_pin_samples) and ranked by one linalg.rank call.
     Witness positions are returned as Fractions when exact.
     """
     _require_five_points(p)
@@ -192,7 +179,7 @@ def check_admissibility(p: PointConfiguration, s: MotionSpace,
     intersects = _ranks_mod_trivial(p, [s.subspace.basis], tol)[0] < s.dim
     xs, m, _ = _pin_samples(p, samples, seed, "pin-sample",
                             _mismatch_sampler(p, s.basis_motions(), tol))
-    ranks = _mismatch_ranks(m) if p.exact else linalg.rank(m, tol)
+    ranks = linalg.rank(m, tol)
     failures = [exact_matrix(x) if p.exact else x
                 for x, rk in zip(xs, ranks) if rk >= s.dim]
     return AdmissibilityReport(
@@ -432,10 +419,8 @@ def classify_admissible(p: PointConfiguration, s: MotionSpace,
     exact = p.exact
     pts = linalg.cleared(p.points)[0]
     q, r = split_blocks(pts)
-    try:
+    with _pin_blocks_invertible(HypothesisViolatedError):
         (a_q, dq), (a_r, dr) = (linalg.adjugate(b, tol) for b in split_blocks(p.points))
-    except SingularMatrixError as exc:
-        raise HypothesisViolatedError(f"pin block is singular: {exc}") from exc
     ones = linalg.array([1] * 3, exact)
     # The gap of the inverse-transpose row sums: c / (dq dr).
     c = dq * (a_r.T @ ones) - dr * (a_q.T @ ones)
@@ -446,12 +431,8 @@ def classify_admissible(p: PointConfiguration, s: MotionSpace,
 
     motions = [unflatten_motion(u, p.dim, p.count)
                for u in linalg.cleared(s.subspace.basis)[0]]
-    if exact:
-        lhs = np.hstack([pts.T, linalg.array([[1]] * p.count), *(u.T for u in motions)])
-        affine = all(linalg.spanned_columns(lhs, p.dim + 1))
-    else:
-        affine = all(affine_motion_parts(p, u, tol) is not None for u in motions)
-    if affine:
+    lhs = np.hstack([pts.T, linalg.array([[1]] * p.count, exact)])
+    if all(linalg.solve_parts(lhs, u.T, tol) is not None for u in motions):
         return Classification(ClassificationKind.ALL_AFFINE, None, None,
                               "every motion in the subspace is affine")
 

@@ -23,24 +23,24 @@ def subrng(seed: int, tag: str, index: int = 0) -> random.Random:
     return random.Random(f"{seed}/{tag}/{index}")
 
 
+def random_int_vector(n: int, rng: random.Random,
+                      bound: int = DEFAULT_BOUND) -> list[int]:
+    """n draws from [-bound, bound] as Python ints; every exact draw is
+    made here, row by row."""
+    return [rng.randint(-bound, bound) for _ in range(n)]
+
+
 def random_exact_matrix(nrows: int, ncols: int, rng: random.Random,
                         bound: int = DEFAULT_BOUND) -> np.ndarray:
     out = zeros((nrows, ncols))
     for i in range(nrows):
-        for j in range(ncols):
-            out[i, j] = Fraction(rng.randint(-bound, bound))
+        out[i, :] = [Fraction(v) for v in random_int_vector(ncols, rng, bound)]
     return out
 
 
 def random_exact_vector(n: int, rng: random.Random,
                         bound: int = DEFAULT_BOUND) -> np.ndarray:
     return random_exact_matrix(1, n, rng, bound)[0]
-
-
-def random_int_vector(n: int, rng: random.Random,
-                      bound: int = DEFAULT_BOUND) -> list[int]:
-    """random_exact_vector's draws as Python ints."""
-    return [rng.randint(-bound, bound) for _ in range(n)]
 
 
 def random_rational_matrix(nrows: int, ncols: int, rng: random.Random,

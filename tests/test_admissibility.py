@@ -2,13 +2,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from rigidlab import admissibility, linalg, motions
-from rigidlab.admissibility import (BLOCK_123, BLOCK_145, _mismatch_ranks,
-                                    _mismatch_sampler, _pin_samples,
-                                    check_admissibility,
+from rigidlab.admissibility import (BLOCK_123, BLOCK_145, _mismatch_sampler,
+                                    _pin_samples, check_admissibility,
                                     classify_admissible,
                                     construct_admissible_family,
                                     one_dim_space_inadmissible,
@@ -553,41 +550,9 @@ def test_mismatch_rows_are_orthogonal_to_the_shared_bar(idx):
             assert not ((x_int[k] - xi[k] * p1) @ m[k]).any()
             assert not ((xs[k] - p1) @ m[k]).any()
         assert max(rank(m)) <= 2
-        assert _mismatch_ranks(m) == rank(m)
         space = MotionSpace.from_motions(p, motions_)
         if dim == 3:
             assert check_admissibility(p, space, samples=6, seed=idx).max_mismatch_rank <= 2
-
-
-def _cross(a: list, b: list) -> list:
-    return [a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0]]
-
-
-TRIPLES = st.lists(st.integers(-3, 3), min_size=3, max_size=3)
-
-
-@settings(max_examples=150, deadline=None)
-@given(data=st.data(), dim=st.integers(1, 3), count=st.integers(1, 5),
-       scale=st.sampled_from([1, 2 ** 40 + 1, 2 ** 70 - 3]))
-def test_closed_form_sample_ranks_match_elimination(data, dim, count, scale):
-    # Samples of rank <= 2 as the shared bar makes them: every column is
-    # n x g_j for one normal n, or a multiple of one vector (rank <= 1);
-    # zero normals, parallel g_j and entries past int64 included.
-    # linalg.rank's elimination is the reference.
-    stack = []
-    for _ in range(count):
-        n = data.draw(TRIPLES)
-        if data.draw(st.booleans()):
-            cols = [[scale * v for v in _cross(n, data.draw(TRIPLES))]
-                    for _ in range(dim)]
-        else:
-            factors = [scale * data.draw(st.integers(-2, 2)) for _ in range(dim)]
-            cols = [[f * v for v in n] for f in factors]
-        stack.append([list(row) for row in zip(*cols)])
-    m = linalg.array(stack)
-    assert m.shape == (count, 3, dim)
-    assert _mismatch_ranks(m) == rank(m)
 
 
 def _lattice_vandermonde(d: int) -> list:
