@@ -11,7 +11,6 @@ pin velocities.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -25,7 +24,7 @@ from .linalg import (Subspace, exact_matrix, frac, is_zero, ones_vector,
 from .motions import (MotionSpace, PointConfiguration, _ranks_mod_trivial,
                       flatten_motion, linear_motion_matrix, p_equivalent,
                       same_mod_trivial, take_points, unflatten_motion)
-from .pins import PinContext, pin_velocity, scale_factor
+from .pins import PinContext, integer_block, pin_stack, pin_velocity, scale_factor
 from .sampling import (DEFAULT_BOUND, random_float_vector, random_int_vector,
                        subrng)
 
@@ -46,21 +45,18 @@ def split_blocks(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return take_points(mat, BLOCK_145), take_points(mat, BLOCK_123)
 
 
-@contextmanager
-def _pin_blocks_invertible(error=DegenerateConfigError):
-    """Report a singular pin block as `error`."""
+def _pin_blocks(p: PointConfiguration, error: type = DegenerateConfigError,
+                tol: float | None = None,
+                blocks=(BLOCK_145, BLOCK_123)) -> tuple[PinContext, ...]:
+    """One PinContext per block of p, zero velocities, from p's cleared
+    points; a singular block raises error("pin block is singular: ...")."""
+    zero = linalg.array([[0] * p.dim] * p.dim, p.exact)
     try:
-        yield
+        return tuple(PinContext(take_points(p.points, ids), zero,
+                                integer_block(take_points(p.ints, ids), p.den, tol))
+                     for ids in blocks)
     except SingularMatrixError as exc:
         raise error(f"pin block is singular: {exc}") from exc
-
-
-def _pin_sides(p: PointConfiguration,
-               blocks=(BLOCK_145, BLOCK_123)) -> tuple[PinContext, ...]:
-    """One PinContext per block of points, with zero velocities."""
-    zero = linalg.zeros((p.dim, p.dim), p.exact)
-    with _pin_blocks_invertible():
-        return tuple(PinContext(take_points(p.points, ids), zero) for ids in blocks)
 
 
 def pin_mismatch_map(p: PointConfiguration, s: MotionSpace, x: np.ndarray,
@@ -71,47 +67,29 @@ def pin_mismatch_map(p: PointConfiguration, s: MotionSpace, x: np.ndarray,
     _require_five_points(p)
     if s.config != p:
         raise ValueError("motion space does not belong to this configuration")
-    side_q, side_r = _pin_sides(p)
-    cols = []
-    for u in s.basis_motions():
-        v, w = split_blocks(u)
-        delta = (pin_velocity(side_q.with_motion(v), x, tol)
-                 - pin_velocity(side_r.with_motion(w), x, tol))
-        cols.append(delta)
+    side_q, side_r = _pin_blocks(p)
+    cols = [pin_velocity(side_q.with_motion(v), x, tol)
+            - pin_velocity(side_r.with_motion(w), x, tol)
+            for v, w in map(split_blocks, s.basis_motions())]
     return linalg.array(cols, p.exact).T
 
 
 def _mismatch_sampler(p: PointConfiguration, motions, tol: float | None,
                       blocks=(BLOCK_145, BLOCK_123)):
-    """Set up once for motions of p pinned on two blocks of p.dim points:
-    k cleared positions X = x xi, one per row, give (usable rows, the
-    stack sigma_r N_q - sigma_q N_r, sigma_q sigma_r as a k x 1 x 1 stack)
-    by the formulas of check_admissibility.  Each block's inverse is
-    (A, delta) from linalg.adjugate: integers when exact, (q^{-1}, 1) on
-    float64, so the float arithmetic is the formula with every
-    denominator 1."""
+    """Set up once for motions of p pinned on two blocks of p.dim points,
+    each inverted once (_pin_blocks): k cleared positions X = x xi, one
+    per row, give (usable rows, the stack sigma_r N_q - sigma_q N_r,
+    sigma_q sigma_r as a k x 1 x 1 stack) by pins.pin_stack at s = 1,
+    on the cleared motions."""
     motions = [linalg.cleared(u)[0] for u in motions]
-    sides = []
-    for block in blocks:
-        q = take_points(p.points, block)
-        with _pin_blocks_invertible():
-            a_int, delta = linalg.adjugate(q)
-        v = np.stack([take_points(u, block).T for u in motions])
-        q_int, kappa = linalg.cleared(q)
-        stress = (v * q_int.T).sum(axis=2).T
-        sides.append((a_int, delta, kappa, v, stress))
+    sides = [(side, np.stack([take_points(u, ids).T for u in motions]))
+             for side, ids in zip(_pin_blocks(p, blocks=blocks), blocks)]
 
     def mismatch(x_int: np.ndarray, xi: np.ndarray) -> tuple:
-        usable, out = True, []
-        for a_int, delta, kappa, v, stress in sides:
-            a = x_int @ a_int.T
-            d = a.sum(axis=1) - delta * xi
-            usable = usable & ~linalg.zero_rows(d[:, None], tol, a)
-            r = kappa * np.einsum("jic,kc->kij", v, x_int) - xi[:, None, None] * stress
-            gap = np.einsum("ki,kij->kj", a, r)[:, None] - d[:, None, None] * r
-            out.append((a_int.T @ gap, (delta * kappa * xi * d)[:, None, None]))
-        (n_q, sigma_q), (n_r, sigma_r) = out
-        return usable, sigma_r * n_q - sigma_q * n_r, sigma_q * sigma_r
+        (ok_q, n_q, sigma_q), (ok_r, n_r, sigma_r) = (
+            pin_stack(side, vt, x_int, xi, tol=tol) for side, vt in sides)
+        sigma_q, sigma_r = sigma_q[:, None, None], sigma_r[:, None, None]
+        return ok_q & ok_r, sigma_r * n_q - sigma_q * n_r, sigma_q * sigma_r
     return mismatch
 
 
@@ -162,12 +140,10 @@ def check_admissibility(p: PointConfiguration, s: MotionSpace,
     Condition 1 (trivial intersection) is decided outright; condition 2
     is accepted when the mismatch map is rank-deficient at every valid
     sample position, taken on sigma_r N_q - sigma_q N_r with both blocks
-    inverted once.  Per side q^{-1} = A/delta, q = Q/kappa, x = X/xi and
-    u = U/lambda_u (integral when exact, all 1 on float64), a = A X,
-    D = 1^T a - delta xi, R = kappa V^T X - xi diag(V^T Q),
-    N = A^T (1 a^T R - D R) and sigma = delta kappa xi D: the pin velocity
-    of u is N[:, u]/(sigma lambda_u).  A zero D (by the zero rule against
-    a) skips the sample uncounted.  All samples of a query are evaluated
+    inverted once: per side, pins.pin_stack at s = 1 on the cleared
+    motions u = U/lambda_u, so the pin velocity of u is
+    N[:, u]/(sigma lambda_u).  A zero D (by the zero rule against a)
+    skips the sample uncounted.  All samples of a query are evaluated
     as one stack (_pin_samples) and ranked by one linalg.rank call.
     Witness positions are returned as Fractions when exact.
     """
@@ -223,14 +199,15 @@ def proportional_pair_space(p: PointConfiguration, k) -> MotionSpace:
     return MotionSpace.from_motions(p, basis)
 
 
-def _stress_gap(p: PointConfiguration, u: np.ndarray,
-                sides: tuple[PinContext, PinContext] | None = None) -> np.ndarray:
-    """(q^T)^{-1} diag(v^T q) - (r^T)^{-1} diag(w^T r) for one motion."""
-    side_q, side_r = sides if sides is not None else _pin_sides(p)
-    v, w = split_blocks(np.asarray(u))
-    left = side_q.q_inv.T @ (v * side_q.q).sum(axis=0)
-    right = side_r.q_inv.T @ (w * side_r.q).sum(axis=0)
-    return left - right
+def _stress_gap(sides: tuple[PinContext, PinContext], u: np.ndarray) -> np.ndarray:
+    """(q^T)^{-1} diag(v^T q) - (r^T)^{-1} diag(w^T r) for one motion u of
+    the two blocks, times delta_q delta_r kappa lambda_u (u = U/lambda_u):
+    integers when exact, the gap itself on float64."""
+    side_q, side_r = sides
+    v, w = split_blocks(linalg.cleared(np.asarray(u))[0])
+    left = side_q.adj.T @ (v * side_q.ints).sum(axis=0)
+    right = side_r.adj.T @ (w * side_r.ints).sum(axis=0)
+    return side_r.det * left - side_q.det * right
 
 
 def sufficient_check(p: PointConfiguration, s: MotionSpace,
@@ -240,13 +217,9 @@ def sufficient_check(p: PointConfiguration, s: MotionSpace,
     _require_five_points(p)
     if _ranks_mod_trivial(p, [s.subspace.basis], tol)[0] < s.dim:
         return False
-    sides = _pin_sides(p)
-    for u in s.basis_motions():
-        if linear_motion_matrix(p, u, tol) is None:
-            return False
-        if not is_zero(_stress_gap(p, u, sides), tol, u):
-            return False
-    return True
+    sides = _pin_blocks(p)
+    return all(linear_motion_matrix(p, u, tol) is not None
+               and is_zero(_stress_gap(sides, u), tol, u) for u in s.basis_motions())
 
 
 def stress_matched_linear_space(p: PointConfiguration,
@@ -259,22 +232,17 @@ def stress_matched_linear_space(p: PointConfiguration,
     in the three-dimensional space of skew linear motions.
     """
     _require_five_points(p)
-    sides = _pin_sides(p)
+    sides = _pin_blocks(p)
     gens = []
     gaps = []
     for a in range(3):
         for b in range(3):
             u = linalg.zeros((3, 5), p.exact)
-            u[a] = p.points[b]
+            u[a] = p.ints[b]
             gens.append(u)
-            gaps.append(_stress_gap(p, u, sides))
+            gaps.append(_stress_gap(sides, u))
     coeff_basis = linalg.nullspace_rows(linalg.array(gaps, p.exact).T, tol)
-    motions = []
-    for coeffs in coeff_basis:
-        u = linalg.zeros((3, 5), p.exact)
-        for c, gen in zip(coeffs, gens):
-            u = u + gen * c
-        motions.append(u)
+    motions = [sum(gen * c for c, gen in zip(coeffs, gens)) for coeffs in coeff_basis]
     return MotionSpace.from_motions(p, motions, tol)
 
 
@@ -317,12 +285,13 @@ def projected_limit_mismatch(p: PointConfiguration, u: np.ndarray,
     u = np.asarray(u)
     if u.shape != (3, 5):
         raise ValueError("motion must be 3 x 5")
-    side_q, side_r = _pin_sides(p)
+    side_q, side_r = _pin_blocks(p)
+    q_inv, r_inv = (linalg.over(side.adj, side.det) for side in (side_q, side_r))
     v, w = split_blocks(u)
     ones = ones_vector(3, p.exact)
-    c = side_r.q_inv.T @ ones - side_q.q_inv.T @ ones
-    w_r = w @ side_r.q_inv
-    bmat = (w_r - v @ side_q.q_inv).T
+    c = r_inv.T @ ones - q_inv.T @ ones
+    w_r = w @ r_inv
+    bmat = (w_r - v @ q_inv).T
     s = scale_factor(side_r, x)
     if is_zero(s, tol):
         raise ParallelSpanError("x is parallel to the affine span of the r block")
@@ -405,7 +374,7 @@ def classify_admissible(p: PointConfiguration, s: MotionSpace,
 
     Exact inputs are computed on integers: the cleared points p = P/kappa
     and basis motions u = U/lambda, q^{-1} = A_q/dq and r^{-1} = A_r/dr
-    (linalg.adjugate), and each solve's numerators over its last pivot
+    (_pin_blocks), and each solve's numerators over its last pivot
     (linalg.solve_parts).  Every quantity is an integer array over one
     denominator, named where it is formed; only the returned plane and
     weights are Fractions.  On float64 every denominator is 1 and the
@@ -417,10 +386,9 @@ def classify_admissible(p: PointConfiguration, s: MotionSpace,
     if s.dim != 2:
         raise ValueError("classification expects a 2-dimensional subspace")
     exact = p.exact
-    pts = linalg.cleared(p.points)[0]
-    q, r = split_blocks(pts)
-    with _pin_blocks_invertible(HypothesisViolatedError):
-        (a_q, dq), (a_r, dr) = (linalg.adjugate(b, tol) for b in split_blocks(p.points))
+    side_q, side_r = _pin_blocks(p, HypothesisViolatedError, tol)
+    q, a_q, dq = side_q.ints, side_q.adj, side_q.det
+    r, a_r, dr = side_r.ints, side_r.adj, side_r.det
     ones = linalg.array([1] * 3, exact)
     # The gap of the inverse-transpose row sums: c / (dq dr).
     c = dq * (a_r.T @ ones) - dr * (a_q.T @ ones)
@@ -431,7 +399,7 @@ def classify_admissible(p: PointConfiguration, s: MotionSpace,
 
     motions = [unflatten_motion(u, p.dim, p.count)
                for u in linalg.cleared(s.subspace.basis)[0]]
-    lhs = np.hstack([pts.T, linalg.array([[1]] * p.count, exact)])
+    lhs = np.hstack([p.ints.T, linalg.array([[1]] * p.count, exact)])
     if all(linalg.solve_parts(lhs, u.T, tol) is not None for u in motions):
         return Classification(ClassificationKind.ALL_AFFINE, None, None,
                               "every motion in the subspace is affine")

@@ -111,7 +111,7 @@ class _Stretches:
     def __init__(self, g: Graph, q: PointConfiguration):
         self.q = q
         n, v = q.dim, g.vertex_count
-        pts = linalg.cleared(q.points)[0].T.tolist()
+        pts = q.ints.T.tolist()
         self.points, self.new = pts[:v], pts[v:]
         self.motions = None
         fw = Framework(g, PointConfiguration(q.points[:, :v]))

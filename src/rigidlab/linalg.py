@@ -14,14 +14,15 @@ exact in both modes.  adjugate and solve_parts return integers over
 one denominator; invert and solve make Fractions of them (over).
 cleared, the one denominator-clearing helper, scales exact values by
 the lcm of their denominators (a list of Python ints passes as it is):
-kernel rows, pin samples, check 12.
+a configuration's points once (motions.PointConfiguration), kernel
+rows, motions, pin samples, check 12.
 
 Only this module names the array format of a backend: other modules
 build their matrices with array, zeros, identity, ones_vector or
 exact_matrix.  A float solve is consistent when its least-squares
 residual is zero by is_zero against |A||x| and |b|, entry by entry.
 sherman_morrison_inverse is the rank-one update as a whole matrix;
-the pin formulas apply the same update to a vector (pins).
+pins.pin_stack applies it, fraction-free, to stacks of vectors.
 """
 
 from __future__ import annotations
@@ -253,9 +254,9 @@ def nullspace_rows(m: np.ndarray, tol: float | None = None) -> np.ndarray:
 
 def over(num: np.ndarray, den) -> np.ndarray:
     """num / den, the edge where integer results become Fractions; a
-    float array, whose den is 1, comes back as it is."""
+    float array is divided as it is (den 1 returns it unchanged)."""
     if not is_exact(num):
-        return num
+        return num if den == 1 else num / den
     return np.array([Fraction(v, den) for v in num.ravel().tolist()],
                     dtype=object).reshape(num.shape)
 

@@ -19,14 +19,18 @@ from .linalg import Subspace, is_exact, is_zero, zeros
 
 
 class PointConfiguration:
-    """Positions of k labelled points in R^n (points are 1-based)."""
+    """Positions of k labelled points in R^n (points are 1-based): a
+    read-only copy of the matrix given, cleared once here into Python ints
+    over one denominator, points == ints / den (float: ints = points)."""
 
-    __slots__ = ("points",)
+    __slots__ = ("points", "ints", "den")
 
     def __init__(self, points: np.ndarray):
-        points = np.asarray(points)
+        points = np.array(points)
         if points.ndim != 2:
             raise ValueError("points must be an n x k matrix")
+        self.ints, self.den = linalg.cleared(points)
+        points.flags.writeable = self.ints.flags.writeable = False
         self.points = points
 
     @property
@@ -49,8 +53,7 @@ class PointConfiguration:
     def affine_rank(self, tol: float | None = None) -> int:
         """Dimension of the affine span: the rank of the columns p_i - p_1
         (0 for a single point), on the cleared points."""
-        pts = linalg.cleared(self.points)[0]
-        return linalg.rank((pts[:, 1:] - pts[:, :1]).T, tol)
+        return linalg.rank((self.ints[:, 1:] - self.ints[:, :1]).T, tol)
 
     def is_general_position(self, tol: float | None = None) -> bool:
         """True when every subset of at most dim+1 points is affinely independent."""
@@ -110,13 +113,13 @@ def pair_indices(pairs) -> tuple[np.ndarray, np.ndarray]:
 def strains(p: PointConfiguration, motions, pairs) -> np.ndarray:
     """(u_a - u_b) . (p_a - p_b): one row per flattened motion u, one column
     per 1-based pair (a, b); the rigidity matrix is this map on the edges.
-    Exact motions are kept as given, so Python ints stay unbounded; exact
-    points are cleared to ints, the sums divided by their denominator."""
+    Exact motions are kept as given, so Python ints stay unbounded; the
+    sums are taken on p's cleared points and divided by their denominator."""
     i, j = pair_indices(pairs)
     u = linalg.array(motions, p.exact).reshape(-1, p.count, p.dim)
-    pts, d = linalg.cleared(p.points.T)
+    pts = p.ints.T
     out = ((u[:, i] - u[:, j]) * (pts[i] - pts[j])).sum(axis=2)
-    return out if d == 1 else out * Fraction(1, d)
+    return out if p.den == 1 else out * Fraction(1, p.den)
 
 
 def _preserves_distances(p: PointConfiguration, motions, ids,

@@ -1,63 +1,93 @@
 """Velocity propagation to a pinned cone vertex.
 
-Given an invertible block q of n points in R^n with velocity block v, a
-cone vertex at position x joined to all n points is forced to move with
-a unique velocity once x leaves the affine span of the block.  That
-velocity solves (1 x^T - q^T) y = rhs, and the Sherman-Morrison
-rank-one update of q^{-1} gives it as a vector, with no inverse of the
-updated matrix formed.  Its direction limit as the cone vertex recedes
-to infinity along a ray is the same update with the constant 1 dropped.
+A cone vertex at x joined to an invertible block q of n points in R^n,
+whose velocity block is v, must move with the velocity y solving
+(1 x^T - q^T) y = v^T x - diag(v^T q) once x leaves the affine span of
+the block.  The Sherman-Morrison rank-one update of q^{-1} gives y, and
+with the constant 1 dropped, its limit direction as x recedes on a ray.
+
+pin_stack is the one pin formula: that update, fraction-free and stacked
+over positions and velocity blocks.  With q^{-1} = A/delta, q = Q/kappa,
+x = X/xi and V integral (every denominator 1 on float64), a = A X,
+D = 1^T a - s delta xi, R = kappa V^T X - s xi diag(V^T Q),
+N = A^T (1 a^T R - D R) and sigma = delta kappa xi D give y = N/sigma:
+the velocity at s = 1, its limit at s = 0.  pin_velocity, limit_velocity
+and scale_factor are its one-position case.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import linalg
 from .errors import OnAffineSpanError, ParallelSpanError
-from .linalg import invert, is_zero
 
 
 class PinContext:
     """An invertible point block q with a velocity block v.
 
-    q^{-1} is computed once at construction and shared by the velocity
-    formulas; with_motion swaps v without re-inverting.
+    Its integer form, q = ints/den and q^{-1} = adj/det (pin_stack's Q,
+    kappa, A and delta), is computed once (integer_block) and shared by
+    the velocity formulas; with_motion swaps v without re-inverting.
     """
 
-    __slots__ = ("q", "v", "q_inv")
+    __slots__ = ("q", "v", "ints", "den", "adj", "det")
 
-    def __init__(self, q: np.ndarray, v: np.ndarray, q_inv: np.ndarray | None = None):
+    def __init__(self, q: np.ndarray, v: np.ndarray, block: tuple | None = None):
         q = np.asarray(q)
         v = np.asarray(v)
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ValueError("pin block q must be square")
         if v.shape != q.shape:
             raise ValueError("velocity block must match q's shape")
-        self.q = q
-        self.v = v
-        self.q_inv = invert(q) if q_inv is None else q_inv
+        self.q, self.v = q, v
+        self.ints, self.den, self.adj, self.det = block or integer_block(*linalg.cleared(q))
 
     @property
     def size(self) -> int:
         return self.q.shape[0]
 
     def with_motion(self, v: np.ndarray) -> "PinContext":
-        return PinContext(self.q, v, self.q_inv)
+        return PinContext(self.q, v, (self.ints, self.den, self.adj, self.det))
 
 
-def _rank_one_solve(ctx: PinContext, x: np.ndarray, rhs: np.ndarray, shift: int,
-                    tol: float | None, error: type, message: str) -> np.ndarray:
-    """y = -(q^{-1})^T (rhs - 1 (q^{-1}x . rhs) / d), d = (q^{-1}x)^T 1 - shift.
+def integer_block(ints: np.ndarray, den, tol: float | None = None) -> tuple:
+    """(Q, kappa, A, delta) of the block q = ints/den, q^{-1} = A/delta,
+    from linalg.adjugate of ints: (q, 1, q^{-1}, 1) on float64."""
+    adj, det = linalg.adjugate(ints, tol)
+    return ints, den, adj * den, det
 
-    With shift 1 this is the Sherman-Morrison solution of
-    (1 x^T - q^T) y = rhs; with shift 0 it is that solution's limit
-    direction.  A zero d raises error(message).
-    """
-    qx = ctx.q_inv @ x
-    d = qx.sum() - shift
-    if is_zero(d, tol, qx):
+
+def pin_stack(ctx: PinContext, vt: np.ndarray, x_int: np.ndarray, xi: np.ndarray,
+              shift: int = 1, tol: float | None = None) -> tuple:
+    """(usable, N, sigma) of ctx's block at the k positions X/xi (rows of
+    x_int, xi of length k) for an m x n x n stack vt of V^T: N is
+    k x n x m and sigma has length k.  A row is unusable where D is zero
+    by the zero rule against a: x on the block's affine span (s = 1) or
+    parallel to it (s = 0)."""
+    a = x_int @ ctx.adj.T
+    d = a.sum(axis=1) - ctx.det * xi * shift
+    stress = (vt * ctx.ints.T).sum(axis=2).T
+    r = (ctx.den * np.einsum("jic,kc->kij", vt, x_int)
+         - (xi * shift)[:, None, None] * stress)
+    gap = np.einsum("ki,kij->kj", a, r)[:, None] - d[:, None, None] * r
+    return (~linalg.zero_rows(d[:, None], tol, a), ctx.adj.T @ gap,
+            ctx.det * ctx.den * xi * d)
+
+
+def _one_position(ctx: PinContext, x: np.ndarray, shift: int, tol: float | None,
+                  error: type, message: str) -> np.ndarray:
+    """pin_stack at x for ctx's own v = V/lambda, as N / (sigma lambda);
+    an unusable x raises error(message)."""
+    x = np.asarray(x)
+    if x.shape != (ctx.size,):
+        raise ValueError("x must be a vector matching the pin block")
+    (x_int, xi), (vt, lam) = linalg.cleared(x), linalg.cleared(ctx.v.T)
+    usable, n, sigma = pin_stack(ctx, vt[None], x_int[None],
+                                 linalg.array([xi], linalg.is_exact(x)), shift, tol)
+    if not usable[0]:
         raise error(message)
-    return -(ctx.q_inv.T @ (rhs - (qx @ rhs) / d))
+    return linalg.over(n[0, :, 0], sigma[0] * lam)
 
 
 def pin_velocity(ctx: PinContext, x: np.ndarray,
@@ -67,12 +97,8 @@ def pin_velocity(ctx: PinContext, x: np.ndarray,
     Solves (1 x^T - q^T) y = v^T x - diag(v^T q) by the rank-one update;
     x on the affine span of q's columns is rejected.
     """
-    x = np.asarray(x)
-    if x.shape != (ctx.size,):
-        raise ValueError("x must be a vector matching the pin block")
-    rhs = ctx.v.T @ x - (ctx.v * ctx.q).sum(axis=0)
-    return _rank_one_solve(ctx, x, rhs, 1, tol, OnAffineSpanError,
-                           "x lies on the affine span of the columns of q")
+    return _one_position(ctx, x, 1, tol, OnAffineSpanError,
+                         "x lies on the affine span of the columns of q")
 
 
 def limit_velocity(ctx: PinContext, x: np.ndarray,
@@ -82,13 +108,12 @@ def limit_velocity(ctx: PinContext, x: np.ndarray,
     Defined only when x is not parallel to the affine span of the block,
     i.e. (q^{-1} x)^T 1 != 0.
     """
-    x = np.asarray(x)
-    if x.shape != (ctx.size,):
-        raise ValueError("x must be a vector matching the pin block")
-    return _rank_one_solve(ctx, x, ctx.v.T @ x, 0, tol, ParallelSpanError,
-                           "x is parallel to the affine span of q's columns")
+    return _one_position(ctx, x, 0, tol, ParallelSpanError,
+                         "x is parallel to the affine span of q's columns")
 
 
 def scale_factor(ctx: PinContext, x: np.ndarray):
-    """(q^{-1} x)^T 1, the denominator governing limit_velocity."""
-    return (ctx.q_inv @ x).sum()
+    """(q^{-1} x)^T 1 = 1^T a / (delta xi), the denominator governing
+    limit_velocity (D at s = 0)."""
+    x_int, xi = linalg.cleared(np.asarray(x))
+    return linalg.over(x_int @ ctx.adj.T, ctx.det * xi).sum()

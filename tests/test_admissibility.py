@@ -17,7 +17,8 @@ from rigidlab.admissibility import (BLOCK_123, BLOCK_145, _mismatch_sampler,
 from rigidlab.errors import (DegenerateConfigError, OnAffineSpanError,
                              ParallelSpanError)
 from rigidlab.linalg import (cleared, exact_matrix, invert, nullspace_rows,
-                             ones_vector, rank, to_float)
+                             ones_vector, rank, sherman_morrison_inverse,
+                             to_float)
 from rigidlab.motions import (MotionSpace, PointConfiguration, p_equivalent,
                               take_points, trivial_motion_space)
 from rigidlab.pins import PinContext, limit_velocity, pin_velocity
@@ -358,6 +359,30 @@ def test_mismatch_sampler_equals_scaled_map(idx):
             for xf in xs[len(points):]:
                 with pytest.raises(OnAffineSpanError):
                     pin_mismatch_map(pf, sf, xf)
+
+
+@pytest.mark.parametrize("idx", [0, 1, 2])
+def test_mismatch_map_matches_the_matrix_reference(idx):
+    # pin_mismatch_map and the sampler share pins.pin_stack, on blocks
+    # cleared with the whole configuration's denominator.  The reference
+    # inverts (1 x^T - q^T) as a matrix for each block on its own and reads
+    # diag(v^T q) off the full product, at integer and rational x.
+    p = _rational_config(idx)
+    rng = subrng(idx, "ref-x")
+    points = [random_exact_vector(3, rng, 1000),
+              random_rational_matrix(1, 3, rng, 1000, 50)[0]]
+    sides = admissibility._pin_blocks(p)
+    for s in _reference_spaces(p, idx):
+        for x in points:
+            cols = []
+            for u in s.basis_motions():
+                vels = []
+                for side, block, v in zip(sides, split_blocks(p.points), split_blocks(u)):
+                    want = sherman_morrison_inverse(block, x) @ (v.T @ x - np.diag(v.T @ block))
+                    assert (pin_velocity(side.with_motion(v), x) == want).all()
+                    vels.append(want)
+                cols.append(vels[0] - vels[1])
+            assert (pin_mismatch_map(p, s, x) == exact_matrix(cols).T).all()
 
 
 def test_check_admissibility_rejects_a_space_of_another_config():

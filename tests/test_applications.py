@@ -191,7 +191,9 @@ def test_table_falls_back_at_a_coplanar_sample(monkeypatch):
     def flattened_config(dim, count, rng, **kwargs):
         p = real_config(dim, count, rng, **kwargs)
         if getattr(rng, "flat", False):
-            p.points[2, :5] = 0
+            points = p.points.copy()
+            points[2, :5] = 0
+            p = PointConfiguration(points)
         return p
 
     for module in (applications, rigidity):

@@ -417,6 +417,15 @@ def test_exact_kernel_lives_in_linalg():
     assert offenders == []
 
 
+def test_block_inversion_lives_in_linalg_and_pins():
+    # Pin blocks become (adjugate, determinant) in pins.integer_block only.
+    src = Path(linalg.__file__).parent
+    offenders = [path.name for path in sorted(src.glob("*.py"))
+                 if path.name not in ("linalg.py", "pins.py")
+                 and "adjugate(" in path.read_text()]
+    assert offenders == []
+
+
 def test_backend_format_lives_in_linalg():
     src = Path(linalg.__file__).parent
     offenders = [path.name for path in sorted(src.glob("*.py"))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rigidlab import linalg
 from rigidlab.linalg import Subspace, exact_matrix, ones_vector, to_float, zeros
 from rigidlab.motions import (MotionSpace, PointConfiguration,
                               _ranks_mod_trivial, affine_motion_parts,
@@ -72,6 +73,35 @@ def test_trivial_dimension_cases():
                 fw = Framework(Graph.complete(q.count), q)
                 got = analyze(fw).trivial_dim
                 assert got == trivial_motion_space(q).dim == want, (n, name)
+
+
+CLEARING_INPUTS = {
+    "ints": linalg.array([[3, -1, 0], [7, 2, -5]]),
+    "fractions": exact_matrix([[3, -1, 0], [7, 2, -5]]),
+    "mixed": exact_matrix([[Fraction(1, 6), -4, Fraction(5, 9)],
+                           [0, Fraction(-7, 4), 2]]),
+    "float": np.array([[0.5, -1.25, 3.0], [2.0, 1e-3, -7.5]]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CLEARING_INPUTS))
+def test_configuration_clears_its_points_once(kind):
+    data = CLEARING_INPUTS[kind].copy()
+    p = PointConfiguration(data)
+    if p.exact:
+        assert all(type(v) is int for v in p.ints.flat)
+        assert (linalg.over(p.ints, p.den) == p.points).all()
+        assert p.den == {"ints": 1, "fractions": 1, "mixed": 36}[kind]
+    else:
+        assert p.den == 1 and (p.ints == p.points).all()
+    with pytest.raises(ValueError):
+        p.points[0, 0] = 1
+    with pytest.raises(ValueError):
+        p.ints[0, 0] = 1
+    before = p.points.copy()
+    data[:, 0] = data[:, 1]
+    assert (p.points == before).all() and (p.points != data).any()
+    assert (linalg.over(p.ints, p.den) == CLEARING_INPUTS[kind]).all()
 
 
 def test_affine_rank_cases():

@@ -4,9 +4,10 @@ The sha256 digests were recorded before the code they cover was
 refactored (the elimination kernel, the zero rule, the shared sampling
 and search helpers, check 12's integer oracle, the closed-form trivial
 dimension, the strain rank modulo the trivial motions, the 2-extension
-table, the integer admissibility path); the code must reproduce them
-byte for byte.  Input files are written under fixed relative names,
-because the manifest record echoes the paths it was given.
+table, the integer admissibility path, the one pin formula); the code
+must reproduce them byte for byte.  Input files are written under fixed
+relative names, because the manifest record echoes the paths it was
+given.
 """
 
 import hashlib
@@ -92,6 +93,14 @@ CASES = [
      "4164210c1275eeff61fe230523a59c2a50b4ece8c0db5722cac0868ca872394e"),
     (["verify", "--checks", "extension-predictions", "--seed", "1"], 0,
      "640d98701736156c4d557519a3262028fdfa348f824056fccb482d181971d054"),
+    # Checks 1-3, the pin formulas: all pass at seed 0; at seed 12 check 3
+    # reads a relative error of 1.42e-04 against its 1e-4 bound.
+    (["verify", "--checks", "sherman-morrison-exact", "pin-flex-property",
+      "limit-closed-form", "--seed", "0"], 0,
+     "5c6ea1bc019cf27915c70966f6031ea00d699616c4ba2edcbfbfcc60fb38acf3"),
+    (["verify", "--checks", "sherman-morrison-exact", "pin-flex-property",
+      "limit-closed-form", "--seed", "12"], 1,
+     "5fca2521aa6ac3d118c31091dbc114fe553215093bc7ca3b03f55755340b3f97"),
     # Check 12's evaluation oracle, default samples (400 instances).
     (["verify", "--checks", "affine-poly-cases", "--seed", "0"], 0,
      "21fd2cf9ad0168eaaa0970a41ae75bf99c0b169f36f02a86dd30c8f5a1d2dff2"),
