@@ -152,7 +152,7 @@ def check_admissibility(p: PointConfiguration, s: MotionSpace,
         raise ValueError("candidate subspace must have positive dimension")
     if s.config != p:
         raise ValueError("motion space does not belong to this configuration")
-    intersects = _ranks_mod_trivial(p, [s.subspace.basis], tol)[0] < s.dim
+    intersects = _ranks_mod_trivial(p, s.subspace.basis, tol)[0] < s.dim
     xs, m, _ = _pin_samples(p, samples, seed, "pin-sample",
                             _mismatch_sampler(p, s.basis_motions(), tol))
     ranks = linalg.rank(m, tol)
@@ -215,7 +215,7 @@ def sufficient_check(p: PointConfiguration, s: MotionSpace,
     """Sufficient (not necessary) admissibility test: trivial intersection
     zero, every motion linear, and the stress gap vanishing on s."""
     _require_five_points(p)
-    if _ranks_mod_trivial(p, [s.subspace.basis], tol)[0] < s.dim:
+    if _ranks_mod_trivial(p, s.subspace.basis, tol)[0] < s.dim:
         return False
     sides = _pin_blocks(p)
     return all(linear_motion_matrix(p, u, tol) is not None
@@ -237,11 +237,13 @@ def stress_matched_linear_space(p: PointConfiguration,
     gaps = []
     for a in range(3):
         for b in range(3):
-            u = linalg.zeros((3, 5), p.exact)
+            u = linalg.array([[0] * 5] * 3, p.exact)
             u[a] = p.ints[b]
             gens.append(u)
             gaps.append(_stress_gap(sides, u))
-    coeff_basis = linalg.nullspace_rows(linalg.array(gaps, p.exact).T, tol)
+    # Kernel rows cleared to integers span the same space.
+    kernel = linalg.nullspace_rows(linalg.array(gaps, p.exact).T, tol)
+    coeff_basis = linalg.cleared(kernel)[0]
     motions = [sum(gen * c for c, gen in zip(coeffs, gens)) for coeffs in coeff_basis]
     return MotionSpace.from_motions(p, motions, tol)
 
@@ -250,21 +252,24 @@ def construct_admissible_family(p: PointConfiguration, trials: int = 20,
                                 seed: int = 0,
                                 tol: float | None = None) -> list[MotionSpace]:
     """Sample 2-dimensional admissible subspaces of the stress-matched
-    linear motions that meet the trivial motions only in zero."""
+    linear motions that meet the trivial motions only in zero.
+
+    Members combine the stress-matched basis, cleared over one shared
+    denominator, with integer coefficients: the span, so the returned
+    reduced basis, is that of the same combination of the basis itself.
+    """
     _require_five_points(p)
     space = stress_matched_linear_space(p, tol)
-    basis = space.subspace.basis
+    basis = linalg.cleared(space.subspace.basis)[0]
     out: list[MotionSpace] = []
     for attempt in range(100 * trials):
         if len(out) == trials:
             break
         rng = subrng(seed, "family", attempt)
-        coeffs = linalg.array([[frac(rng.randint(-9, 9)) for _ in range(space.dim)]
+        coeffs = linalg.array([[rng.randint(-9, 9) for _ in range(space.dim)]
                                for _ in range(2)], p.exact)
-        vecs = [sum((c * b for c, b in zip(row, basis)),
-                    linalg.zeros(space.subspace.ambient_dim, p.exact))
-                for row in coeffs]
-        if _ranks_mod_trivial(p, [vecs], tol)[0] != 2:
+        vecs = [sum(c * b for c, b in zip(row, basis)) for row in coeffs]
+        if _ranks_mod_trivial(p, vecs, tol)[0] != 2:
             continue
         out.append(MotionSpace(p, Subspace.from_spanning(vecs, tol=tol)))
     if len(out) < trials:
@@ -316,7 +321,7 @@ def one_dim_space_inadmissible(p: PointConfiguration, u: np.ndarray,
     u = np.asarray(u)
     if u.shape != p.points.shape:
         raise ValueError("motion shape does not match configuration")
-    if _ranks_mod_trivial(p, [[flatten_motion(u)]], tol)[0] == 0:
+    if _ranks_mod_trivial(p, [flatten_motion(u)], tol)[0] == 0:
         raise ValueError("u is a trivial motion; the test needs a nontrivial one")
     ids_q = tuple(list(range(1, n)) + [n + 1])
     ids_r = tuple(range(1, n + 1))

@@ -14,15 +14,17 @@ exact in both modes.  adjugate and solve_parts return integers over
 one denominator; invert and solve make Fractions of them (over).
 cleared, the one denominator-clearing helper, scales exact values by
 the lcm of their denominators (a list of Python ints passes as it is):
-a configuration's points once (motions.PointConfiguration), kernel
-rows, motions, pin samples, check 12.
+a configuration's points once (motions.PointConfiguration), elimination
+rows, motions, pin samples and blocks, the stress gap's kernel rows and
+the stress-matched basis (admissibility), the pin x of
+sherman_morrison_inverse, check 12's pairs.
 
 Only this module names the array format of a backend: other modules
 build their matrices with array, zeros, identity, ones_vector or
 exact_matrix.  A float solve is consistent when its least-squares
 residual is zero by is_zero against |A||x| and |b|, entry by entry.
 sherman_morrison_inverse is the rank-one update as a whole matrix;
-pins.pin_stack applies it, fraction-free, to stacks of vectors.
+pins.pin_stack applies it to stacks of vectors; both are fraction-free.
 """
 
 from __future__ import annotations
@@ -69,8 +71,9 @@ def exact_matrix(data) -> np.ndarray:
 def array(rows, exact: bool = True) -> np.ndarray:
     """One matrix of the backend from nested rows or a list of 1-D arrays.
 
-    Exact entries are kept as given, so they must already be Fractions;
-    float entries are converted to float64.
+    Exact entries are kept as given, so they must be Python ints or
+    Fractions (a numpy integer can overflow); float entries are
+    converted to float64.
     """
     return np.array(rows, dtype=object if exact else float)
 
@@ -354,7 +357,10 @@ def sherman_morrison_inverse(q: np.ndarray, x: np.ndarray,
 
     1 is the all-ones column.  Requires q invertible and x off the affine
     span of the columns of q (the update denominator 1 - (q^{-1}x)^T 1
-    must not vanish).
+    must not vanish).  Fraction-free: with q^{-1} = A/delta (adjugate),
+    x = X/xi and D = delta xi - 1^T A X, the inverse is
+    -A^T (D I + 1 (A X)^T) / (delta D), one over; on float64 delta and
+    xi are 1.
     """
     q = np.asarray(q)
     x = np.asarray(x)
@@ -363,15 +369,15 @@ def sherman_morrison_inverse(q: np.ndarray, x: np.ndarray,
         raise ValueError("sherman_morrison_inverse needs a square q")
     if x.shape != (n,):
         raise ValueError("x must be a vector matching q")
-    q_inv = invert(q, tol)
-    exact = is_exact(q_inv)
-    ones = ones_vector(n, exact)
-    qx = q_inv @ x
-    denom = 1 - qx @ ones
-    if is_zero(denom, tol, qx):
+    adj, det = adjugate(q, tol)
+    x_int, xi = cleared(x)
+    ax = adj @ x_int
+    d = det * xi - ax.sum()
+    if is_zero(d, tol, ax):
         raise OnAffineSpanError("x lies on the affine span of the columns of q")
-    eye = identity(n, exact)
-    return -(q_inv.T @ (eye + np.outer(ones, qx) / denom))
+    update = np.tile(ax, (n, 1))  # 1 (A X)^T, then D I added
+    update[range(n), range(n)] += d
+    return over(-(adj.T @ update), det * d)
 
 
 class Subspace:

@@ -190,13 +190,15 @@ def trivial_motion_space(p: PointConfiguration,
     the affine span of the points has dimension at least n-1.
     """
     n, k, exact = p.dim, p.count, p.exact
-    ones = linalg.ones_vector(k, exact)
-    gens = [np.outer(e, ones) for e in linalg.identity(n, exact)]
-    # skew_basis(n)'s E_ij - E_ji times the points, as row copies.
+    # Translations e_b 1^T, then the rotations.
+    gens = [linalg.array([[int(a == b)] * k for a in range(n)], exact)
+            for b in range(n)]
+    # skew_basis(n)'s E_ij - E_ji times the cleared points (the same span
+    # as the points themselves), as row copies.
     for i, j in combinations(range(n), 2):
-        t = zeros((n, k), exact)
-        t[i] = p.points[j]
-        t[j] = -p.points[i]
+        t = linalg.array([[0] * k] * n, exact)
+        t[i] = p.ints[j]
+        t[j] = -p.ints[i]
         gens.append(t)
     return MotionSpace.from_motions(p, gens, tol)
 
@@ -225,20 +227,22 @@ def affine_motion_parts(p: PointConfiguration, u: np.ndarray,
     return x[: p.dim].T, x[p.dim]
 
 
-def _ranks_mod_trivial(p: PointConfiguration, motion_sets,
-                       tol: float | None = None) -> list[int]:
-    """dim(span S + T) - dim T for each set S of flattened motions, T the
-    trivial motions of p.  At affine rank min(k-1, n) K_k is infinitesimally
-    rigid at p (Asimow-Roth), so T is the kernel of the strains on all
-    pairs, and an exact S is ranked by its strains on cleared ints.  Else
-    the answer is rank [T basis; S] - dim T, T built once."""
+def _ranks_mod_trivial(p: PointConfiguration, motions, tol: float | None = None,
+                       blocks=(slice(None),)) -> list[int]:
+    """dim(span S + T) - dim T for each row block S = motions[b] of the
+    flattened motions, T the trivial motions of p.  At affine rank
+    min(k-1, n) K_k is infinitesimally rigid at p (Asimow-Roth), so T is
+    the kernel of the strains on all pairs, and an exact S is ranked by
+    its rows of the strains, taken once on cleared ints.  Else the answer
+    is rank [T basis; S] - dim T, T built once."""
+    motions = linalg.array(motions, p.exact)
     if p.exact and p.affine_rank() == min(p.count - 1, p.dim):
         pairs = list(combinations(range(1, p.count + 1), 2))
-        return [linalg.rank(strains(p, linalg.cleared(linalg.array(m))[0], pairs))
-                for m in motion_sets]
+        rows = strains(p, linalg.cleared(motions)[0], pairs)
+        return [linalg.rank(rows[b]) for b in blocks]
     triv = trivial_motion_space(p, tol).subspace
-    return [linalg.rank(np.vstack([triv.basis, *m]), tol) - triv.dim
-            for m in motion_sets]
+    return [linalg.rank(np.vstack([triv.basis, motions[b]]), tol) - triv.dim
+            for b in blocks]
 
 
 def p_equivalent(s1: MotionSpace, s2: MotionSpace,
@@ -254,7 +258,9 @@ def same_mod_trivial(p: PointConfiguration, b1, b2,
                      tol: float | None = None) -> bool:
     """True when two sets of flattened motions of p span equal images
     modulo the trivial motions."""
-    r1, r2, r12 = _ranks_mod_trivial(p, [b1, b2, np.vstack([b1, b2])], tol)
+    k = len(b1)
+    r1, r2, r12 = _ranks_mod_trivial(p, np.vstack([b1, b2]), tol,
+                                     (slice(k), slice(k, None), slice(None)))
     return r1 == r2 == r12
 
 

@@ -20,13 +20,13 @@ from .admissibility import (check_admissibility, classify_admissible,
                             one_dim_space_inadmissible,
                             proportional_pair_space, single_vertex_space,
                             stress_matched_linear_space, sufficient_check)
-from .affinepoly import PolyDependence, affine_poly_dependence, linear_product_matrix
+from .affinepoly import PolyDependence, affine_poly_dependence
 from .applications import (ExtensionTable, conic_probe_graphs,
                            edge_conic_space, skew_matrix_space)
 from .errors import OnAffineSpanError, ParallelSpanError, SingularMatrixError
 from .linalg import cleared, invert, ones_vector, sherman_morrison_inverse
-from .motions import (MotionSpace, PointConfiguration, p_equivalent,
-                      restricts_to_isometry, trivial_motion_space)
+from .motions import (MotionSpace, PointConfiguration, is_infinitesimal_isometry,
+                      p_equivalent, restricts_to_isometry, trivial_motion_space)
 from .pins import PinContext, limit_velocity, pin_velocity, scale_factor
 from .rigidity import (Framework, Graph, analyze, double_banana,
                        is_implied_edge)
@@ -247,12 +247,13 @@ def _check_one_dim(seed: int, samples: int | None):
     count = _count(samples, 50)
     for idx in range(count):
         p = _general_config(seed, "one-dim-config", idx, count=4)
-        triv = trivial_motion_space(p)
         u = None
         for shift in range(20):
             rng = subrng(seed, "one-dim-motion", 20 * idx + shift)
             cand = random_exact_matrix(3, 4, rng, SMALL_BOUND)
-            if not triv.contains(cand):
+            # K4 in general position is infinitesimally rigid (Asimow-Roth),
+            # so its trivial motions are exactly its isometries.
+            if not is_infinitesimal_isometry(p, cand):
                 u = cand
                 break
         if u is None:
@@ -317,29 +318,31 @@ def _check_extensions(seed: int, samples: int | None):
                   f"{blocked} blocked pairs all non-rigid")
 
 
-def _random_affine_linear(rng, allow_zero: bool = False) -> np.ndarray:
+def _random_affine_linear(rng) -> np.ndarray:
     while True:
-        vec = linalg.array([Fraction(rng.randint(-9, 9)) for _ in range(4)])
-        if allow_zero or any(c != 0 for c in vec[1:]):
+        vec = linalg.array([rng.randint(-9, 9) for _ in range(4)])
+        if any(vec[1:]):
             return vec
 
 
 def _random_affine_quadratic(rng) -> np.ndarray:
-    raw = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]
-    return linalg.array([[Fraction(raw[a][b] + raw[b][a], 2) for b in range(4)]
-                         for a in range(4)])
+    """Raw integer coefficients; the part that counts is (raw + raw^T) / 2."""
+    return linalg.array([[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)])
 
 
 def _poly_case_instance(case: PolyDependence, rng):
+    """Integer (l1, q1, l2, q2) of the case.  A dependent pair scales by
+    the numerator of a ratio drawn as randint(-9, 9) / randint(1, 9);
+    scaling a pair changes neither the case nor the evaluation oracle."""
     if case is PolyDependence.DEPENDENT_PAIR:
         l1 = _random_affine_linear(rng)
         q1 = _random_affine_quadratic(rng)
-        lam = Fraction(0)
-        while lam == 0:
-            lam = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        return l1, q1, l1 * lam, q1 * lam
+        num = 0
+        while num == 0:
+            num, _ = rng.randint(-9, 9), rng.randint(1, 9)
+        return l1, q1, l1 * num, q1 * num
     if case is PolyDependence.BOTH_LINEAR_ZERO:
-        zero = linalg.zeros(4)
+        zero = linalg.array([0] * 4)
         return zero, _random_affine_quadratic(rng), zero.copy(), _random_affine_quadratic(rng)
     if case is PolyDependence.COMMON_LINEAR_FACTOR:
         while True:
@@ -347,7 +350,7 @@ def _poly_case_instance(case: PolyDependence, rng):
             l1 = _random_affine_linear(rng)
             l2 = _random_affine_linear(rng)
             if linalg.rank(linalg.array([l1, l2])) == 2:
-                return l1, linear_product_matrix(m, l1), l2, linear_product_matrix(m, l2)
+                return l1, np.outer(m, l1), l2, np.outer(m, l2)
     while True:
         l1 = _random_affine_linear(rng)
         l2 = _random_affine_linear(rng)

@@ -1,0 +1,21 @@
+"""Shared fixtures."""
+
+from fractions import Fraction
+
+import pytest
+
+
+@pytest.fixture
+def fraction_counter(monkeypatch):
+    """A function returning how many Fractions have been built since the
+    fixture was set up, counted at Fraction.__new__ (arithmetic results
+    included)."""
+    built = [0]
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    return lambda: built[0]

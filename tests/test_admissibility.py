@@ -621,3 +621,46 @@ def test_principal_lattice_is_unisolvent():
     assert len(rows) == len(rows[0]) == 220
     assert _rank_mod_p(rows, 2 ** 61 - 1) == 220
     assert _rank_mod_p(rows[:-1] + [rows[0]], 2 ** 61 - 1) == 219
+
+
+def _fraction_family(p: PointConfiguration, trials: int, seed: int):
+    """(stress-matched basis, member bases) formed as before the integer
+    combination: Fraction kernel rows against the generators, Fraction
+    coefficients against the reduced basis, summed from zeros, and the
+    trivial intersection from the stacked trivial basis."""
+    sides = admissibility._pin_blocks(p)
+    gens, gaps = [], []
+    for a in range(3):
+        for b in range(3):
+            u = linalg.zeros((3, 5), p.exact)
+            u[a] = p.points[b]
+            gens.append(u)
+            gaps.append(admissibility._stress_gap(sides, u))
+    kernel = nullspace_rows(linalg.array(gaps, p.exact).T)
+    basis = MotionSpace.from_motions(
+        p, [sum(g * c for c, g in zip(row, gens)) for row in kernel]).subspace.basis
+    triv = trivial_motion_space(p).subspace
+    members = []
+    for attempt in range(100 * trials):
+        if len(members) == trials:
+            break
+        rng = subrng(seed, "family", attempt)
+        coeffs = linalg.array([[Fraction(rng.randint(-9, 9)) for _ in basis]
+                               for _ in range(2)], p.exact)
+        vecs = [sum((c * b for c, b in zip(row, basis)),
+                    linalg.zeros(basis.shape[1], p.exact)) for row in coeffs]
+        if linalg.Subspace.from_spanning([*triv.basis, *vecs]).dim - triv.dim == 2:
+            members.append(linalg.Subspace.from_spanning(vecs).basis)
+    return basis, members
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_family_matches_the_fraction_combination(seed):
+    # Check 7's configuration at seeds 0-3, exact and on float64 copies.
+    p = random_general_config(3, 5, seed, "family-config/0", bound=1000)
+    for q in (p, PointConfiguration(to_float(p.points))):
+        want_basis, want = _fraction_family(q, 20, seed)
+        assert np.array_equal(stress_matched_linear_space(q).subspace.basis, want_basis)
+        got = construct_admissible_family(q, trials=20, seed=seed)
+        assert len(got) == len(want) == 20
+        assert all(np.array_equal(s.subspace.basis, w) for s, w in zip(got, want))

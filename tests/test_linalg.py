@@ -448,3 +448,32 @@ def test_float_solve_consistency_matches_exact_at_large_scale(seed):
         rhs[0, axis] = Fraction(1)
         float_x = solve(linalg.to_float(lhs), linalg.to_float(rhs))
         assert (float_x is None) == (solve(lhs, rhs) is None)
+
+
+def _rationals(max_den):
+    return st.builds(Fraction, st.integers(-10 ** 12, 10 ** 12),
+                     st.integers(1, max_den))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), max_den=st.sampled_from([1, 10 ** 6, 10 ** 12]))
+def test_fraction_free_sherman_morrison_matches_direct_inversion(data, max_den):
+    """The fraction-free update equals inverting 1 x^T - q^T, and x on the
+    affine span of q's columns is refused, at large denominators."""
+    q = exact_matrix(data.draw(st.lists(st.lists(_rationals(max_den), min_size=3,
+                                                 max_size=3), min_size=3, max_size=3)))
+    if rank(q) < 3:
+        with pytest.raises(SingularMatrixError):
+            sherman_morrison_inverse(q, exact_matrix([1, 2, 3]))
+        return
+    x = exact_matrix(data.draw(st.lists(_rationals(max_den), min_size=3, max_size=3)))
+    m = np.outer(ones_vector(3), x) - q.T
+    if rank(m) == 3:
+        assert (sherman_morrison_inverse(q, x) == invert(m)).all()
+    else:
+        with pytest.raises(OnAffineSpanError):
+            sherman_morrison_inverse(q, x)
+    lam = data.draw(st.lists(_rationals(max_den), min_size=2, max_size=2))
+    on_span = q @ exact_matrix([*lam, 1 - sum(lam)])
+    with pytest.raises(OnAffineSpanError):
+        sherman_morrison_inverse(q, on_span)

@@ -5,15 +5,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from rigidlab import linalg
+from rigidlab import linalg, motions
 from rigidlab.linalg import Subspace, exact_matrix, ones_vector, to_float, zeros
 from rigidlab.motions import (MotionSpace, PointConfiguration,
                               _ranks_mod_trivial, affine_motion_parts,
                               flatten_motion, is_infinitesimal_isometry,
                               linear_motion_matrix, p_equivalent,
-                              restricts_to_isometry, skew_basis, strains,
-                              take_points, trivial_motion_space,
-                              unflatten_motion)
+                              restricts_to_isometry, same_mod_trivial,
+                              skew_basis, strains, take_points,
+                              trivial_motion_space, unflatten_motion)
 from rigidlab.admissibility import proportional_pair_space, single_vertex_space
 from rigidlab.rigidity import (Framework, Graph, analyze, flex_space,
                                rigidity_matrix)
@@ -305,8 +305,44 @@ def test_ranks_mod_trivial_match_the_stacked_reference(name, pts):
         triv = trivial_motion_space(q).subspace
         want = [Subspace.from_spanning([*triv.basis, *vecs]).dim - triv.dim
                 for vecs in vec_sets]
-        assert _ranks_mod_trivial(q, vec_sets) == want, name
+        bounds = np.cumsum([0, *map(len, vec_sets)])
+        blocks = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+        stacked = [v for vecs in vec_sets for v in vecs]
+        assert _ranks_mod_trivial(q, stacked, blocks=blocks) == want, name
         ranks.append(want)
     assert ranks[0] == ranks[1]
     if p.count > 1:
         assert len(set(ranks[0])) > 1, name  # the sets do exercise the rank
+
+
+@pytest.mark.parametrize("name, pts", _mod_trivial_configs(),
+                         ids=[c[0] for c in _mod_trivial_configs()])
+def test_same_mod_trivial_matches_three_rank_calls(monkeypatch, name, pts):
+    # b1 beside a reversed copy shifted by trivial motions (equal modulo
+    # them) and beside the next set, exact and on float64 copies: the
+    # verdict of the ranks of b1, b2 and [b1; b2] taken one call each.
+    # On the strain path the strains are computed once, stacked.
+    p = PointConfiguration(pts)
+    sets = _motion_sets(p, subrng(4, "same-sets/" + name))
+    triv = trivial_motion_space(p).subspace.basis
+    pairs = []
+    for i, b1 in enumerate(sets):
+        shifted = [v + (k + 1) * triv[k % len(triv)] for k, v in enumerate(b1[::-1])]
+        pairs += [(b1, shifted), (b1, sets[(i + 1) % len(sets)])]
+    strained = []
+    real_strains = motions.strains
+    monkeypatch.setattr(motions, "strains", lambda q, u, ij: (
+        strained.append(len(u)) or real_strains(q, u, ij)))
+    verdicts = []
+    for q, cast in ((p, np.asarray), (PointConfiguration(to_float(pts)), to_float)):
+        on_strains = q.exact and q.affine_rank() == min(q.count - 1, q.dim)
+        for b1, b2 in pairs:
+            b1, b2 = np.array([cast(v) for v in b1]), np.array([cast(v) for v in b2])
+            r1, r2, r12 = (_ranks_mod_trivial(q, b)[0]
+                           for b in (b1, b2, np.vstack([b1, b2])))
+            strained.clear()
+            verdicts.append(same_mod_trivial(q, b1, b2))
+            assert verdicts[-1] == (r1 == r2 == r12), name
+            assert strained == ([len(b1) + len(b2)] if on_strains else []), name
+    assert verdicts[::2] == [True] * len(verdicts[::2]), name
+    assert False in verdicts[1::2] or p.count == 1, name

@@ -4,10 +4,10 @@ The sha256 digests were recorded before the code they cover was
 refactored (the elimination kernel, the zero rule, the shared sampling
 and search helpers, check 12's integer oracle, the closed-form trivial
 dimension, the strain rank modulo the trivial motions, the 2-extension
-table, the integer admissibility path, the one pin formula); the code
-must reproduce them byte for byte.  Input files are written under fixed
-relative names, because the manifest record echoes the paths it was
-given.
+table, the integer admissibility path, the one pin formula, the integer
+verify battery); the code must reproduce them byte for byte.  Input
+files are written under fixed relative names, because the manifest
+record echoes the paths it was given.
 """
 
 import hashlib
@@ -104,6 +104,12 @@ CASES = [
     # Check 12's evaluation oracle, default samples (400 instances).
     (["verify", "--checks", "affine-poly-cases", "--seed", "0"], 0,
      "21fd2cf9ad0168eaaa0970a41ae75bf99c0b169f36f02a86dd30c8f5a1d2dff2"),
+    # The whole twelve-check battery at default samples: all pass at
+    # seed 0; at seed 12 check 3 fails.
+    (["verify", "--seed", "0"], 0,
+     "500e7dfb12f6b34eae833e773896cbe1d37a222874c5cb54383645543250986d"),
+    (["verify", "--seed", "12"], 1,
+     "2b80305c5f9a13293d7871d51bf7e93c2e7e8037637f948b97d6e52ab375eee6"),
 ]
 
 

@@ -3,9 +3,9 @@ from fractions import Fraction
 import pytest
 
 from rigidlab import verify
-from rigidlab.affinepoly import (PolyDependence, linear_product_matrix,
-                                 quadratic_value)
-from rigidlab.linalg import cleared, exact_matrix, frac
+from rigidlab.affinepoly import (PolyDependence, affine_poly_dependence,
+                                 linear_product_matrix, quadratic_value)
+from rigidlab.linalg import cleared, exact_matrix, frac, rank
 from rigidlab.sampling import subrng
 from rigidlab.verify import CHECK_NAMES, CheckResult, run_battery, run_check
 
@@ -172,3 +172,76 @@ def test_block_drawn_oracle_past_int64():
     zero, huge = exact_matrix([0, 0, 0, 0]), Q1.copy()
     huge[1, 1] += 2 ** 70
     assert verify._values_dependent(zero, huge, zero, Q1, rng) is True
+
+
+def _fraction_linear(rng):
+    while True:
+        vec = exact_matrix([rng.randint(-9, 9) for _ in range(4)])
+        if any(c != 0 for c in vec[1:]):
+            return vec
+
+
+def _fraction_quadratic(rng):
+    raw = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)]
+    return exact_matrix([[Fraction(raw[a][b] + raw[b][a], 2) for b in range(4)]
+                         for a in range(4)])
+
+
+def _fraction_poly_instance(case, rng):
+    """Check 12's instances in Fractions, the reference for the integer
+    generator: symmetric quadratics, a dependent pair scaled by the whole
+    ratio, common factors by linear_product_matrix."""
+    if case is PolyDependence.DEPENDENT_PAIR:
+        l1, q1 = _fraction_linear(rng), _fraction_quadratic(rng)
+        lam = Fraction(0)
+        while lam == 0:
+            lam = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        return l1, q1, l1 * lam, q1 * lam
+    if case is PolyDependence.BOTH_LINEAR_ZERO:
+        zero = exact_matrix([0] * 4)
+        return zero, _fraction_quadratic(rng), zero.copy(), _fraction_quadratic(rng)
+    if case is PolyDependence.COMMON_LINEAR_FACTOR:
+        while True:
+            m, l1, l2 = (_fraction_linear(rng) for _ in range(3))
+            if rank(exact_matrix([l1, l2])) == 2:
+                return l1, linear_product_matrix(m, l1), l2, linear_product_matrix(m, l2)
+    while True:
+        l1, l2 = _fraction_linear(rng), _fraction_linear(rng)
+        q1, q2 = _fraction_quadratic(rng), _fraction_quadratic(rng)
+        if affine_poly_dependence(l1, q1, l2, q2) is PolyDependence.NONE:
+            return l1, q1, l2, q2
+
+
+def _pair_scale(got, want):
+    """The s with got == s * want for pairs (l, q), each read as l and the
+    symmetric part q + q^T that its polynomial depends on; None if none."""
+    got, want = ([*l, *(q + q.T).flat] for l, q in (got, want))
+    lead = next(i for i, w in enumerate(want) if w != 0)
+    s = Fraction(got[lead]) / want[lead]
+    return s if all(g == s * w for g, w in zip(got, want)) else None
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_integer_poly_instances_scale_the_fraction_ones(seed):
+    """Check 12's 100 instances of each case: the same draws as the
+    Fraction generator, Python ints, and each pair a nonzero multiple of
+    the reference pair."""
+    for case in PolyDependence:
+        for idx in range(100):
+            ints, fracs = (subrng(seed, f"poly-{case.value}", idx) for _ in range(2))
+            got = verify._poly_case_instance(case, ints)
+            want = _fraction_poly_instance(case, fracs)
+            assert ints.getstate() == fracs.getstate()
+            assert all(type(v) is int for part in got for v in part.flat)
+            for pair in (slice(0, 2), slice(2, 4)):
+                scale = _pair_scale(got[pair], want[pair])
+                assert scale, (case, idx)
+
+
+@pytest.mark.parametrize("name, ceiling", [
+    ("admissible-family", 2464),  # 2,240 at seed 0, plus 10%
+    ("affine-poly-cases", 0),
+])
+def test_checks_build_few_fractions(fraction_counter, name, ceiling):
+    assert run_check(name, 0).passed
+    assert fraction_counter() <= ceiling
