@@ -21,8 +21,8 @@ from .errors import (DegenerateConfigError, HypothesisViolatedError,
                      ParallelSpanError, SingularMatrixError)
 from .linalg import (Subspace, exact_matrix, frac, is_zero, ones_vector,
                      sym_outer_system)
-from .motions import (MotionSpace, PointConfiguration, _ranks_mod_trivial,
-                      flatten_motion, linear_motion_matrix, p_equivalent,
+from .motions import (MotionSpace, PointConfiguration, _linear_parts,
+                      _ranks_mod_trivial, flatten_motion, p_equivalent,
                       same_mod_trivial, take_points, unflatten_motion)
 from .pins import PinContext, integer_block, pin_stack, pin_velocity, scale_factor
 from .sampling import (DEFAULT_BOUND, random_float_vector, random_int_vector,
@@ -45,11 +45,11 @@ def split_blocks(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return take_points(mat, BLOCK_145), take_points(mat, BLOCK_123)
 
 
-def _pin_blocks(p: PointConfiguration, error: type = DegenerateConfigError,
-                tol: float | None = None,
+def _pin_blocks(p: PointConfiguration, tol: float | None,
+                error: type = DegenerateConfigError,
                 blocks=(BLOCK_145, BLOCK_123)) -> tuple[PinContext, ...]:
     """One PinContext per block of p, zero velocities, from p's cleared
-    points; a singular block raises error("pin block is singular: ...")."""
+    points; a block singular at tol raises error("pin block is singular")."""
     zero = linalg.array([[0] * p.dim] * p.dim, p.exact)
     try:
         return tuple(PinContext(take_points(p.points, ids), zero,
@@ -67,7 +67,7 @@ def pin_mismatch_map(p: PointConfiguration, s: MotionSpace, x: np.ndarray,
     _require_five_points(p)
     if s.config != p:
         raise ValueError("motion space does not belong to this configuration")
-    side_q, side_r = _pin_blocks(p)
+    side_q, side_r = _pin_blocks(p, tol)
     cols = [pin_velocity(side_q.with_motion(v), x, tol)
             - pin_velocity(side_r.with_motion(w), x, tol)
             for v, w in map(split_blocks, s.basis_motions())]
@@ -83,7 +83,7 @@ def _mismatch_sampler(p: PointConfiguration, motions, tol: float | None,
     on the cleared motions."""
     motions = [linalg.cleared(u)[0] for u in motions]
     sides = [(side, np.stack([take_points(u, ids).T for u in motions]))
-             for side, ids in zip(_pin_blocks(p, blocks=blocks), blocks)]
+             for side, ids in zip(_pin_blocks(p, tol, blocks=blocks), blocks)]
 
     def mismatch(x_int: np.ndarray, xi: np.ndarray) -> tuple:
         (ok_q, n_q, sigma_q), (ok_r, n_r, sigma_r) = (
@@ -185,7 +185,7 @@ def proportional_pair_space(p: PointConfiguration, k) -> MotionSpace:
     """Motions with point 2's velocity k times point 1's, both orthogonal
     to the chord p1 - p2, and points 3,4,5 fixed."""
     _require_five_points(p)
-    chord = p.point(1) - p.point(2)
+    chord = p.ints[:, 0] - p.ints[:, 1]
     if is_zero(chord):
         raise DegenerateConfigError("points 1 and 2 coincide")
     scale = frac(k) if p.exact else float(k)
@@ -217,8 +217,8 @@ def sufficient_check(p: PointConfiguration, s: MotionSpace,
     _require_five_points(p)
     if _ranks_mod_trivial(p, s.subspace.basis, tol)[0] < s.dim:
         return False
-    sides = _pin_blocks(p)
-    return all(linear_motion_matrix(p, u, tol) is not None
+    sides = _pin_blocks(p, tol)
+    return all(_linear_parts(p, u, False, tol) is not None
                and is_zero(_stress_gap(sides, u), tol, u) for u in s.basis_motions())
 
 
@@ -232,7 +232,7 @@ def stress_matched_linear_space(p: PointConfiguration,
     in the three-dimensional space of skew linear motions.
     """
     _require_five_points(p)
-    sides = _pin_blocks(p)
+    sides = _pin_blocks(p, tol)
     gens = []
     gaps = []
     for a in range(3):
@@ -290,7 +290,7 @@ def projected_limit_mismatch(p: PointConfiguration, u: np.ndarray,
     u = np.asarray(u)
     if u.shape != (3, 5):
         raise ValueError("motion must be 3 x 5")
-    side_q, side_r = _pin_blocks(p)
+    side_q, side_r = _pin_blocks(p, tol)
     q_inv, r_inv = (linalg.over(side.adj, side.det) for side in (side_q, side_r))
     v, w = split_blocks(u)
     ones = ones_vector(3, p.exact)
@@ -391,7 +391,7 @@ def classify_admissible(p: PointConfiguration, s: MotionSpace,
     if s.dim != 2:
         raise ValueError("classification expects a 2-dimensional subspace")
     exact = p.exact
-    side_q, side_r = _pin_blocks(p, HypothesisViolatedError, tol)
+    side_q, side_r = _pin_blocks(p, tol, HypothesisViolatedError)
     q, a_q, dq = side_q.ints, side_q.adj, side_q.det
     r, a_r, dr = side_r.ints, side_r.adj, side_r.det
     ones = linalg.array([1] * 3, exact)
@@ -404,8 +404,7 @@ def classify_admissible(p: PointConfiguration, s: MotionSpace,
 
     motions = [unflatten_motion(u, p.dim, p.count)
                for u in linalg.cleared(s.subspace.basis)[0]]
-    lhs = np.hstack([p.ints.T, linalg.array([[1]] * p.count, exact)])
-    if all(linalg.solve_parts(lhs, u.T, tol) is not None for u in motions):
+    if all(_linear_parts(p, u, True, tol) is not None for u in motions):
         return Classification(ClassificationKind.ALL_AFFINE, None, None,
                               "every motion in the subspace is affine")
 

@@ -43,12 +43,6 @@ def quadratic_value(q: np.ndarray, z) -> object:
     return zhat @ (exact_matrix(q) @ zhat)
 
 
-def linear_product_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Quadratic coefficient matrix of the product of two affine linears."""
-    m = np.outer(a, b)
-    return (m + m.T) * frac("1/2")
-
-
 def affine_poly_dependence(l1, q1, l2, q2) -> PolyDependence:
     """Which structural case makes (l1,q1) and (l2,q2) pointwise dependent.
 

@@ -4,7 +4,7 @@ These combine the rigidity oracles with the admissibility machinery:
 the conic space detects when affine motions isometric on a set of edges
 are forced to be trivial, and the extension report compares the
 rigidity predictions available for a Henneberg 2-extension against the
-generic-rank oracle.
+generic-rank oracle; both read a configuration's cleared points.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ def edge_conic_space(p: PointConfiguration, edges,
                      tol: float | None = None) -> Subspace:
     """Matrices m with (p_i - p_j)^T m (p_i - p_j) = 0 on every edge.
 
-    Returned as a subspace of R^(n*n) (row-major vec of m).  Skew
+    Returned as a subspace of R^(n*n) (row-major vec of m), the kernel of
+    the rows taken on p's cleared points (each scaled by den^2).  Skew
     matrices always belong; for a generic configuration and any of the
     six-edge probe graphs they are everything, so dimension 3 certifies
     that a 2-dimensional space of affine motions isometric on those
@@ -46,7 +47,7 @@ def edge_conic_space(p: PointConfiguration, edges,
         seen.add(e)
         if not (1 <= e[0] < e[1] <= p.count):
             raise ValueError(f"edge {e} out of range")
-        d = p.points[:, e[0] - 1] - p.points[:, e[1] - 1]
+        d = p.ints[:, e[0] - 1] - p.ints[:, e[1] - 1]
         rows.append(np.outer(d, d).reshape(-1))
     if not rows:
         return Subspace(n * n, linalg.identity(n * n, p.exact))
@@ -102,22 +103,22 @@ def _find_implied_probe(implied: set, xs: list[int]):
 class _Stretches:
     """g's stretch motions at the first V points of a sample q: u_e changes
     the length of edge e alone (R u_e is the unit vector at e, R g's
-    rigidity matrix), read from one exact solve R R^T W = R, so the rows
-    of W are the u_e up to one common scale.  motions is None when g is
-    not isostatic at those points; callers then run the per-case oracle
-    on q itself.  Any point of q beyond the V-th is the new vertex p_v.
+    rigidity matrix); the rows of W, the numerators of R R^T W = R solved
+    by linalg.solve_parts, are the u_e up to one common scale.  motions is
+    None when g is not isostatic at those points; callers then run the
+    per-case oracle on q itself.  q's point after the V-th is the new vertex.
     """
 
     def __init__(self, g: Graph, q: PointConfiguration):
         self.q = q
         n, v = q.dim, g.vertex_count
         pts = q.ints.T.tolist()
-        self.points, self.new = pts[:v], pts[v:]
+        self.base, self.new = pts[:v], pts[v:]
         self.motions = None
         fw = Framework(g, PointConfiguration(q.points[:, :v]))
         if analyze(fw).is_isostatic:
-            r = linalg.cleared(rigidity_matrix(fw))[0]
-            w = linalg.cleared(linalg.solve(r @ r.T, r))[0]
+            r = rigidity_matrix(fw)
+            w = linalg.solve_parts(r @ r.T, r)[0]
             edges, pairs = g.sorted_edges(), list(combinations(range(1, v + 1), 2))
             self.motions = {e: [row[n * k:n * k + n] for k in range(v)]
                             for e, row in zip(edges, w.tolist())}
@@ -141,7 +142,7 @@ class _Stretches:
         pv = self.new[0]
         rows = []
         for k in xs:
-            pk = self.points[k - 1]
+            pk = self.base[k - 1]
             d = [a - b for a, b in zip(pv, pk)]
             rows.append(d + [d[a] * pk[b] - d[b] * pk[a]
                              for a, b in combinations(range(len(d)), 2)]

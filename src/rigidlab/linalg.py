@@ -14,10 +14,10 @@ exact in both modes.  adjugate and solve_parts return integers over
 one denominator; invert and solve make Fractions of them (over).
 cleared, the one denominator-clearing helper, scales exact values by
 the lcm of their denominators (a list of Python ints passes as it is):
-a configuration's points once (motions.PointConfiguration), elimination
-rows, motions, pin samples and blocks, the stress gap's kernel rows and
-the stress-matched basis (admissibility), the pin x of
-sherman_morrison_inverse, check 12's pairs.
+a configuration's points once (motions.PointConfiguration, which every
+exact reader of a configuration then uses), elimination rows, motions,
+pin samples, the stress gap's kernel rows and the stress-matched basis
+(admissibility), the x of sherman_morrison_inverse, check 12's pairs.
 
 Only this module names the array format of a backend: other modules
 build their matrices with array, zeros, identity, ones_vector or
@@ -413,10 +413,7 @@ class Subspace:
         if exact:
             red, _ = _rref_exact([r.tolist() for r in rows], n)
             return cls(n, array(red))
-        stacked = np.vstack([r.astype(float) for r in rows])
-        if not stacked.any():
-            return cls(n, np.zeros((0, n)))
-        _, s, vh = np.linalg.svd(stacked)
+        _, s, vh = np.linalg.svd(np.vstack([r.astype(float) for r in rows]))
         return cls(n, vh[:_svd_rank(s, tol)].copy())
 
     @property

@@ -1,10 +1,11 @@
 """Point configurations and spaces of infinitesimal motions.
 
 A configuration is an n x k matrix whose column i is the position of
-point i; a motion assigns a velocity column to each point, stored the
-same way.  Motions flatten to vectors of length n*k column-major
-(velocity of point 1 first), which is also the coordinate order used by
-rigidity matrices.
+point i, cleared once into Python ints over one denominator: the only
+form exact code reads (strains, whose matrix on the unit motions is the
+rigidity matrix, affine ranks and the one linear-motion solve).  A
+motion assigns a velocity column to each point, stored the same way, and
+flattens column-major to length n*k (velocity of point 1 first).
 """
 
 from __future__ import annotations
@@ -58,8 +59,8 @@ class PointConfiguration:
     def is_general_position(self, tol: float | None = None) -> bool:
         """True when every subset of at most dim+1 points is affinely independent."""
         size = min(self.dim + 1, self.count)
-        return all(PointConfiguration(self.points[:, list(subset)]).affine_rank(tol)
-                   == size - 1 for subset in combinations(range(self.count), size))
+        return all(linalg.rank((self.ints[:, s[1:]] - self.ints[:, s[:1]]).T, tol)
+                   == size - 1 for s in map(list, combinations(range(self.count), size)))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PointConfiguration)
@@ -174,9 +175,6 @@ class MotionSpace:
         return [unflatten_motion(v, self.config.dim, self.config.count)
                 for v in self.subspace.basis]
 
-    def contains(self, u: np.ndarray, tol: float | None = None) -> bool:
-        return self.subspace.contains(flatten_motion(u), tol)
-
     def __repr__(self) -> str:
         return f"MotionSpace(dim={self.dim}, points={self.config.count})"
 
@@ -203,28 +201,35 @@ def trivial_motion_space(p: PointConfiguration,
     return MotionSpace.from_motions(p, gens, tol)
 
 
-def linear_motion_matrix(p: PointConfiguration, u: np.ndarray,
-                         tol: float | None = None):
-    """Matrix m with u = m @ points, or None when no such m exists."""
+def _linear_parts(p: PointConfiguration, u: np.ndarray, affine: bool,
+                  tol: float | None = None):
+    """(x, d) = linalg.solve_parts([ints^T | 1], u^T), the ones only when
+    affine, or None: u = m p (+ b 1^T) with m = den x[:dim]^T / d and
+    b = x[dim] / d; scaling unknowns by den moves no pivot."""
     u = np.asarray(u)
     if u.shape != p.points.shape:
         raise ValueError("motion shape does not match configuration")
-    x = linalg.solve(p.points.T, u.T, tol)
-    return None if x is None else x.T
+    lhs = p.ints.T
+    if affine:
+        lhs = np.hstack([lhs, linalg.array([[1]] * p.count, p.exact)])
+    return linalg.solve_parts(lhs, u.T, tol)
+
+
+def linear_motion_matrix(p: PointConfiguration, u: np.ndarray,
+                         tol: float | None = None):
+    """Matrix m with u = m @ points, or None when no such m exists."""
+    parts = _linear_parts(p, u, False, tol)
+    return None if parts is None else linalg.over(p.den * parts[0].T, parts[1])
 
 
 def affine_motion_parts(p: PointConfiguration, u: np.ndarray,
                         tol: float | None = None):
     """Pair (m, b) with u_i = m p_i + b for every point, or None."""
-    u = np.asarray(u)
-    if u.shape != p.points.shape:
-        raise ValueError("motion shape does not match configuration")
-    ones = linalg.ones_vector(p.count, p.exact).reshape(-1, 1)
-    lhs = np.hstack([p.points.T, ones])
-    x = linalg.solve(lhs, u.T, tol)
-    if x is None:
+    parts = _linear_parts(p, u, True, tol)
+    if parts is None:
         return None
-    return x[: p.dim].T, x[p.dim]
+    x, d = parts
+    return linalg.over(p.den * x[: p.dim].T, d), linalg.over(x[p.dim], d)
 
 
 def _ranks_mod_trivial(p: PointConfiguration, motions, tol: float | None = None,

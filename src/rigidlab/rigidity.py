@@ -1,9 +1,10 @@
 """Bar-joint frameworks: rigidity matrices, flexes, generic rank oracles.
 
-Generic properties are decided by exact arithmetic at random integer
-configurations: a rigidity witness at one sample certifies generic
-rigidity, while negative answers are only reported after two independent
-samples agree.
+The rigidity matrix is motions.strains on the unit motions (Python ints
+at an integer configuration).  Generic properties are decided by exact
+arithmetic at random integer configurations: a rigidity witness at one
+sample certifies generic rigidity, while negative answers are only
+reported after two independent samples agree.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .errors import BadSupportError
-from .motions import MotionSpace, PointConfiguration, pair_indices, strains
+from .motions import MotionSpace, PointConfiguration, strains
 from .sampling import random_config, subrng
 
 
@@ -104,16 +105,11 @@ class RigidityReport:
 
 
 def rigidity_matrix(fw: Framework) -> np.ndarray:
-    """The strain map on the edges as a matrix: row ij is (p_i - p_j)^T in
-    block i, its negative in block j (R @ u is strains(p, [u], edges))."""
+    """The strain map on the edges as a matrix: its row for edge ij holds
+    the strains of the unit motions on ij, (p_i - p_j)^T in block i and
+    its negative in block j (Python ints for an integer configuration)."""
     p = fw.config
-    i, j = pair_indices(fw.graph.sorted_edges())
-    d = p.points.T[i] - p.points.T[j]
-    r = linalg.zeros((len(d), p.dim * p.count), p.exact)
-    rows, cols = np.arange(len(d))[:, None], np.arange(p.dim)
-    r[rows, p.dim * i[:, None] + cols] = d
-    r[rows, p.dim * j[:, None] + cols] = -d
-    return r
+    return strains(p, np.eye(p.dim * p.count, dtype=int), fw.graph.sorted_edges()).T
 
 
 def flex_space(fw: Framework, tol: float | None = None) -> MotionSpace:

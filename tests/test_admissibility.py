@@ -14,13 +14,14 @@ from rigidlab.admissibility import (BLOCK_123, BLOCK_145, _mismatch_sampler,
                                     single_vertex_space, split_blocks,
                                     stress_matched_linear_space,
                                     sufficient_check)
-from rigidlab.errors import (DegenerateConfigError, OnAffineSpanError,
-                             ParallelSpanError)
+from rigidlab.errors import (DegenerateConfigError, HypothesisViolatedError,
+                             OnAffineSpanError, ParallelSpanError)
 from rigidlab.linalg import (cleared, exact_matrix, invert, nullspace_rows,
                              ones_vector, rank, sherman_morrison_inverse,
                              to_float)
-from rigidlab.motions import (MotionSpace, PointConfiguration, p_equivalent,
-                              take_points, trivial_motion_space)
+from rigidlab.motions import (MotionSpace, PointConfiguration, flatten_motion,
+                              p_equivalent, take_points,
+                              trivial_motion_space)
 from rigidlab.pins import PinContext, limit_velocity, pin_velocity
 from rigidlab.sampling import (DEFAULT_BOUND, random_exact_matrix,
                                random_exact_vector, random_float_vector,
@@ -159,7 +160,7 @@ def test_one_dim_lines_are_inadmissible():
         p = random_general_config(n, n + 1, 5, f"onedim/{n}/{idx}", bound=1000)
         triv = trivial_motion_space(p)
         u = random_exact_matrix(n, n + 1, subrng(5, f"onedim-u/{n}", idx), 1000)
-        assert not triv.contains(u)
+        assert not triv.subspace.contains(flatten_motion(u))
         assert one_dim_space_inadmissible(p, u, samples=10)
 
 
@@ -234,7 +235,7 @@ def test_pin_sample_count_must_be_positive(samples):
         check_admissibility(STANDARD, single_vertex_space(STANDARD), samples=samples)
     p = random_general_config(3, 4, 5, "onedim-count", bound=1000)
     u = random_exact_matrix(3, 4, subrng(5, "onedim-count-u", 0), 1000)
-    assert not trivial_motion_space(p).contains(u)
+    assert not trivial_motion_space(p).subspace.contains(flatten_motion(u))
     with pytest.raises(ValueError, match="samples must be positive"):
         one_dim_space_inadmissible(p, u, samples=samples)
 
@@ -371,7 +372,7 @@ def test_mismatch_map_matches_the_matrix_reference(idx):
     rng = subrng(idx, "ref-x")
     points = [random_exact_vector(3, rng, 1000),
               random_rational_matrix(1, 3, rng, 1000, 50)[0]]
-    sides = admissibility._pin_blocks(p)
+    sides = admissibility._pin_blocks(p, None)
     for s in _reference_spaces(p, idx):
         for x in points:
             cols = []
@@ -628,7 +629,7 @@ def _fraction_family(p: PointConfiguration, trials: int, seed: int):
     combination: Fraction kernel rows against the generators, Fraction
     coefficients against the reduced basis, summed from zeros, and the
     trivial intersection from the stacked trivial basis."""
-    sides = admissibility._pin_blocks(p)
+    sides = admissibility._pin_blocks(p, None)
     gens, gaps = [], []
     for a in range(3):
         for b in range(3):
@@ -664,3 +665,36 @@ def test_family_matches_the_fraction_combination(seed):
         got = construct_admissible_family(q, trials=20, seed=seed)
         assert len(got) == len(want) == 20
         assert all(np.array_equal(s.subspace.basis, w) for s, w in zip(got, want))
+
+
+# p3 is p1 + p2 up to 1e-5, so the block (1,2,3) is singular at tol 1e-3
+# and invertible at the default tol.
+NEAR = [[1, 2, 3], [4, -1, 2], [5.00001, 1, 5], [-3, 7, 2], [2, -5, 6]]
+
+
+def test_tol_reaches_every_pin_block_inversion():
+    p = PointConfiguration(np.array(NEAR, dtype=float).T)
+    s = single_vertex_space(p)
+    u = s.basis_motions()[0]
+    x = np.array([0.3, -0.7, 1.1])
+    four = PointConfiguration(p.points[:, :4])
+    calls = [lambda tol: check_admissibility(p, s, tol=tol),
+             lambda tol: sufficient_check(p, s, tol),
+             lambda tol: stress_matched_linear_space(p, tol),
+             lambda tol: pin_mismatch_map(p, s, x, tol),
+             lambda tol: projected_limit_mismatch(p, u, x, tol),
+             lambda tol: one_dim_space_inadmissible(four, np.eye(3, 4), tol=tol)]
+    for call in calls:
+        with pytest.raises(DegenerateConfigError, match="pin block is singular"):
+            call(1e-3)
+        call(None)
+    with pytest.raises(HypothesisViolatedError, match="pin block is singular"):
+        classify_admissible(p, s, 1e-3)
+
+
+def test_sufficient_check_of_a_family_member_builds_no_fraction(fraction_counter):
+    p = random_general_config(3, 5, 0, "family-config/0", bound=1000)
+    s = construct_admissible_family(p, trials=1, seed=0)[0]
+    before = fraction_counter()
+    assert sufficient_check(p, s)
+    assert fraction_counter() == before

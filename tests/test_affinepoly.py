@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 
 from rigidlab.affinepoly import (PolyDependence, affine_poly_dependence,
-                                 linear_product_matrix, quadratic_value)
+                                 quadratic_value)
 from rigidlab.linalg import exact_matrix, frac, rank
 from rigidlab.sampling import subrng
 
 Z1 = (0, 1, 0)
 Z2 = (0, 0, 1)
+
+
+def linear_product_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Quadratic coefficient matrix of the product of two affine linears."""
+    m = np.outer(a, b)
+    return (m + m.T) * frac("1/2")
 
 
 def linear_value(l, z):

@@ -120,6 +120,19 @@ def test_admissible_degenerate_config(tmp_path, capsys):
     assert "degenerate input" in capsys.readouterr().err
 
 
+def test_tol_reaches_the_pin_blocks(tmp_path, capsys):
+    # p3 is p1 + p2 up to 1e-5: the block (1,2,3) is singular at tol 1e-3.
+    config = _config_file(tmp_path, "near.json",
+                          [[1, 2, 3], [4, -1, 2], [5.00001, 1, 5],
+                           [-3, 7, 2], [2, -5, 6]])
+    line = _write(tmp_path, "line.json",
+                  {"basis": [[[0] * 5, [0] * 5, [1, 0, 0, 0, 0]]]})
+    argv = ["admissible", config, "--subspace", line, "--backend", "float"]
+    assert main(argv + ["--tol", "1e-3"]) == 4
+    assert "pin block is singular" in capsys.readouterr().err
+    assert main(argv) == 1
+
+
 def test_admissible_bad_builtin_token(tmp_path, capsys):
     config = _config_file(tmp_path, "p.json", STANDARD_POINTS)
     assert main(["admissible", config, "--builtin", "example2:x"]) == 3

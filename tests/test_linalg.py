@@ -98,6 +98,9 @@ def test_subspace_containment_and_equality():
         other = Subspace.from_spanning([cast(a), cast(b), cast(c + 1)], 6)
         assert big.contains_subspace(small) and not small.contains_subspace(big)
         assert big.contains_subspace(Subspace.from_spanning([], 6))
+        # All-zero spanning vectors give the zero space on both backends.
+        zero = Subspace.from_spanning([cast(a * 0), cast(b * 0)], 6)
+        assert zero.basis.shape == (0, 6) and big.contains_subspace(zero)
         assert big.equals(Subspace.from_spanning([cast(b), cast(c), cast(a - c)], 6))
         assert not big.equals(small) and not big.equals(other)
 

@@ -17,7 +17,8 @@ from rigidlab.motions import (MotionSpace, PointConfiguration,
 from rigidlab.admissibility import proportional_pair_space, single_vertex_space
 from rigidlab.rigidity import (Framework, Graph, analyze, flex_space,
                                rigidity_matrix)
-from rigidlab.sampling import random_config, random_exact_matrix, subrng
+from rigidlab.sampling import (random_config, random_exact_matrix,
+                               random_rational_matrix, subrng)
 
 STANDARD = PointConfiguration(exact_matrix(
     [[1, 0, 0, 1, 1],
@@ -137,17 +138,40 @@ def _strain_cases(draw):
     return PointConfiguration(points), motions, pairs
 
 
+def _scatter_rigidity_matrix(p: PointConfiguration, pairs) -> np.ndarray:
+    """The rigidity matrix by scattering each chord p_a - p_b of p's points
+    into block a and its negative into block b: the reference for strains
+    and for rigidity_matrix, which is strains on the unit motions."""
+    i, j = motions.pair_indices(pairs)
+    d = p.points.T[i] - p.points.T[j]
+    r = zeros((len(d), p.dim * p.count), p.exact)
+    rows, cols = np.arange(len(d))[:, None], np.arange(p.dim)
+    r[rows, p.dim * i[:, None] + cols] = d
+    r[rows, p.dim * j[:, None] + cols] = -d
+    return r
+
+
 @settings(max_examples=80, deadline=None)
 @given(case=_strain_cases())
 @example(case=(PointConfiguration(exact_matrix([[0, 1]])),
                [[2**62 + 7, -2**62 - 9]], [(1, 2)]))
+@example(case=(PointConfiguration(exact_matrix([[3, -1, 4], [1, 5, -9]])),
+               [[2, 7, 1, -8, 2, 8]], [(1, 3), (2, 3)]))
+@example(case=(PointConfiguration(exact_matrix([["1/3", "2/7"], ["-5/2", 4]])),
+               [[1, 2, 3, 4]], []))
+@example(case=(PointConfiguration(np.array([[0.5, -1.25, 3.0]])),
+               [[1.5, -2.0, 0.25]], [(1, 2), (1, 3)]))
 def test_strains_are_the_rigidity_matrix_on_each_motion(case):
     # Exact motions arrive as lists of Python ints, as cleared gives them:
     # taken through np.asarray they would become int64 and overflow.
     p, motions, pairs = case
     fw = Framework(Graph.from_edges(p.count, pairs), p)
+    ref = _scatter_rigidity_matrix(p, fw.graph.sorted_edges())
+    r = rigidity_matrix(fw)
+    assert r.shape == ref.shape == (len(pairs), p.dim * p.count)
+    assert r.dtype == ref.dtype and (r == ref).all()
     flat = exact_matrix(motions) if p.exact else np.array(motions)
-    want = dict(zip(fw.graph.sorted_edges(), rigidity_matrix(fw) @ flat.T))
+    want = dict(zip(fw.graph.sorted_edges(), ref @ flat.T))
     as_set = set(pairs)
     for order, given_pairs in ((list(as_set), as_set), (pairs, iter(pairs))):
         got = strains(p, motions, given_pairs)
@@ -199,6 +223,48 @@ def test_linear_and_affine_recovery():
     # a motion supported on one point is not affine for points in general position
     lonely = single_vertex_space(p).basis_motions()[0]
     assert affine_motion_parts(p, lonely) is None
+
+
+def _solve_reference(p: PointConfiguration, u, affine: bool):
+    """linear_motion_matrix (affine False) or affine_motion_parts by
+    linalg.solve on the points themselves: free variables set to zero."""
+    lhs = p.points.T
+    if affine:
+        lhs = np.hstack([lhs, ones_vector(p.count, p.exact).reshape(-1, 1)])
+    x = linalg.solve(lhs, np.asarray(u).T)
+    if x is None:
+        return None
+    return (x[:p.dim].T, x[p.dim]) if affine else x.T
+
+
+def test_linear_motion_solve_matches_the_reference():
+    # Integer, rational and float configurations, among them coplanar,
+    # collinear and coincident points, where the solve is rank-deficient
+    # and the particular solution (free variables zero) must match too.
+    rng = subrng(1, "lin-ref")
+    configs = [pts for _, pts, _ in _affine_configs(3)]
+    configs += [pts * Fraction(2, 7) + random_exact_matrix(3, 1, rng, 9) * Fraction(1, 3)
+                for pts in configs]
+    planar = random_rational_matrix(3, 2, rng, 20, 9) @ random_exact_matrix(2, 5, rng, 9)
+    configs += [planar, random_rational_matrix(3, 5, rng, 50, 11)]
+    checked = {True: 0, False: 0}
+    for pts in configs:
+        for q in (PointConfiguration(pts), PointConfiguration(to_float(pts))):
+            m = random_exact_matrix(3, 3, rng, 9)
+            b = random_exact_matrix(3, 1, rng, 9)
+            noise = random_exact_matrix(3, q.count, rng, 9)
+            for u in (m @ pts, m @ pts + b, m @ pts + noise):
+                u = u if q.exact else to_float(u)
+                for affine, got in ((False, linear_motion_matrix(q, u)),
+                                    (True, affine_motion_parts(q, u))):
+                    want = _solve_reference(q, u, affine)
+                    checked[got is None] += 1
+                    if want is None:
+                        assert got is None
+                        continue
+                    for g, w in zip(*((got, want) if affine else ((got,), (want,)))):
+                        assert g.dtype == w.dtype and (g == w).all()
+    assert checked[True] and checked[False]
 
 
 def test_p_equivalent_ignores_trivial_shifts():

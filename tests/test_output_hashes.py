@@ -5,9 +5,10 @@ refactored (the elimination kernel, the zero rule, the shared sampling
 and search helpers, check 12's integer oracle, the closed-form trivial
 dimension, the strain rank modulo the trivial motions, the 2-extension
 table, the integer admissibility path, the one pin formula, the integer
-verify battery); the code must reproduce them byte for byte.  Input
-files are written under fixed relative names, because the manifest
-record echoes the paths it was given.
+verify battery, the integer rigidity matrix and linear-motion solve);
+the code must reproduce them byte for byte.  Input files are written
+under fixed relative names, because the manifest record echoes the
+paths it was given.
 """
 
 import hashlib
@@ -31,6 +32,10 @@ CONFIGS = {
     # On the plane z = 1, both pin blocks invertible: the trivial motions
     # are not the strain-free ones, so condition 1 takes the stacked rank.
     "coplanar.json": [[1, 2, 1], [5, -3, 1], [-4, 7, 1], [2, 9, 1], [-6, -5, 1]],
+    # Coordinates with denominators: the cleared integer form has den > 1.
+    "rational.json": [["1/3", "2/7", "-5/2"], ["4", "-1/5", "2/9"],
+                      ["5/11", "1", "-5/3"], ["-3/4", "7/13", "2"],
+                      ["2/5", "-5/6", "6/7"]],
 }
 
 # Point 1 moving along e3: strain-free on coplanar.json, and not trivial.
@@ -110,6 +115,24 @@ CASES = [
      "500e7dfb12f6b34eae833e773896cbe1d37a222874c5cb54383645543250986d"),
     (["verify", "--seed", "12"], 1,
      "2b80305c5f9a13293d7871d51bf7e93c2e7e8037637f948b97d6e52ab375eee6"),
+    # A configuration with denominators, on both backends, and a
+    # henneberg 2-extension of K5 - e.
+    (["analyze", "k5e.json", "rational.json"], 0,
+     "24a7e36bc8c67a0426e36f8c4b49d333f8c0f29ad4330d6cbac0ed6e10e0c6dd"),
+    (["analyze", "k5e.json", "rational.json", "--backend", "float"], 0,
+     "a057b6fe85e34941d0e4d61693fc61c7ddbe98c498831fb3e395b4967613c197"),
+    (["conic", "rational.json", "--probe", "triangle-and-path"], 0,
+     "9914034e931f776679cbd3fbba69a10d3dddac1543c812b053f7e04ce2eb8d8b"),
+    (["conic", "rational.json", "--probe", "triangle-and-path",
+      "--backend", "float"], 0,
+     "4d6c8f432b7c3d8d2317a9566be6aa277cd7a579e3a9655752edc0209b8f4924"),
+    (["admissible", "rational.json", "--builtin", "example2:3/7"], 0,
+     "ef14dbea517c58d123d4833f10129e7ed90f19d29346a42a09ef4a27eaf9f979"),
+    (["admissible", "rational.json", "--builtin", "example2:3/7",
+      "--backend", "float"], 0,
+     "a918381bdb89b0c6841cab61c183ef729611c9cd31cf9eca29de955bc043e8e2"),
+    (["henneberg", "k5e.json", "-x", "1", "2", "3", "4", "5", "-f", "1,2", "2,3"], 0,
+     "f67d646c155aefa2d66330155091f3f154355f15508cacd88a6d010c2a31ac34"),
 ]
 
 

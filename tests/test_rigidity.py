@@ -139,6 +139,14 @@ def test_rank_of_rigidity_matrix_counts_constraints():
     assert rank(m) == 9
 
 
+def test_analyze_of_an_integer_configuration_builds_no_fraction(fraction_counter):
+    fw = Framework(Graph.complete(8), random_config(3, 8, subrng(0, "x", 0)))
+    before = fraction_counter()
+    report = analyze(fw)
+    assert report.is_rigid and not report.is_isostatic
+    assert fraction_counter() == before
+
+
 def _octahedron() -> Graph:
     antipodal = {(1, 2), (3, 4), (5, 6)}
     return Graph.from_edges(6, [e for e in Graph.complete(6).sorted_edges()

@@ -4,10 +4,11 @@ import pytest
 
 from rigidlab import verify
 from rigidlab.affinepoly import (PolyDependence, affine_poly_dependence,
-                                 linear_product_matrix, quadratic_value)
+                                 quadratic_value)
 from rigidlab.linalg import cleared, exact_matrix, frac, rank
 from rigidlab.sampling import subrng
 from rigidlab.verify import CHECK_NAMES, CheckResult, run_battery, run_check
+from test_affinepoly import linear_product_matrix
 
 
 def test_check_names_are_stable():
@@ -239,8 +240,10 @@ def test_integer_poly_instances_scale_the_fraction_ones(seed):
 
 
 @pytest.mark.parametrize("name, ceiling", [
-    ("admissible-family", 2464),  # 2,240 at seed 0, plus 10%
+    ("admissible-family", 2464),  # 2,240 plus 10%; 1,880 at seed 0 now
     ("affine-poly-cases", 0),
+    ("extension-predictions", 94),  # 86 at seed 0, plus 10%
+    ("conic-at-infinity", 3083),  # 2,803 at seed 0, plus 10%
 ])
 def test_checks_build_few_fractions(fraction_counter, name, ceiling):
     assert run_check(name, 0).passed
