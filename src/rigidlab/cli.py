@@ -351,27 +351,32 @@ def cmd_verify(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Each subcommand takes only the options it reads; the rest keep the
+    # parser-level defaults, which the manifest records.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0,
                         help="seed for all randomized sampling (default 0)")
-    common.add_argument("--samples", type=int, default=None,
-                        help="override per-operation sample counts")
-    common.add_argument("--backend", choices=("exact", "float"), default="exact",
-                        help="arithmetic backend (default exact)")
-    common.add_argument("--tol", type=float, default=None,
-                        help="float-backend zero and rank tolerance, in (0, 1)")
     common.add_argument("--format", dest="fmt", choices=("text", "jsonl"),
                         default="text", help="output format (default text)")
+    sampled = argparse.ArgumentParser(add_help=False)
+    sampled.add_argument("--samples", type=int, default=None,
+                         help="override per-operation sample counts")
+    backend = argparse.ArgumentParser(add_help=False)
+    backend.add_argument("--backend", choices=("exact", "float"), default="exact",
+                         help="arithmetic backend (default exact)")
+    backend.add_argument("--tol", type=float, default=None,
+                         help="float-backend zero and rank tolerance, in (0, 1)")
 
     parser = argparse.ArgumentParser(
         prog="rigidlab",
         description="Infinitesimal rigidity and admissible motion subspaces.",
         epilog=EXIT_TABLE,
         formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.set_defaults(samples=None, backend="exact", tol=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_an = sub.add_parser(
-        "analyze", parents=[common],
+        "analyze", parents=[common, backend],
         help="flex dimension and rigidity of a graph (exit 0 iff rigid)")
     p_an.add_argument("graph", help="graph JSON file")
     p_an.add_argument("config", nargs="?", default=None,
@@ -395,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_he.set_defaults(func=cmd_henneberg)
 
     p_ad = sub.add_parser(
-        "admissible", parents=[common],
+        "admissible", parents=[common, sampled, backend],
         help="sampled admissibility of a motion subspace (exit 0 iff admissible)")
     p_ad.add_argument("config", nargs="?", default=None,
                       help="3x5 configuration JSON file (default: seeded random)")
@@ -416,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_im.set_defaults(func=cmd_implied)
 
     p_co = sub.add_parser(
-        "conic", parents=[common],
+        "conic", parents=[common, backend],
         help="edge-direction conic space (exit 0 iff exactly the skew space)")
     p_co.add_argument("config", nargs="?", default=None,
                       help="3x5 configuration JSON file (default: seeded random)")
@@ -428,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_co.set_defaults(func=cmd_conic)
 
     p_ve = sub.add_parser(
-        "verify", parents=[common],
+        "verify", parents=[common, sampled],
         help="run the verification battery (exit 0 iff all checks pass)")
     p_ve.add_argument("--checks", nargs="+", choices=CHECK_NAMES, default=None,
                       help="run only the named checks")

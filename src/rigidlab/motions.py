@@ -16,7 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from . import linalg
-from .linalg import Subspace, is_exact, is_zero, zeros
+from .linalg import Subspace, is_exact, is_zero
 
 
 class PointConfiguration:
@@ -94,16 +94,11 @@ def unflatten_motion(vec: np.ndarray, dim: int, count: int) -> np.ndarray:
 
 
 def skew_basis(n: int, exact: bool = True) -> list[np.ndarray]:
-    """Standard basis of the skew-symmetric n x n matrices."""
-    out = []
-    eye = linalg.identity(n, exact)
-    for i in range(n):
-        for j in range(i + 1, n):
-            a = zeros((n, n), exact)
-            a[i] = eye[j]
-            a[j] -= eye[i]
-            out.append(a)
-    return out
+    """Standard basis E_ij - E_ji (i < j) of the skew-symmetric n x n
+    matrices: integer entries, Python ints when exact."""
+    return [linalg.array([[((a, b) == (i, j)) - ((a, b) == (j, i)) for b in range(n)]
+                          for a in range(n)], exact)
+            for i, j in combinations(range(n), 2)]
 
 
 def pair_indices(pairs) -> tuple[np.ndarray, np.ndarray]:
@@ -126,7 +121,8 @@ def strains(p: PointConfiguration, motions, pairs) -> np.ndarray:
 def _preserves_distances(p: PointConfiguration, motions, ids,
                          tol: float | None) -> bool:
     """True when each flattened motion has zero strain on every pair of the
-    1-based points ids; a float strain is scaled by |u_a - u_b| |p_a - p_b|.
+    1-based points ids; a float strain is scaled by (|u_a| + |u_b|)
+    (|p_a| + |p_b|), the operands its differences round against.
     Exact motions are cleared to ints first: the same zeros, no Fraction."""
     pairs = list(combinations(ids, 2))
     u = linalg.cleared(linalg.array(motions, p.exact))[0]
@@ -135,8 +131,8 @@ def _preserves_distances(p: PointConfiguration, motions, ids,
         return is_zero(values)
     i, j = pair_indices(pairs)
     u, pts = u.reshape(-1, p.count, p.dim), p.points.T
-    scale = (np.linalg.norm(u[:, i] - u[:, j], axis=2)
-             * np.linalg.norm(pts[i] - pts[j], axis=1))
+    unorm, pnorm = np.linalg.norm(u, axis=2), np.linalg.norm(pts, axis=1)
+    scale = (unorm[:, i] + unorm[:, j]) * (pnorm[i] + pnorm[j])
     return bool(linalg.zero_rows(values.reshape(-1, 1), tol, scale.reshape(-1, 1)).all())
 
 
@@ -183,21 +179,18 @@ def trivial_motion_space(p: PointConfiguration,
                          tol: float | None = None) -> MotionSpace:
     """Motions induced by translations and infinitesimal rotations.
 
-    Spanned by the constant fields e_j 1^T and the fields x -> a x for a
-    running over a skew-symmetric basis; dimension is n(n+1)/2 whenever
-    the affine span of the points has dimension at least n-1.
+    Spanned by the constant fields e_j 1^T and the fields a (x - p_1) for
+    a in skew_basis(n), on the cleared points; dimension is n(n+1)/2
+    whenever the affine span of the points has dimension at least n-1.
+    A rotation about p_1 differs from one about the origin by a
+    translation, so the span is the same, and the translations scaled by
+    max|p_i - p_1| keep float generators balanced at any scale and offset.
     """
-    n, k, exact = p.dim, p.count, p.exact
-    # Translations e_b 1^T, then the rotations.
-    gens = [linalg.array([[int(a == b)] * k for a in range(n)], exact)
-            for b in range(n)]
-    # skew_basis(n)'s E_ij - E_ji times the cleared points (the same span
-    # as the points themselves), as row copies.
-    for i, j in combinations(range(n), 2):
-        t = linalg.array([[0] * k] * n, exact)
-        t[i] = p.ints[j]
-        t[j] = -p.ints[i]
-        gens.append(t)
+    rel = p.ints - p.ints[:, :1]
+    unit = np.abs(rel).max(initial=0) or 1
+    gens = [linalg.array([[unit * (a == b)] * p.count for a in range(p.dim)], p.exact)
+            for b in range(p.dim)]
+    gens += [a @ rel for a in skew_basis(p.dim, p.exact)]
     return MotionSpace.from_motions(p, gens, tol)
 
 

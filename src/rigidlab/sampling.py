@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import DegenerateConfigError
-from .linalg import zeros
+from .linalg import array, zeros
 from .motions import PointConfiguration
 
 DEFAULT_BOUND = 10 ** 6
@@ -32,10 +32,10 @@ def random_int_vector(n: int, rng: random.Random,
 
 def random_exact_matrix(nrows: int, ncols: int, rng: random.Random,
                         bound: int = DEFAULT_BOUND) -> np.ndarray:
-    out = zeros((nrows, ncols))
-    for i in range(nrows):
-        out[i, :] = [Fraction(v) for v in random_int_vector(ncols, rng, bound)]
-    return out
+    """random_int_vector draws, one row at a time, as an object array of
+    Python ints."""
+    return array([random_int_vector(ncols, rng, bound) for _ in range(nrows)]
+                 ).reshape(nrows, ncols)
 
 
 def random_exact_vector(n: int, rng: random.Random,

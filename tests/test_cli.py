@@ -111,6 +111,37 @@ def test_admissible_rejects_trivial_overlap(tmp_path, capsys):
     assert "admissible: false" in out
 
 
+# random_general_config(3, 5, 0, "cli-admissible", bound=1000) shifted by
+# 10^6: rotations about the origin are almost translations there.
+OFFSET_POINTS = [[1000352, 999475, 1000935], [999241, 999848, 1000010],
+                 [1000139, 999567, 999663], [1000025, 1000497, 999343],
+                 [1000532, 999586, 999225]]
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_far_offset_translation_meets_the_trivial_motions(tmp_path, capsys, backend):
+    config = _config_file(tmp_path, "offset6.json", OFFSET_POINTS)
+    subspace = _write(tmp_path, "trans3.json", {"basis": [
+        [[1, 1, 1, 1, 1], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0]],
+        [[1, 0, 0, 0, 0], [0, 0, 0, 0, 0], [0, 0, 0, 0, 0]],
+        [[0, 0, 0, 0, 0], [1, 0, 0, 0, 0], [0, 0, 0, 0, 0]],
+    ]})
+    assert main(["admissible", config, "--subspace", subspace,
+                 "--backend", backend]) == 1
+    out = capsys.readouterr().out
+    assert "intersects_trivial: true" in out
+    assert "admissible: false" in out
+
+
+@pytest.mark.parametrize("token", ["example1", "example2:-2"])
+def test_far_offset_float_classification_matches_exact(tmp_path, capsys, token):
+    config = _config_file(tmp_path, "offset6.json", OFFSET_POINTS)
+    for backend in ("exact", "float"):
+        assert main(["admissible", config, "--builtin", token,
+                     "--backend", backend]) == 0
+        assert "classification: rank-one-form" in capsys.readouterr().out
+
+
 def test_admissible_degenerate_config(tmp_path, capsys):
     # point 1 at the origin makes both pin blocks singular
     config = _config_file(tmp_path, "p.json",
@@ -238,6 +269,22 @@ def test_samples_must_be_positive(capsys):
         main(["verify", "--samples", "0"])
     assert excinfo.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["implied", "--backend", "float"], ["henneberg", "-x", "1", "2", "3", "--tol", "0.5"],
+    ["verify", "--backend", "float"], ["analyze", "--samples", "3"],
+    ["conic", "--probe", "triangle-and-path", "--samples", "3"]], ids="-".join)
+def test_subcommands_refuse_options_they_do_not_read(tmp_path, capsys, argv):
+    graph = _graph_file(tmp_path, "k4.json", Graph.complete(4))
+    if argv[0] in ("implied", "henneberg", "analyze"):
+        argv = [argv[0], graph, *argv[1:]]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
 
 
 @pytest.mark.parametrize("dim", ["0", "-1"])

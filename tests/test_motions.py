@@ -18,7 +18,8 @@ from rigidlab.admissibility import proportional_pair_space, single_vertex_space
 from rigidlab.rigidity import (Framework, Graph, analyze, flex_space,
                                rigidity_matrix)
 from rigidlab.sampling import (random_config, random_exact_matrix,
-                               random_rational_matrix, subrng)
+                               random_float_matrix, random_rational_matrix,
+                               subrng)
 
 STANDARD = PointConfiguration(exact_matrix(
     [[1, 0, 0, 1, 1],
@@ -38,7 +39,9 @@ def test_skew_basis_shapes():
     assert len(basis) == 3
     for a in basis:
         assert (a.T == -a).all()
+        assert all(type(v) is int for v in a.flat)
     assert len(skew_basis(2)) == 1
+    assert all(a.dtype == float for a in skew_basis(3, exact=False))
 
 
 def _affine_configs(n: int):
@@ -185,22 +188,35 @@ def test_strains_are_the_rigidity_matrix_on_each_motion(case):
     assert strains(p, motions, []).shape == (len(motions), 0)
 
 
+def _origin_rotation_space(q: PointConfiguration) -> Subspace:
+    """The span of the unit translations and skew_basis(n) times the raw
+    points: rotations about the origin."""
+    gens = []
+    for j in range(q.dim):
+        t = zeros((q.dim, q.count), q.exact)
+        t[j] = ones_vector(q.count, q.exact)
+        gens.append(t)
+    gens += [a @ q.points for a in skew_basis(q.dim, q.exact)]
+    return MotionSpace.from_motions(q, gens).subspace
+
+
 def test_trivial_space_is_spanned_by_the_skew_basis_products():
-    # The rotation generators are skew_basis(n) times the points; the
-    # basis comes out the same, exact and in float64 at any scale.
+    # The rotations are skew_basis(n) about point 1, a translation away from
+    # those about the origin: the same exact reduced basis, the same float
+    # span where the origin reference is well conditioned, and the full
+    # dimension in float64 at any scale and offset.
     for n, k in [(2, 3), (3, 4), (3, 5), (4, 6)]:
         p = random_config(n, k, subrng(1, f"span/{n}/{k}"), bound=1000)
-        for q in (p, *(PointConfiguration(to_float(p.points) * s)
-                       for s in (1e-6, 1.0, 1e6))):
-            gens = []
-            for j in range(n):
-                t = zeros((n, k), q.exact)
-                t[j] = ones_vector(k, q.exact)
-                gens.append(t)
-            gens += [a @ q.points for a in skew_basis(n, q.exact)]
-            want = MotionSpace.from_motions(q, gens).subspace.basis
-            got = trivial_motion_space(q).subspace.basis
-            assert got.shape == want.shape and np.array_equal(got, want)
+        got = trivial_motion_space(p).subspace.basis
+        assert got.tolist() == _origin_rotation_space(p).basis.tolist()
+        pts = to_float(p.points)
+        for s in (1e-3, 1.0, 1e3):
+            q = PointConfiguration(pts * s)
+            assert trivial_motion_space(q).subspace.equals(_origin_rotation_space(q))
+        shifted = ([pts * 10.0 ** e for e in range(-16, 17)]
+                   + [pts + 10.0 ** e for e in range(4, 13)])
+        for q in map(PointConfiguration, shifted):
+            assert trivial_motion_space(q).dim == n * (n + 1) // 2, (n, k)
 
 
 def test_trivial_motions_are_isometries():
@@ -209,6 +225,20 @@ def test_trivial_motions_are_isometries():
         assert is_infinitesimal_isometry(p, u)
     # the radial stretch grows every bar
     assert not is_infinitesimal_isometry(p, p.points)
+
+
+def test_float_isometry_test_holds_at_any_scale_and_offset():
+    # A nearly translational basis motion rounds against |u_a| + |u_b|, not
+    # |u_a - u_b|; random motions still strain some bar.
+    p = random_config(3, 5, subrng(1, "iso", 0), bound=50)
+    rng = subrng(1, "iso-random", 0)
+    moves = [random_float_matrix(3, 5, rng) for _ in range(5)]
+    pts = to_float(p.points)
+    shifted = [pts * 10.0 ** e for e in range(-6, 13)] + [pts + 1e6, pts + 1e9]
+    for q in map(PointConfiguration, shifted):
+        assert all(is_infinitesimal_isometry(q, u)
+                   for u in trivial_motion_space(q).basis_motions())
+        assert not any(is_infinitesimal_isometry(q, u) for u in moves)
 
 
 def test_linear_and_affine_recovery():

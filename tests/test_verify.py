@@ -6,7 +6,7 @@ from rigidlab import verify
 from rigidlab.affinepoly import (PolyDependence, affine_poly_dependence,
                                  quadratic_value)
 from rigidlab.linalg import cleared, exact_matrix, frac, rank
-from rigidlab.sampling import subrng
+from rigidlab.sampling import random_config, subrng
 from rigidlab.verify import CHECK_NAMES, CheckResult, run_battery, run_check
 from test_affinepoly import linear_product_matrix
 
@@ -240,7 +240,9 @@ def test_integer_poly_instances_scale_the_fraction_ones(seed):
 
 
 @pytest.mark.parametrize("name, ceiling", [
+    ("pin-flex-property", 3520),  # 3,200 at seed 0, plus 10%
     ("admissible-family", 2464),  # 2,240 plus 10%; 1,880 at seed 0 now
+    ("one-dim-inadmissible", 0),
     ("affine-poly-cases", 0),
     ("extension-predictions", 94),  # 86 at seed 0, plus 10%
     ("conic-at-infinity", 3083),  # 2,803 at seed 0, plus 10%
@@ -248,3 +250,9 @@ def test_integer_poly_instances_scale_the_fraction_ones(seed):
 def test_checks_build_few_fractions(fraction_counter, name, ceiling):
     assert run_check(name, 0).passed
     assert fraction_counter() <= ceiling
+
+
+def test_exact_draws_are_python_ints(fraction_counter):
+    p = random_config(3, 8, subrng(0, "int-draws", 0))
+    assert fraction_counter() == 0
+    assert all(type(v) is int for v in p.points.flat)
