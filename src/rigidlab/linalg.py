@@ -10,7 +10,11 @@ Exact entries are fractions.Fraction at the boundary only: every exact
 rank, nullspace, solve and inverse runs _bareiss, Bareiss elimination
 on Python ints: Gauss-Jordan for nullspace, solve and inverse, forward
 only for rank and spanned_columns, the row-space test.  Divisions are
-exact in both modes.  adjugate and solve_parts return integers over
+exact in both modes.  The one kernel also reduces modulo PRIME, for a
+rank or spanned_columns given a bound on the rank that the caller has
+proved: a minor nonzero mod PRIME is a nonzero integer, so a bound
+reached mod PRIME is reached over Q, and only a rank that falls short
+is eliminated over Q.  adjugate and solve_parts return integers over
 one denominator; invert and solve make Fractions of them (over).
 cleared, the one denominator-clearing helper, scales exact values by
 the lcm of their denominators (a list of Python ints passes as it is):
@@ -39,6 +43,7 @@ from .errors import OnAffineSpanError, SingularMatrixError
 # Relative tolerance used by every float64 rank/zero decision.  Callers can
 # override per call; exact-backend calls ignore it.
 DEFAULT_RANK_TOL = 1e-9
+PRIME = 2 ** 31 - 1  # the modulus of the rank modulo a prime
 
 
 def _tol(tol: float | None) -> float:
@@ -148,7 +153,8 @@ def cleared(values):
     return [v.numerator * (d // v.denominator) for v in values], d
 
 
-def _bareiss(rows: list[list], ncols: int, reduce: bool = True):
+def _bareiss(rows: list[list], ncols: int, reduce: bool = True,
+             modulus: int | None = None):
     """Fraction-free elimination: (integer rows, pivot columns, d), d the
     last pivot (1 when there is none).
 
@@ -165,9 +171,13 @@ def _bareiss(rows: list[list], ncols: int, reduce: bool = True):
     updated at every step, a zero in the pivot column included; every
     row comes back in echelon form, those below the rank zero in the
     first ncols columns.  The rows below never read the rows above, so
-    both modes find the same pivots.
+    both modes find the same pivots.  With a modulus every entry is a
+    residue and each update is (a p - f b) % modulus, with no division:
+    a row whose pivot-column entry is 0 is left as it is.
     """
     mat = [cleared(row)[0] for row in rows]
+    if modulus:
+        mat = [[v % modulus for v in row] for row in mat]
     pivots: list[int] = []
     lead = 0
     prev = 1
@@ -183,8 +193,12 @@ def _bareiss(rows: list[list], ncols: int, reduce: bool = True):
         base = mat[lead]
         p = base[col]
         for i in range(0 if reduce else lead + 1, len(mat)):
-            if i != lead:
-                f = mat[i][col]
+            f = mat[i][col]
+            if i == lead or (modulus and not f):
+                continue
+            if modulus:
+                mat[i] = [(a * p - f * b) % modulus for a, b in zip(mat[i], base)]
+            else:
                 mat[i] = ([(a * p - f * b) // prev for a, b in zip(mat[i], base)] if f
                           else [a * p // prev for a in mat[i]])
         prev = p
@@ -211,26 +225,43 @@ def _svd_rank(s: np.ndarray, tol: float | None):
     return (s > _tol(tol) * s[..., :1]).sum(axis=-1)
 
 
-def rank(m: np.ndarray, tol: float | None = None):
-    """Rank of a matrix or a vector; a 3-D stack gives one per matrix."""
+def _reaches_mod_p(rows: list[list], ncols: int, full: int | None) -> bool:
+    """Whether the first ncols columns of the integer rows have rank full
+    (not None) modulo PRIME, which proves rank >= full over Q."""
+    return (full is not None and full <= min(len(rows), ncols)
+            and len(_bareiss(rows, ncols, False, PRIME)[1]) == full)
+
+
+def rank(m: np.ndarray, tol: float | None = None, bound: int | None = None):
+    """Rank of a matrix or a vector; a 3-D stack gives one per matrix.
+    bound, a proven upper bound on each exact rank, lets a rank that
+    reaches it modulo PRIME skip exact elimination; float ignores it."""
     m = np.asarray(m)
     stack = m if m.ndim == 3 else m.reshape(1, 1, -1) if m.ndim < 2 else m[None]
     if stack.size == 0:
         ranks = [0] * len(stack)
     elif is_exact(stack):
-        ranks = [len(_rref_exact(a.tolist(), stack.shape[2], reduce=False)[1])
-                 for a in stack]
+        ncols = stack.shape[2]
+        full = None if bound is None else min(bound, *stack.shape[1:])
+        ranks = [full if _reaches_mod_p(rows, ncols, full)
+                 else len(_rref_exact(rows, ncols, reduce=False)[1])
+                 for rows in map(np.ndarray.tolist, stack)]
     else:
         ranks = _svd_rank(np.linalg.svd(stack.astype(float), compute_uv=False),
                           tol).tolist()
     return ranks if m.ndim == 3 else ranks[0]
 
 
-def spanned_columns(m: np.ndarray, ncols: int) -> list[bool]:
+def spanned_columns(m: np.ndarray, ncols: int, bound: int | None = None) -> list[bool]:
     """Whether each column of the exact matrix m after the first ncols lies
     in their span: forward elimination with pivots in those columns only,
-    and a column is spanned when it is zero in every row below the rank."""
-    rows, pivots = _rref_exact(m.tolist(), ncols, reduce=False)
+    and a column is spanned when it is zero in every row below the rank.
+    With bound, a proven upper bound on the rank of m, first ncols
+    columns that reach it modulo PRIME span every column."""
+    rows = m.tolist()
+    if _reaches_mod_p(rows, ncols, bound):
+        return [True] * (m.shape[1] - ncols)
+    rows, pivots = _rref_exact(rows, ncols, reduce=False)
     return [not any(row[j] for row in rows[len(pivots):]) for j in range(ncols, m.shape[1])]
 
 

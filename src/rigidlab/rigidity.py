@@ -119,22 +119,31 @@ def flex_space(fw: Framework, tol: float | None = None) -> MotionSpace:
     return MotionSpace(fw.config, sub)
 
 
+def _trivial_dim(p: PointConfiguration, tol: float | None = None) -> int:
+    """Dimension of the trivial motions, n(n+1)/2 - (n-a)(n-a-1)/2, a the
+    dimension of the points' affine span: rotations fixing the span move
+    nothing.  Every strain row vanishes on them, so the rank of any stack
+    of strain rows is at most n V minus this."""
+    n, a = p.dim, p.affine_rank(tol)
+    return n * (n + 1) // 2 - (n - a) * (n - a - 1) // 2
+
+
 def analyze(fw: Framework, tol: float | None = None) -> RigidityReport:
     """Flex dimension, trivial dimension, and isostaticity of a framework.
 
     Isostatic means rigid with every edge load-bearing, which holds
     exactly when the edge rows are independent: one rank decides both.
-    On the exact backend that rank is integer elimination (see linalg).
-    The trivial dimension is n(n+1)/2 - (n-a)(n-a-1)/2, a the dimension
-    of the points' affine span: rotations fixing the span move nothing.
+    On the exact backend that rank is integer elimination (see linalg)
+    bounded by nV - trivial_dim (_trivial_dim): "rigid", "isostatic" and
+    independent edges are settled modulo linalg.PRIME, and only a rank
+    short of both the bound and the edge count is eliminated over Q.
     """
     p = fw.config
-    n, total = p.dim, p.dim * p.count
+    total = p.dim * p.count
+    trivial_dim = _trivial_dim(p, tol)
     r = rigidity_matrix(fw)
-    base_rank = linalg.rank(r, tol)
+    base_rank = linalg.rank(r, tol, bound=total - trivial_dim)
     flex_dim = total - base_rank
-    a = p.affine_rank(tol)
-    trivial_dim = n * (n + 1) // 2 - (n - a) * (n - a - 1) // 2
     isostatic = flex_dim == trivial_dim and base_rank == r.shape[0]
     return RigidityReport(flex_dim=flex_dim, trivial_dim=trivial_dim,
                           is_isostatic=isostatic)
@@ -166,10 +175,15 @@ def is_generically_isostatic(g: Graph, n: int, seed: int = 0) -> bool:
 def _implied_pairs_at(g: Graph, p: PointConfiguration, candidates) -> set:
     """Candidate pairs whose rigidity row is in g's row space at the exact
     configuration p: the unit motions' strains on the edges, then on the
-    candidates, are [R^T | C^T] on ints, and one elimination decides all."""
+    candidates, are [R^T | C^T] on ints, and one elimination decides all.
+    Every column vanishes on the trivial motions, so nV - _trivial_dim(p)
+    bounds the rank: when R reaches it modulo linalg.PRIME (g rigid at p)
+    every candidate is implied with no exact elimination."""
     pairs = [*g.sorted_edges(), *candidates]
     cols = strains(p, np.eye(p.dim * p.count, dtype=int), pairs)
-    return set(compress(pairs[g.edge_count:], linalg.spanned_columns(cols, g.edge_count)))
+    bound = p.dim * p.count - _trivial_dim(p)
+    return set(compress(pairs[g.edge_count:],
+                        linalg.spanned_columns(cols, g.edge_count, bound)))
 
 
 def implied_pairs(g: Graph, candidates, n: int, seed: int = 0) -> set:

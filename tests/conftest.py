@@ -19,3 +19,20 @@ def fraction_counter(monkeypatch):
 
     monkeypatch.setattr(Fraction, "__new__", counting_new)
     return lambda: built[0]
+
+
+@pytest.fixture
+def bareiss_calls(monkeypatch):
+    """The list of (rows, ncols, modulus) of every linalg._bareiss call made
+    since the fixture was set up; modulus None marks exact elimination."""
+    from rigidlab import linalg
+
+    calls = []
+    real = linalg._bareiss
+
+    def recording(rows, ncols, reduce=True, modulus=None):
+        calls.append((len(rows), ncols, modulus))
+        return real(rows, ncols, reduce, modulus)
+
+    monkeypatch.setattr(linalg, "_bareiss", recording)
+    return calls

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,10 @@ from rigidlab.linalg import (Subspace, _rref_exact, exact_matrix, frac,
                              identity, invert, is_zero, nullspace_rows,
                              ones_vector, rank, sherman_morrison_inverse, solve,
                              zeros)
-from rigidlab.sampling import random_exact_matrix, random_rational_matrix, subrng
+from rigidlab.rigidity import (Framework, Graph, analyze, implied_pairs,
+                               is_generically_rigid)
+from rigidlab.sampling import (random_config, random_exact_matrix,
+                               random_rational_matrix, subrng)
 
 
 def test_frac_coercion():
@@ -480,3 +484,140 @@ def test_fraction_free_sherman_morrison_matches_direct_inversion(data, max_den):
     on_span = q @ exact_matrix([*lam, 1 - sum(lam)])
     with pytest.raises(OnAffineSpanError):
         sherman_morrison_inverse(q, on_span)
+
+
+def _rank_mod(rows, ncols, p):
+    """Rank of integer rows over GF(p): Gaussian elimination with inverses,
+    independent of _bareiss."""
+    rows = [[v % p for v in row] for row in rows]
+    lead = 0
+    for col in range(ncols):
+        piv = next((i for i in range(lead, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[lead], rows[piv] = rows[piv], rows[lead]
+        inv = pow(rows[lead][col], -1, p)
+        for i in range(lead + 1, len(rows)):
+            f = rows[i][col] * inv % p
+            rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[lead])]
+        lead += 1
+    return lead
+
+
+@st.composite
+def bounded_rank_cases(draw):
+    """(m, r): an integer object matrix, 0 to 6 by 0 to 7, and its rank
+    over Q.  m is a planted low-rank product A @ B with entries up to
+    about 10^12 and zeroed rows and columns; then, as drawn, one row loses
+    rank only modulo PRIME (it becomes PRIME k alone, or another row plus
+    PRIME times an integer row), and m may be transposed."""
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 7))
+    entries = st.integers(-9, 9) | st.integers(-10 ** 6, 10 ** 6)
+    inner = draw(st.integers(1, 4))
+    a = draw(st.lists(st.lists(entries, min_size=inner, max_size=inner),
+                      min_size=nrows, max_size=nrows))
+    b = draw(st.lists(st.lists(entries, min_size=ncols, max_size=ncols),
+                      min_size=inner, max_size=inner))
+    rows = [[sum(x * y for x, y in zip(ra, cb)) for cb in zip(*b)] for ra in a]
+    for i in draw(st.sets(st.integers(0, max(nrows - 1, 0)), max_size=2)) if nrows else ():
+        rows[i] = [0] * ncols
+    for j in draw(st.sets(st.integers(0, max(ncols - 1, 0)), max_size=2)) if ncols else ():
+        for row in rows:
+            row[j] = 0
+    mode = draw(st.sampled_from(["plain", "multiple", "congruent"]))
+    if mode == "multiple" and nrows and ncols:
+        i, j = draw(st.integers(0, nrows - 1)), draw(st.integers(0, ncols - 1))
+        rows[i] = [0] * ncols
+        rows[i][j] = linalg.PRIME * draw(st.integers(1, 10 ** 3) | st.integers(-10 ** 3, -1))
+    elif mode == "congruent" and nrows > 1 and ncols:
+        i, j = draw(st.lists(st.integers(0, nrows - 1), min_size=2, max_size=2, unique=True))
+        v = draw(st.lists(st.integers(-3, 3), min_size=ncols, max_size=ncols))
+        rows[i] = [x + linalg.PRIME * y for x, y in zip(rows[j], v)]
+    m = np.array(rows, dtype=object).reshape(nrows, ncols)
+    if draw(st.booleans()):
+        m = m.T.copy()
+    return m, len(reference_rref([[Fraction(v) for v in row] for row in m.tolist()],
+                                 m.shape[1])[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(bounded_rank_cases(), st.integers(0, 3))
+def test_rank_with_a_proven_bound_is_the_rank(case, slack):
+    """rank(m, bound=b) is rank(m) for every upper bound b, and exact
+    elimination runs exactly when the rank mod PRIME falls short of
+    min(b, rows, columns)."""
+    m, r = case
+    rows, ncols = m.tolist(), m.shape[1]
+    mod_p = _rank_mod(rows, ncols, linalg.PRIME)
+    assert len(linalg._bareiss(rows, ncols, False, linalg.PRIME)[1]) == mod_p <= r
+    assert rank(m) == r
+    for bound in (r, r + slack):
+        with mock.patch.object(linalg, "_rref_exact", wraps=linalg._rref_exact) as exact:
+            assert rank(m, bound=bound) == r
+        assert exact.called == (m.size > 0 and mod_p < min(bound, *m.shape))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bounded_rank_cases(), st.integers(0, 2), st.data())
+def test_spanned_columns_with_a_proven_bound(case, slack, data):
+    """spanned_columns(m, k, b) equals the call without b for every upper
+    bound b on the rank of m; when the first k columns reach b modulo
+    PRIME every column is spanned, with no exact elimination."""
+    m, r = case
+    k = data.draw(st.integers(0, m.shape[1]))
+    want = linalg.spanned_columns(m, k)
+    reached = _rank_mod(m[:, :k].tolist(), k, linalg.PRIME) == r + slack
+    with mock.patch.object(linalg, "_rref_exact", wraps=linalg._rref_exact) as exact:
+        assert linalg.spanned_columns(m, k, r + slack) == want
+    assert exact.called != reached
+    if reached:
+        assert all(want)
+
+
+def test_bound_reached_only_over_q_runs_the_exact_rank():
+    p = linalg.PRIME
+    one = np.array([[3 * p]], dtype=object)
+    assert linalg._bareiss(one.tolist(), 1, False, p)[1] == []
+    assert rank(one, bound=1) == 1
+    congruent = np.array([[1, 2, 3], [1 + p, 2, 3 - 2 * p]], dtype=object)
+    assert rank(congruent, bound=2) == 2
+    assert linalg.spanned_columns(congruent.T.copy(), 1, 2) == [False]
+    assert linalg.spanned_columns(np.array([[p, 1, 2]], dtype=object), 1, 1) == [True, True]
+
+
+def test_spanned_columns_bound_is_reached_by_the_first_columns_only():
+    # m has rank 2, its bound, but its first two columns only rank 1: the
+    # third column is not spanned, whatever the whole matrix reaches.
+    m = np.array([[1, 0, 0], [0, 0, 1]], dtype=object)
+    assert linalg.spanned_columns(m, 2, 2) == linalg.spanned_columns(m, 2) == [False]
+    assert linalg.spanned_columns(m[:, [0, 2, 1]].copy(), 2, 2) == [True]
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (2, 3)])
+def test_bound_zero_and_empty_matrices(shape):
+    z = np.zeros(shape, dtype=int).astype(object)
+    assert rank(z, bound=0) == rank(z) == 0
+    assert rank(z, bound=2) == 0
+    for k in range(shape[1] + 1):
+        assert linalg.spanned_columns(z, k, 0) == [True] * (shape[1] - k)
+    # Float ranks ignore bound.
+    assert rank(np.eye(3), bound=1) == 3
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("count, edges", [(1, []), (2, []), (2, [(1, 2)])],
+                         ids=["V1", "V2", "V2-edge"])
+def test_one_and_two_vertex_graphs(n, count, edges):
+    """The bound n V - trivial_dim is 0 for one point and 1 for two: the
+    answers are the theory's.  One point moves only trivially; two points
+    with no bar have one flex beyond their 2n - 1 trivial motions."""
+    g = Graph.from_edges(count, edges)
+    p = random_config(n, count, subrng(0, "edge-cases", n))
+    trivial = n if count == 1 else 2 * n - 1
+    rigid = count == 1 or bool(edges)
+    report = analyze(Framework(g, p))
+    assert (report.flex_dim, report.trivial_dim) == (trivial + (not rigid), trivial)
+    assert report.is_rigid == report.is_isostatic == rigid
+    assert is_generically_rigid(g, n) == rigid
+    pairs = [(1, 2)] if count == 2 else []
+    assert implied_pairs(g, pairs, n) == (set(pairs) if rigid else set())

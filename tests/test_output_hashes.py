@@ -5,8 +5,9 @@ refactored (the elimination kernel, the zero rule, the shared sampling
 and search helpers, check 12's integer oracle, the closed-form trivial
 dimension, the strain rank modulo the trivial motions, the 2-extension
 table, the integer admissibility path, the one pin formula, the integer
-verify battery, the integer rigidity matrix and linear-motion solve);
-the code must reproduce them byte for byte.  Input files are written
+verify battery, the integer rigidity matrix and linear-motion solve,
+the full-rank rigidity questions settled modulo a prime); the code must
+reproduce them byte for byte.  Input files are written
 under fixed relative names, because the manifest record echoes the
 paths it was given.
 """
@@ -19,9 +20,15 @@ import pytest
 from rigidlab.cli import main
 from rigidlab.rigidity import Graph, double_banana
 
+OCTAHEDRON = Graph.complete(6).without_edges([(1, 2), (3, 4), (5, 6)])
+
 GRAPHS = {
     "k5e.json": Graph.complete(5).without_edges([(4, 5)]),
     "banana.json": double_banana(),
+    # Isostatic, over-braced and independent-flexible graphs on 6 vertices.
+    "octahedron.json": OCTAHEDRON,
+    "k6.json": Graph.complete(6),
+    "octahedron-1.json": OCTAHEDRON.without_edges([(1, 3)]),
 }
 
 # Degenerate configurations of five points in R^3, where the trivial
@@ -133,6 +140,23 @@ CASES = [
      "a918381bdb89b0c6841cab61c183ef729611c9cd31cf9eca29de955bc043e8e2"),
     (["henneberg", "k5e.json", "-x", "1", "2", "3", "4", "5", "-f", "1,2", "2,3"], 0,
      "f67d646c155aefa2d66330155091f3f154355f15508cacd88a6d010c2a31ac34"),
+    # Full-rank and deficient rigidity matrices on 6 vertices: over-braced
+    # (K6), independent and flexible (the octahedron less an edge), every
+    # non-edge of the octahedron implied, and its 0- and 1-extensions.
+    (["analyze", "k6.json"], 0,
+     "b599868305ed23b62f3736333a8a58de2240a2ec9a1f82bacc333de2d0a17dfa"),
+    (["analyze", "k6.json", "--backend", "float"], 0,
+     "be177328807532d42509c514af1298a26295e19ef178c4e77c933ca54ab8e2be"),
+    (["analyze", "octahedron-1.json"], 1,
+     "b9158dadd731eae43a421510891da79394beb6c741159bbac5330605c458c1cf"),
+    (["analyze", "octahedron-1.json", "--backend", "float"], 1,
+     "8b7e98b7e8554015c99b94b45338d610772a69c389ed3c44264b3fadb602cd02"),
+    (["implied", "octahedron.json"], 0,
+     "8a1587fcc193f065cd3b8f570121b9b32bec24883d50be5970942d8ddfd989c0"),
+    (["henneberg", "octahedron.json", "-x", "1", "3", "5"], 0,
+     "b8f9aade78e47453750803c10def95eef894a5bb24c279c589790e76c5e25151"),
+    (["henneberg", "octahedron.json", "-x", "1", "3", "5", "2", "-f", "1,3"], 0,
+     "44557b3933a603d1998cf04c9e4f6c78f81e358a7e21c934796e05a561719e94"),
 ]
 
 

@@ -366,3 +366,43 @@ def test_implied_pairs_are_invariant_under_affine_maps_and_relabelling(name, g, 
     seed = data.draw(st.integers(0, 10 ** 6), label="seed")
     assert implied_pairs(relabelled, rename(pairs), 3, seed) == \
         rename(implied_pairs(g, pairs, 3, seed))
+
+
+def _exact_calls(calls):
+    """(rows, ncols) of the exact eliminations among recorded _bareiss calls."""
+    return [(rows, ncols) for rows, ncols, modulus in calls if modulus is None]
+
+
+WORK_CASES = [
+    ("octahedron", _octahedron(), 0),
+    ("K5-e", K5E, 0),
+    ("K6", Graph.complete(6), 0),
+    ("octahedron-minus-edge", _octahedron().without_edges([(1, 3)]), 0),
+    ("double-banana", double_banana(), 1),
+]
+
+
+@pytest.mark.parametrize("name, g, ranks", WORK_CASES, ids=[c[0] for c in WORK_CASES])
+def test_analyze_eliminates_exactly_only_a_short_rank(bareiss_calls, name, g, ranks):
+    """Isostatic, over-braced and independent flexible graphs reach their
+    rank bound (nV - trivial_dim, or the edge count) modulo PRIME: the only
+    exact elimination is the points' affine rank.  The double banana's
+    rank falls short of both, so its rigidity matrix is eliminated once
+    exactly, after the one modular attempt."""
+    v = g.vertex_count
+    fw = Framework(g, random_config(3, v, subrng(0, "work-" + name, 0)))
+    analyze(fw)
+    assert _exact_calls(bareiss_calls) == [(v - 1, 3)] + [(g.edge_count, 3 * v)] * ranks
+    assert [call for call in bareiss_calls if call[2]] == \
+        [(g.edge_count, 3 * v, linalg.PRIME)]
+
+
+def test_implied_pairs_of_a_rigid_graph_need_no_exact_elimination(bareiss_calls):
+    """At a sample where the octahedron is rigid its edge columns reach the
+    rank bound modulo PRIME, so every candidate is implied without an
+    exact spanned_columns: the two samples eliminate only their affine
+    ranks exactly."""
+    g = _octahedron()
+    assert implied_pairs(g, [(1, 2), (3, 4), (5, 6)], 3) == {(1, 2), (3, 4), (5, 6)}
+    assert _exact_calls(bareiss_calls) == [(5, 3)] * 2
+    assert [call[2] for call in bareiss_calls].count(linalg.PRIME) == 2
