@@ -23,7 +23,7 @@ from .linalg import (Subspace, exact_matrix, frac, is_zero, ones_vector,
                      sym_outer_system)
 from .motions import (MotionSpace, PointConfiguration, _linear_parts,
                       _ranks_mod_trivial, flatten_motion, p_equivalent,
-                      same_mod_trivial, take_points, unflatten_motion)
+                      same_mod_trivial, take_points)
 from .pins import PinContext, integer_block, pin_stack, pin_velocity, scale_factor
 from .sampling import (DEFAULT_BOUND, random_float_vector, random_int_vector,
                        subrng)
@@ -241,10 +241,8 @@ def stress_matched_linear_space(p: PointConfiguration,
             u[a] = p.ints[b]
             gens.append(u)
             gaps.append(_stress_gap(sides, u))
-    # Kernel rows cleared to integers span the same space.
     kernel = linalg.nullspace_rows(linalg.array(gaps, p.exact).T, tol)
-    coeff_basis = linalg.cleared(kernel)[0]
-    motions = [sum(gen * c for c, gen in zip(coeffs, gens)) for coeffs in coeff_basis]
+    motions = [sum(gen * c for c, gen in zip(coeffs, gens)) for coeffs in kernel]
     return MotionSpace.from_motions(p, motions, tol)
 
 
@@ -252,21 +250,17 @@ def construct_admissible_family(p: PointConfiguration, trials: int = 20,
                                 seed: int = 0,
                                 tol: float | None = None) -> list[MotionSpace]:
     """Sample 2-dimensional admissible subspaces of the stress-matched
-    linear motions that meet the trivial motions only in zero.
-
-    Members combine the stress-matched basis, cleared over one shared
-    denominator, with integer coefficients: the span, so the returned
-    reduced basis, is that of the same combination of the basis itself.
+    linear motions that meet the trivial motions only in zero: integer
+    combinations of the rows of its basis.
     """
     _require_five_points(p)
-    space = stress_matched_linear_space(p, tol)
-    basis = linalg.cleared(space.subspace.basis)[0]
+    basis = stress_matched_linear_space(p, tol).subspace.basis
     out: list[MotionSpace] = []
     for attempt in range(100 * trials):
         if len(out) == trials:
             break
         rng = subrng(seed, "family", attempt)
-        coeffs = linalg.array([[rng.randint(-9, 9) for _ in range(space.dim)]
+        coeffs = linalg.array([[rng.randint(-9, 9) for _ in basis]
                                for _ in range(2)], p.exact)
         vecs = [sum(c * b for c, b in zip(row, basis)) for row in coeffs]
         if _ranks_mod_trivial(p, vecs, tol)[0] != 2:
@@ -377,11 +371,11 @@ def classify_admissible(p: PointConfiguration, s: MotionSpace,
     Requires both pin blocks invertible and their inverse-transpose row
     sums distinct.
 
-    Exact inputs are computed on integers: the cleared points p = P/kappa
-    and basis motions u = U/lambda, q^{-1} = A_q/dq and r^{-1} = A_r/dr
-    (_pin_blocks), and each solve's numerators over its last pivot
-    (linalg.solve_parts).  Every quantity is an integer array over one
-    denominator, named where it is formed; only the returned plane and
+    Exact inputs are computed on integers: the cleared points p = P/kappa,
+    the basis motions u (integer rows), q^{-1} = A_q/dq and
+    r^{-1} = A_r/dr (_pin_blocks), and each solve's numerators over its
+    last pivot (linalg.solve_parts).  Every quantity is an integer array
+    over one denominator, named where it is formed; only the returned
     weights are Fractions.  On float64 every denominator is 1 and the
     formulas are the float arithmetic as it stands.
     """
@@ -402,8 +396,7 @@ def classify_admissible(p: PointConfiguration, s: MotionSpace,
             "the two pin blocks have equal inverse-transpose row sums "
             "(coplanar configuration)")
 
-    motions = [unflatten_motion(u, p.dim, p.count)
-               for u in linalg.cleared(s.subspace.basis)[0]]
+    motions = s.basis_motions()
     if all(_linear_parts(p, u, True, tol) is not None for u in motions):
         return Classification(ClassificationKind.ALL_AFFINE, None, None,
                               "every motion in the subspace is affine")
@@ -423,8 +416,7 @@ def classify_admissible(p: PointConfiguration, s: MotionSpace,
         v, w = split_blocks(u)
         # [c d] Y = (dq w A_r - dr v A_q)^T on integers, Y = y / eta.  In
         # rationals the mismatch (w r^{-1} - v q^{-1})^T is then
-        # c (-shift)^T + d k^T with shift = -y[0] / (lambda eta) and
-        # k = kappa y[1] / (lambda eta).
+        # c (-shift)^T + d k^T with shift = -y[0] / eta and k = kappa y[1] / eta.
         parts = linalg.solve_parts(cd, (dq * (w @ a_r) - dr * (v @ a_q)).T, tol)
         if parts is None:
             return Classification(
@@ -432,7 +424,7 @@ def classify_admissible(p: PointConfiguration, s: MotionSpace,
                 "mismatch columns leave the plane orthogonal to p1")
         y, eta = parts
         k_vecs.append(y[1])
-        # ((w + shift 1^T) r^{-1})^T, times lambda eta dr.
+        # ((w + shift 1^T) r^{-1})^T, times eta dr.
         targets.append(((eta * w - np.outer(y[0], ones)) @ a_r).T)
 
     plane = Subspace.from_spanning(k_vecs, 3, tol)

@@ -31,7 +31,7 @@ from .admissibility import (check_admissibility, classify_admissible,
                             proportional_pair_space, single_vertex_space)
 from .applications import conic_probe_graphs, edge_conic_space, skew_matrix_space
 from .errors import BadSupportError, ParseError, RigidLabError
-from .linalg import zeros
+from .linalg import is_exact, over, zeros
 from .motions import MotionSpace, PointConfiguration
 from .rigidity import (Framework, Graph, analyze, henneberg_extend,
                        implied_pairs, is_generically_rigid, is_implied_edge)
@@ -77,6 +77,13 @@ def _text(value) -> str:
     if isinstance(value, list):
         return " ".join(str(v) for v in value)
     return str(value)
+
+
+def _printed(basis, last: bool = False) -> list:
+    """Basis rows as printed: an exact row over the entry its Fraction form
+    holds as 1, its first nonzero (RREF row) or last (kernel row)."""
+    return [over(row, row[row.nonzero()[0][-1 if last else 0]]) if is_exact(row) else row
+            for row in basis]
 
 
 def _record(label: str, fields: dict, *keys: str):
@@ -282,7 +289,7 @@ def cmd_admissible(args):
                        "max_mismatch_rank", "admissible")]
     if report.admissible and space.dim == 2:
         cls = classify_admissible(p, space, args.tol)
-        plane = None if cls.plane is None else [list(row) for row in cls.plane.basis]
+        plane = None if cls.plane is None else [list(row) for row in _printed(cls.plane.basis)]
         weights = None if cls.weights is None else list(cls.weights)
         lines = [f"classification: {cls.kind.value}"]
         if weights is not None:
@@ -329,8 +336,8 @@ def cmd_conic(args):
         inputs.append(args.edge_file)
     space = edge_conic_space(p, edges, args.tol)
     skew = space.equals(skew_matrix_space(3, exact), args.tol)
-    basis = [[list(row) for row in mat] for mat in
-             (vec.reshape(3, 3) for vec in space.basis)]
+    basis = [[list(row) for row in vec.reshape(3, 3)]
+             for vec in _printed(space.basis, last=True)]
     fields = dict(dim=space.dim, skew_space=skew, basis=basis)
     return (0 if skew else 1), inputs, [_record("conic", fields, "dim", "skew_space")]
 

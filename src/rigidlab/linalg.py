@@ -6,22 +6,23 @@ is a bug.  zero_rows holds the zero rule of each backend, row by row
 (is_zero: one value): exact values are zero when every entry == 0,
 float values when max|value| <= tol * max(scale, 1); float ranks count
 singular values above tol times the largest (a stack: one batched SVD).
-Exact entries are fractions.Fraction at the boundary only: every exact
-rank, nullspace, solve and inverse runs _bareiss, Bareiss elimination
-on Python ints: Gauss-Jordan for nullspace, solve and inverse, forward
-only for rank and spanned_columns, the row-space test.  Divisions are
-exact in both modes.  The one kernel also reduces modulo PRIME, for a
-rank or spanned_columns given a bound on the rank that the caller has
-proved: a minor nonzero mod PRIME is a nonzero integer, so a bound
-reached mod PRIME is reached over Q, and only a rank that falls short
-is eliminated over Q.  adjugate and solve_parts return integers over
-one denominator; invert and solve make Fractions of them (over).
-cleared, the one denominator-clearing helper, scales exact values by
-the lcm of their denominators (a list of Python ints passes as it is):
-a configuration's points once (motions.PointConfiguration, which every
+Exact entries are Python ints; a fractions.Fraction enters only as
+parsed input (frac, exact_matrix) and is made only by over.  Every exact
+rank, nullspace, solve and inverse runs _bareiss, Bareiss elimination on
+Python ints: Gauss-Jordan for nullspace, solve and inverse, forward only
+for rank and spanned_columns, the row-space test.  Divisions are exact
+in both modes.  The one kernel also reduces modulo PRIME, for a rank or
+spanned_columns given a bound on the rank that the caller has proved: a
+minor nonzero mod PRIME is a nonzero integer, so a bound reached mod
+PRIME is reached over Q, and only a rank that falls short is eliminated
+over Q.  Exact bases (Subspace, nullspace_rows) are primitive integer
+rows (gcd 1).  adjugate and solve_parts return integers over one
+denominator; invert and solve make Fractions of them (over).  cleared,
+the one denominator-clearing helper, scales exact values by the lcm of
+their denominators (a list of Python ints passes as it is): a
+configuration's points once (motions.PointConfiguration, which every
 exact reader of a configuration then uses), elimination rows, motions,
-pin samples, the stress gap's kernel rows and the stress-matched basis
-(admissibility), the x of sherman_morrison_inverse, check 12's pairs.
+pin samples, the x of sherman_morrison_inverse, check 12's pairs.
 
 Only this module names the array format of a backend: other modules
 build their matrices with array, zeros, identity, ones_vector or
@@ -34,7 +35,7 @@ pins.pin_stack applies it to stacks of vectors; both are fraction-free.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from .errors import OnAffineSpanError, SingularMatrixError
 # Relative tolerance used by every float64 rank/zero decision.  Callers can
 # override per call; exact-backend calls ignore it.
 DEFAULT_RANK_TOL = 1e-9
-PRIME = 2 ** 31 - 1  # the modulus of the rank modulo a prime
+PRIME = 2 ** 30 - 35  # the largest prime below 2**30: one CPython digit per residue
 
 
 def _tol(tol: float | None) -> float:
@@ -88,24 +89,15 @@ def is_exact(m: np.ndarray) -> bool:
 
 
 def zeros(shape, exact: bool = True) -> np.ndarray:
-    if not exact:
-        return np.zeros(shape)
-    return np.full(shape, Fraction(0), dtype=object)
+    return np.zeros(shape, dtype=object if exact else float)
 
 
 def identity(n: int, exact: bool = True) -> np.ndarray:
-    if not exact:
-        return np.eye(n)
-    out = zeros((n, n))
-    for i in range(n):
-        out[i, i] = Fraction(1)
-    return out
+    return np.eye(n, dtype=object if exact else float)
 
 
 def ones_vector(n: int, exact: bool = True) -> np.ndarray:
-    if not exact:
-        return np.ones(n)
-    return np.full(n, Fraction(1), dtype=object)
+    return np.ones(n, dtype=object if exact else float)
 
 
 def to_float(m: np.ndarray) -> np.ndarray:
@@ -210,13 +202,15 @@ def _bareiss(rows: list[list], ncols: int, reduce: bool = True,
 
 
 def _rref_exact(rows: list[list], ncols: int, reduce: bool = True):
-    """_bareiss without d: reduce=True gives the nonzero rows of the
-    reduced row echelon form as Fractions, reduce=False the integer
-    rows."""
-    mat, pivots, _ = _bareiss(rows, ncols, reduce)
-    if not reduce:
-        return mat, pivots
-    return [[Fraction(v, row[pc]) for v in row] for row, pc in zip(mat, pivots)], pivots
+    """_bareiss without d: the integer rows and the pivot columns."""
+    return _bareiss(rows, ncols, reduce)[:2]
+
+
+def _primitive(row: list, at: int) -> list:
+    """A nonzero integer row over the gcd of its entries, signed so that
+    entry at is positive."""
+    g = gcd(*row) if row[at] > 0 else -gcd(*row)
+    return [v // g for v in row]
 
 
 def _svd_rank(s: np.ndarray, tol: float | None):
@@ -266,19 +260,22 @@ def spanned_columns(m: np.ndarray, ncols: int, bound: int | None = None) -> list
 
 
 def nullspace_rows(m: np.ndarray, tol: float | None = None) -> np.ndarray:
-    """Basis of the right nullspace, one vector per row."""
+    """Basis of the right nullspace, one vector per row.  Exact rows, one
+    per free column fc: d e_fc - sum_i R_i[fc] e_(p_i) over the pivot
+    rows R_i of _rref_exact (pivot column p_i, pivot d), made primitive
+    and positive at fc, its last nonzero entry."""
     m = np.asarray(m)
     if m.ndim == 1:
         m = m.reshape(1, -1)
     n = m.shape[1]
     if is_exact(m):
         red, pivots = _rref_exact(m.tolist(), n)
-        free = [c for c in range(n) if c not in pivots]
-        basis = zeros((len(free), n))
-        for bi, fc in enumerate(free):
-            basis[bi, fc] = Fraction(1)
-            for ri, pc in enumerate(pivots):
-                basis[bi, pc] = -red[ri][fc]
+        d = red[0][pivots[0]] if pivots else 1
+        basis = zeros((n - len(pivots), n))
+        for row, fc in zip(basis, (c for c in range(n) if c not in pivots)):
+            row[fc] = d
+            row[pivots] = [-r[fc] for r in red[:len(pivots)]]
+            row[:] = _primitive(row.tolist(), fc)
         return basis
     if m.size == 0:
         return np.eye(n)
@@ -414,8 +411,9 @@ def sherman_morrison_inverse(q: np.ndarray, x: np.ndarray,
 class Subspace:
     """A linear subspace of R^n stored as a reduced row basis.
 
-    Exact bases are kept in reduced row echelon form, so equal subspaces
-    have identical basis arrays; float bases are orthonormal rows.
+    Exact bases are primitive integer rows in reduced echelon form, pivots
+    positive, so equal subspaces have identical basis arrays; float bases
+    are orthonormal rows.
     """
 
     __slots__ = ("ambient_dim", "basis")
@@ -440,10 +438,9 @@ class Subspace:
         n = rows[0].size
         if ambient_dim is not None and ambient_dim != n:
             raise ValueError("spanning vectors do not match ambient_dim")
-        exact = any(is_exact(r) for r in rows)
-        if exact:
-            red, _ = _rref_exact([r.tolist() for r in rows], n)
-            return cls(n, array(red))
+        if any(is_exact(r) for r in rows):
+            red, pivots = _rref_exact([r.tolist() for r in rows], n)
+            return cls(n, array([_primitive(row, pc) for row, pc in zip(red, pivots)]))
         _, s, vh = np.linalg.svd(np.vstack([r.astype(float) for r in rows]))
         return cls(n, vh[:_svd_rank(s, tol)].copy())
 

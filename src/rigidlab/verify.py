@@ -27,7 +27,7 @@ from .errors import OnAffineSpanError, ParallelSpanError, SingularMatrixError
 from .linalg import cleared, invert, ones_vector, sherman_morrison_inverse
 from .motions import (MotionSpace, PointConfiguration, is_infinitesimal_isometry,
                       p_equivalent, restricts_to_isometry, trivial_motion_space)
-from .pins import PinContext, limit_velocity, pin_velocity, scale_factor
+from .pins import PinContext, limit_velocity, pin_stack, pin_velocity, scale_factor
 from .rigidity import (Framework, Graph, analyze, double_banana,
                        is_implied_edge)
 from .sampling import (random_config, random_exact_matrix,
@@ -107,9 +107,10 @@ def _check_pin_flex(seed: int, samples: int | None):
     count = _count(samples, 100)
     for idx in range(count):
         ctx, x = _pin_instance(seed, "pin-flex", idx)
-        vel = pin_velocity(ctx, x)
+        # Integer draws: pin_stack gives the pin velocity as N / sigma.
+        _, n, sigma = pin_stack(ctx, ctx.v.T[None], x[None], linalg.array([1]))
         for i in range(3):
-            if (vel - ctx.v[:, i]) @ (x - ctx.q[:, i]) != 0:
+            if (n[0, :, 0] - sigma[0] * ctx.v[:, i]) @ (x - ctx.q[:, i]) != 0:
                 return False, f"flex identity violated at instance {idx}, bar {i + 1}"
     return True, f"flex identity exact on {count} instances, all three bars"
 

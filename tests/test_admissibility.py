@@ -698,3 +698,18 @@ def test_sufficient_check_of_a_family_member_builds_no_fraction(fraction_counter
     before = fraction_counter()
     assert sufficient_check(p, s)
     assert fraction_counter() == before
+
+
+def test_integer_bases_build_no_fraction(fraction_counter):
+    # The trivial motions, the stress-matched space (a kernel and a
+    # spanning set), their intersection and its join with the trivial
+    # motions, on an integer configuration: integer rows throughout.
+    p = random_general_config(3, 5, 0, "family-config/0", bound=1000)
+    before = fraction_counter()
+    triv = trivial_motion_space(p).subspace
+    space = stress_matched_linear_space(p).subspace
+    meet = space.intersection(triv)
+    join = triv.join(meet)
+    assert fraction_counter() == before
+    assert (space.dim, meet.dim, join.dim) == (7, 3, 6)
+    assert all(type(v) is int for s in (triv, space, meet, join) for v in s.basis.flat)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, isqrt
 from pathlib import Path
 from unittest import mock
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraction_reference import over_entry, reference_nullspace, reference_rref
 from rigidlab import linalg
 from rigidlab.errors import OnAffineSpanError, SingularMatrixError
 from rigidlab.linalg import (Subspace, _rref_exact, exact_matrix, frac,
@@ -189,35 +191,6 @@ def test_is_zero_float_values():
     assert not is_zero(1e-6, tol=1e-7)
 
 
-def reference_rref(rows, ncols):
-    """Gauss-Jordan on Fractions: the kernel before integer elimination."""
-    rows = [list(r) for r in rows]
-    pivots = []
-    lead = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(lead, len(rows)):
-            if rows[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[lead], rows[piv] = rows[piv], rows[lead]
-        inv = Fraction(1) / rows[lead][col]
-        if inv != 1:
-            rows[lead] = [e * inv for e in rows[lead]]
-        for i in range(len(rows)):
-            f = rows[i][col]
-            if i != lead and f != 0:
-                base = rows[lead]
-                rows[i] = [a - f * b for a, b in zip(rows[i], base)]
-        pivots.append(col)
-        lead += 1
-        if lead == len(rows):
-            break
-    return rows[:lead], pivots
-
-
 def _entries(max_den):
     return st.one_of(st.just(Fraction(0)), st.integers(-9, 9).map(Fraction),
                      st.fractions(-10 ** 6, 10 ** 6, max_denominator=max_den))
@@ -260,19 +233,85 @@ def test_rref_matches_fraction_reference(case):
     red, pivots = _rref_exact(rows, ncols)
     want_red, want_pivots = reference_rref(rows, ncols)
     assert pivots == want_pivots
-    assert red == want_red
+    # Gauss-Jordan leaves every pivot row with the same pivot: over it, the
+    # rows are the reduced row echelon form; the rows below are zero.
+    assert len({row[pc] for row, pc in zip(red, pivots)}) <= 1
+    assert [over_entry(row) for row in red[:len(pivots)]] == want_red
+    assert not any(v for row in red[len(pivots):] for v in row)
     # The rank-only mode eliminates forward only and finds the same pivots;
     # with pivots allowed in every column, the rows below the rank are zero.
     forward, pivots = _rref_exact(rows, ncols, reduce=False)
     assert pivots == want_pivots
     assert len(forward) == len(rows)
     assert not any(v for row in forward[len(pivots):] for v in row)
-    assert all(type(v) is int for row in forward for v in row)
-    assert all(type(v) is Fraction for row in red for v in row)
+    assert all(type(v) is int for mat in (red, forward) for row in mat for v in row)
     m = np.empty((len(rows), ncols), dtype=object)
     for i, row in enumerate(rows):
         m[i, :] = row
     assert rank(m) == len(want_pivots)
+
+
+def _spanning(rows, ncols) -> Subspace:
+    return Subspace.from_spanning([exact_matrix(r).reshape(ncols) for r in rows], ncols)
+
+
+def _is_primitive(row, at) -> bool:
+    return all(type(v) is int for v in row) and gcd(*row) == 1 and row[at] > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices())
+def test_subspace_basis_is_primitive_rref(case):
+    """Each exact basis row is a primitive integer row with a positive
+    pivot, zero before it, and over its pivot it is the reduced row of the
+    Fraction reference."""
+    rows, ncols = case
+    want, pivots = reference_rref(rows, ncols)
+    basis = _spanning(rows, ncols).basis
+    assert basis.shape == (len(want), ncols)
+    for row, pc in zip(basis.tolist(), pivots):
+        assert _is_primitive(row, pc) and not any(row[:pc])
+    assert [over_entry(row) for row in basis.tolist()] == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices(), st.data())
+def test_equal_spans_give_identical_bases(case, data):
+    """Shuffled, rescaled and recombined spanning sets, with dependent and
+    zero rows added, give the identical basis array."""
+    rows, ncols = case
+    nonzero = st.fractions(-50, 50, max_denominator=20).filter(bool)
+    other = [list(r) for r in data.draw(st.permutations(rows))]
+    for i in range(len(other)):
+        scale = data.draw(nonzero)
+        other[i] = [v * scale for v in other[i]]
+        j = data.draw(st.integers(0, len(other) - 1))
+        if j != i:
+            c = data.draw(nonzero)
+            other[i] = [a + c * b for a, b in zip(other[i], other[j])]
+    if other and data.draw(st.booleans()):
+        c = data.draw(nonzero)
+        other.append([c * v for v in other[0]])
+    other.append([Fraction(0)] * ncols)
+    got, want = _spanning(other, ncols).basis, _spanning(rows, ncols).basis
+    assert got.shape == want.shape and got.tolist() == want.tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_matrices())
+def test_nullspace_rows_are_primitive_kernel_rows(case):
+    """n - rank primitive integer rows in the kernel, each positive at its
+    last nonzero entry (its free column), and over that entry the
+    free-column row of the Fraction reference."""
+    rows, ncols = case
+    m = np.array(rows, dtype=object).reshape(len(rows), ncols)
+    want = reference_nullspace(rows, ncols)
+    got = nullspace_rows(m)
+    assert got.shape == (ncols - len(reference_rref(rows, ncols)[1]), ncols)
+    for row in got.tolist():
+        assert _is_primitive(row, max(j for j, v in enumerate(row) if v))
+        assert not any(m.dot(np.array(row, dtype=object)))
+    assert [over_entry(row, last=True) for row in got.tolist()] == want
 
 
 @st.composite
@@ -572,6 +611,14 @@ def test_spanned_columns_with_a_proven_bound(case, slack, data):
     assert exact.called != reached
     if reached:
         assert all(want)
+
+
+def test_prime_is_the_largest_prime_below_2_30():
+    # One CPython digit holds each residue.
+    p = linalg.PRIME
+    assert p < 2 ** 30
+    assert all(p % k for k in range(2, isqrt(p) + 1))
+    assert not any(all(n % k for k in range(2, isqrt(n) + 1)) for n in range(p + 1, 2 ** 30))
 
 
 def test_bound_reached_only_over_q_runs_the_exact_rank():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from fraction_reference import over_entry
 from rigidlab import linalg, motions
 from rigidlab.linalg import Subspace, exact_matrix, ones_vector, to_float, zeros
 from rigidlab.motions import (MotionSpace, PointConfiguration,
@@ -359,14 +360,22 @@ def _mod_trivial_configs():
                     for name, pts, _ in _affine_configs(n) if name != "generic"]
 
 
+def _fraction_basis(space: MotionSpace, last: bool = False) -> np.ndarray:
+    """The basis in its Fraction form: each integer row over its pivot, or
+    with last over its free column (a kernel row).  Float copies of sets
+    built from the integer rows, whose largest entries run from 1 to
+    about 6e4, misjudge some ranks at the default tolerance."""
+    return exact_matrix([over_entry(row, last) for row in space.subspace.basis.tolist()])
+
+
 def _motion_sets(p: PointConfiguration, rng) -> list:
     """Sets of 1-4 flattened motions mixing trivial motions, flexes of the
     complete framework (strain-free, and not trivial when p is
     degenerate), one-point velocities, random motions and combinations of
     earlier members, so that the ranks modulo the trivial motions vary."""
     size = p.dim * p.count
-    triv = trivial_motion_space(p).subspace.basis
-    flex = flex_space(Framework(Graph.complete(p.count), p)).subspace.basis
+    triv = _fraction_basis(trivial_motion_space(p))
+    flex = _fraction_basis(flex_space(Framework(Graph.complete(p.count), p)), last=True)
     sets = []
     for _ in range(12):
         vecs = []
@@ -420,7 +429,7 @@ def test_same_mod_trivial_matches_three_rank_calls(monkeypatch, name, pts):
     # On the strain path the strains are computed once, stacked.
     p = PointConfiguration(pts)
     sets = _motion_sets(p, subrng(4, "same-sets/" + name))
-    triv = trivial_motion_space(p).subspace.basis
+    triv = _fraction_basis(trivial_motion_space(p))
     pairs = []
     for i, b1 in enumerate(sets):
         shifted = [v + (k + 1) * triv[k % len(triv)] for k, v in enumerate(b1[::-1])]

@@ -6,7 +6,8 @@ and search helpers, check 12's integer oracle, the closed-form trivial
 dimension, the strain rank modulo the trivial motions, the 2-extension
 table, the integer admissibility path, the one pin formula, the integer
 verify battery, the integer rigidity matrix and linear-motion solve,
-the full-rank rigidity questions settled modulo a prime); the code must
+the full-rank rigidity questions settled modulo a prime, the exact
+bases held as primitive integer rows); the code must
 reproduce them byte for byte.  Input files are written
 under fixed relative names, because the manifest record echoes the
 paths it was given.
@@ -29,6 +30,9 @@ GRAPHS = {
     "octahedron.json": OCTAHEDRON,
     "k6.json": Graph.complete(6),
     "octahedron-1.json": OCTAHEDRON.without_edges([(1, 3)]),
+    # Five edge directions, so the conic space is 5-dimensional and its
+    # kernel rows carry 20-digit fractions.
+    "path4.json": Graph.from_edges(5, [(1, 2), (2, 3), (3, 4), (4, 5)]),
 }
 
 # Degenerate configurations of five points in R^3, where the trivial
@@ -157,6 +161,12 @@ CASES = [
      "b8f9aade78e47453750803c10def95eef894a5bb24c279c589790e76c5e25151"),
     (["henneberg", "octahedron.json", "-x", "1", "3", "5", "2", "-f", "1,3"], 0,
      "44557b3933a603d1998cf04c9e4f6c78f81e358a7e21c934796e05a561719e94"),
+    # A conic space that is not the skew space: its printed basis is the
+    # kernel of five edge rows.
+    (["conic", "--graph", "path4.json"], 1,
+     "1bb7784daf0cf5c2bf034b0e95dd044f2304c15f0287a4cbc1ba46d3d9577f8d"),
+    (["conic", "--graph", "path4.json", "--backend", "float"], 1,
+     "7e07877f1d696413f2128f85881b3e45bb461260310a787a9d1876691544973e"),
 ]
 
 

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraction_reference import reference_rref
 from rigidlab import linalg, motions, rigidity
 from rigidlab.errors import BadSupportError
-from rigidlab.linalg import _rref_exact, exact_matrix, rank
+from rigidlab.linalg import exact_matrix, rank
 from rigidlab.motions import PointConfiguration, trivial_motion_space
 from rigidlab.rigidity import (Framework, Graph, _implied_pairs_at,
                                analyze, double_banana, find_implied_k4,
@@ -211,7 +212,7 @@ def _implied_pairs_by_row_reduction(g: Graph, p: PointConfiguration,
     """Reference: reduce each candidate's row against the RREF of the edge
     rows in Fraction arithmetic; implied when nothing is left."""
     rows = rigidity_matrix(Framework(g, p)).tolist()
-    red, pivots = _rref_exact(rows, p.dim * p.count) if rows else ([], [])
+    red, pivots = reference_rref(rows, p.dim * p.count)
     out = set()
     for pair in candidates:
         if pair in g.edges:
