@@ -10,13 +10,13 @@ Exact entries are Python ints; a fractions.Fraction enters only as
 parsed input (frac, exact_matrix) and is made only by over.  Every exact
 rank, nullspace, solve and inverse runs _bareiss, Bareiss elimination on
 Python ints: Gauss-Jordan for nullspace, solve and inverse, forward only
-for rank and spanned_columns, the row-space test.  Divisions are exact
-in both modes.  The one kernel also reduces modulo PRIME, for a rank or
-spanned_columns given a bound on the rank that the caller has proved: a
-minor nonzero mod PRIME is a nonzero integer, so a bound reached mod
-PRIME is reached over Q, and only a rank that falls short is eliminated
-over Q.  Exact bases (Subspace, nullspace_rows) are primitive integer
-rows (gcd 1).  adjugate and solve_parts return integers over one
+for rank, pivot_columns and spanned_columns, the row-space test.
+Divisions are exact in both modes.  The one kernel also reduces modulo
+PRIME (reaches_mod_p), which these exact functions never do: a minor
+nonzero mod PRIME is a nonzero integer, so a rank reached mod PRIME is
+reached over Q, and a caller that has proved it an upper bound needs no
+exact elimination.  Exact bases (Subspace, nullspace_rows) are primitive
+integer rows (gcd 1).  adjugate and solve_parts return integers over one
 denominator; invert and solve make Fractions of them (over).  cleared,
 the one denominator-clearing helper, scales exact values by the lcm of
 their denominators (a list of Python ints passes as it is): a
@@ -219,26 +219,28 @@ def _svd_rank(s: np.ndarray, tol: float | None):
     return (s > _tol(tol) * s[..., :1]).sum(axis=-1)
 
 
-def _reaches_mod_p(rows: list[list], ncols: int, full: int | None) -> bool:
-    """Whether the first ncols columns of the integer rows have rank full
-    (not None) modulo PRIME, which proves rank >= full over Q."""
-    return (full is not None and full <= min(len(rows), ncols)
-            and len(_bareiss(rows, ncols, False, PRIME)[1]) == full)
+def reaches_mod_p(m: np.ndarray, target: int, ncols: int | None = None) -> bool:
+    """Whether the first ncols columns (every column by default) of the
+    exact integer matrix m have rank target modulo PRIME.  A minor
+    nonzero mod PRIME is a nonzero integer, so this proves rank >= target
+    over Q: a rank with the proven upper bound target is then target with
+    no exact elimination, and first ncols columns that reach a proven
+    bound on the rank of all of m span every column.  A target above the
+    rows or those columns is never reached."""
+    ncols = m.shape[1] if ncols is None else ncols
+    return (target <= min(m.shape[0], ncols)
+            and len(_bareiss(m.tolist(), ncols, False, PRIME)[1]) == target)
 
 
-def rank(m: np.ndarray, tol: float | None = None, bound: int | None = None):
-    """Rank of a matrix or a vector; a 3-D stack gives one per matrix.
-    bound, a proven upper bound on each exact rank, lets a rank that
-    reaches it modulo PRIME skip exact elimination; float ignores it."""
+def rank(m: np.ndarray, tol: float | None = None):
+    """Rank of a matrix or a vector; a 3-D stack gives one per matrix."""
     m = np.asarray(m)
     stack = m if m.ndim == 3 else m.reshape(1, 1, -1) if m.ndim < 2 else m[None]
     if stack.size == 0:
         ranks = [0] * len(stack)
     elif is_exact(stack):
         ncols = stack.shape[2]
-        full = None if bound is None else min(bound, *stack.shape[1:])
-        ranks = [full if _reaches_mod_p(rows, ncols, full)
-                 else len(_rref_exact(rows, ncols, reduce=False)[1])
+        ranks = [len(_rref_exact(rows, ncols, reduce=False)[1])
                  for rows in map(np.ndarray.tolist, stack)]
     else:
         ranks = _svd_rank(np.linalg.svd(stack.astype(float), compute_uv=False),
@@ -246,16 +248,17 @@ def rank(m: np.ndarray, tol: float | None = None, bound: int | None = None):
     return ranks if m.ndim == 3 else ranks[0]
 
 
-def spanned_columns(m: np.ndarray, ncols: int, bound: int | None = None) -> list[bool]:
+def pivot_columns(m: np.ndarray) -> list[int]:
+    """The pivot columns of the exact matrix m's echelon form (forward
+    elimination, as rank)."""
+    return _rref_exact(m.tolist(), m.shape[1], reduce=False)[1]
+
+
+def spanned_columns(m: np.ndarray, ncols: int) -> list[bool]:
     """Whether each column of the exact matrix m after the first ncols lies
     in their span: forward elimination with pivots in those columns only,
-    and a column is spanned when it is zero in every row below the rank.
-    With bound, a proven upper bound on the rank of m, first ncols
-    columns that reach it modulo PRIME span every column."""
-    rows = m.tolist()
-    if _reaches_mod_p(rows, ncols, bound):
-        return [True] * (m.shape[1] - ncols)
-    rows, pivots = _rref_exact(rows, ncols, reduce=False)
+    and a column is spanned when it is zero in every row below the rank."""
+    rows, pivots = _rref_exact(m.tolist(), ncols, reduce=False)
     return [not any(row[j] for row in rows[len(pivots):]) for j in range(ncols, m.shape[1])]
 
 

@@ -175,13 +175,11 @@ class MotionSpace:
         return f"MotionSpace(dim={self.dim}, points={self.config.count})"
 
 
-def trivial_motion_space(p: PointConfiguration,
-                         tol: float | None = None) -> MotionSpace:
-    """Motions induced by translations and infinitesimal rotations.
+def trivial_motions(p: PointConfiguration) -> list[np.ndarray]:
+    """Generators of the motions induced by translations and
+    infinitesimal rotations: the n constant fields e_j 1^T, then the
+    fields a (x - p_1) for a in skew_basis(n), on the cleared points.
 
-    Spanned by the constant fields e_j 1^T and the fields a (x - p_1) for
-    a in skew_basis(n), on the cleared points; dimension is n(n+1)/2
-    whenever the affine span of the points has dimension at least n-1.
     A rotation about p_1 differs from one about the origin by a
     translation, so the span is the same, and the translations scaled by
     max|p_i - p_1| keep float generators balanced at any scale and offset.
@@ -190,8 +188,14 @@ def trivial_motion_space(p: PointConfiguration,
     unit = np.abs(rel).max(initial=0) or 1
     gens = [linalg.array([[unit * (a == b)] * p.count for a in range(p.dim)], p.exact)
             for b in range(p.dim)]
-    gens += [a @ rel for a in skew_basis(p.dim, p.exact)]
-    return MotionSpace.from_motions(p, gens, tol)
+    return gens + [a @ rel for a in skew_basis(p.dim, p.exact)]
+
+
+def trivial_motion_space(p: PointConfiguration,
+                         tol: float | None = None) -> MotionSpace:
+    """The span of trivial_motions(p); its dimension is n(n+1)/2
+    whenever the affine span of the points has dimension at least n-1."""
+    return MotionSpace.from_motions(p, trivial_motions(p), tol)
 
 
 def _linear_parts(p: PointConfiguration, u: np.ndarray, affine: bool,

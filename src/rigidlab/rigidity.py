@@ -16,7 +16,8 @@ import numpy as np
 
 from . import linalg
 from .errors import BadSupportError
-from .motions import MotionSpace, PointConfiguration, strains
+from .motions import (MotionSpace, PointConfiguration, flatten_motion, strains,
+                      trivial_motions)
 from .sampling import random_config, subrng
 
 
@@ -128,21 +129,42 @@ def _trivial_dim(p: PointConfiguration, tol: float | None = None) -> int:
     return n * (n + 1) // 2 - (n - a) * (n - a - 1) // 2
 
 
+def _unpinned(p: PointConfiguration) -> list[int]:
+    """The coordinates outside P, the pivot columns of an echelon form B
+    of the trivial motions, on which B is triangular and invertible.  The
+    translations pivot on point 1's n coordinates, where every rotation
+    about p_1 (trivial_motions) vanishes, so P is those and the pivot
+    columns of the rotations alone.  Every strain row s vanishes on B's
+    rows, so s on P is -B_P^{-1} B_rest applied to s outside P: a
+    rigidity matrix's columns in P, and the rows in P of [R^T | C^T],
+    are combinations of the others, and dropping them keeps every rank
+    and column relation."""
+    total = p.dim * p.count
+    rotations = linalg.array([flatten_motion(u) for u in trivial_motions(p)[p.dim:]])
+    pinned = linalg.pivot_columns(rotations.reshape(-1, total))
+    return [c for c in range(p.dim, total) if c not in pinned]
+
+
 def analyze(fw: Framework, tol: float | None = None) -> RigidityReport:
     """Flex dimension, trivial dimension, and isostaticity of a framework.
 
     Isostatic means rigid with every edge load-bearing, which holds
     exactly when the edge rows are independent: one rank decides both.
-    On the exact backend that rank is integer elimination (see linalg)
-    bounded by nV - trivial_dim (_trivial_dim): "rigid", "isostatic" and
-    independent edges are settled modulo linalg.PRIME, and only a rank
-    short of both the bound and the edge count is eliminated over Q.
+    On the exact backend that rank is bounded by nV - trivial_dim
+    (_trivial_dim) and by the edge count: "rigid", "isostatic" and
+    independent edges are settled modulo linalg.PRIME
+    (linalg.reaches_mod_p), and only a rank short of both is eliminated
+    over Q, on the unpinned coordinates (_unpinned).
     """
     p = fw.config
     total = p.dim * p.count
     trivial_dim = _trivial_dim(p, tol)
     r = rigidity_matrix(fw)
-    base_rank = linalg.rank(r, tol, bound=total - trivial_dim)
+    full = min(total - trivial_dim, r.shape[0])
+    if p.exact and linalg.reaches_mod_p(r, full):
+        base_rank = full
+    else:
+        base_rank = linalg.rank(r[:, _unpinned(p)] if p.exact else r, tol)
     flex_dim = total - base_rank
     isostatic = flex_dim == trivial_dim and base_rank == r.shape[0]
     return RigidityReport(flex_dim=flex_dim, trivial_dim=trivial_dim,
@@ -178,12 +200,15 @@ def _implied_pairs_at(g: Graph, p: PointConfiguration, candidates) -> set:
     candidates, are [R^T | C^T] on ints, and one elimination decides all.
     Every column vanishes on the trivial motions, so nV - _trivial_dim(p)
     bounds the rank: when R reaches it modulo linalg.PRIME (g rigid at p)
-    every candidate is implied with no exact elimination."""
+    every candidate is implied with no exact elimination; otherwise the
+    exact elimination runs on the unpinned rows (_unpinned)."""
     pairs = [*g.sorted_edges(), *candidates]
-    cols = strains(p, np.eye(p.dim * p.count, dtype=int), pairs)
-    bound = p.dim * p.count - _trivial_dim(p)
-    return set(compress(pairs[g.edge_count:],
-                        linalg.spanned_columns(cols, g.edge_count, bound)))
+    total = p.dim * p.count
+    cols = strains(p, np.eye(total, dtype=int), pairs)
+    if linalg.reaches_mod_p(cols, total - _trivial_dim(p), g.edge_count):
+        return set(pairs[g.edge_count:])
+    spanned = linalg.spanned_columns(cols[_unpinned(p)], g.edge_count)
+    return set(compress(pairs[g.edge_count:], spanned))
 
 
 def implied_pairs(g: Graph, candidates, n: int, seed: int = 0) -> set:

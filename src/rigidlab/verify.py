@@ -225,7 +225,8 @@ def _check_family(seed: int, samples: int | None):
     space = stress_matched_linear_space(p)
     if space.dim < 7:
         return False, f"stress-matched space has dim {space.dim} < 7"
-    meet = space.subspace.intersection(trivial_motion_space(p).subspace).dim
+    triv = trivial_motion_space(p).subspace
+    meet = space.dim + triv.dim - linalg.rank(np.vstack([space.subspace.basis, triv.basis]))
     if meet != 3:
         return False, f"intersection with trivial motions has dim {meet} != 3"
     fully_flexible = 0
@@ -289,9 +290,9 @@ def _check_classification(seed: int, samples: int | None):
             return False, f"{label}: anomaly ({cls.details})"
         kinds[cls.kind.value] += 1
         if cls.kind.value == "rank-one-form":
+            weights = cleared(cls.weights)[0]
             recon = MotionSpace.from_motions(
-                p_i, [np.outer(direction, cls.weights)
-                      for direction in cls.plane.basis])
+                p_i, [np.outer(direction, weights) for direction in cls.plane.basis])
             if not p_equivalent(space, recon):
                 return False, f"{label}: reconstruction not p-equivalent"
     return True, (f"{kinds['rank-one-form']} rank-one forms (all reconstructed), "

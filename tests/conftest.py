@@ -23,15 +23,16 @@ def fraction_counter(monkeypatch):
 
 @pytest.fixture
 def bareiss_calls(monkeypatch):
-    """The list of (rows, ncols, modulus) of every linalg._bareiss call made
-    since the fixture was set up; modulus None marks exact elimination."""
+    """The list of (rows, ncols, reduce, modulus) of every linalg._bareiss
+    call made since the fixture was set up; reduce False marks forward
+    elimination, modulus None exact elimination."""
     from rigidlab import linalg
 
     calls = []
     real = linalg._bareiss
 
     def recording(rows, ncols, reduce=True, modulus=None):
-        calls.append((len(rows), ncols, modulus))
+        calls.append((len(rows), ncols, reduce, modulus))
         return real(rows, ncols, reduce, modulus)
 
     monkeypatch.setattr(linalg, "_bareiss", recording)

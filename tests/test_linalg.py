@@ -582,32 +582,39 @@ def bounded_rank_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(bounded_rank_cases(), st.integers(0, 3))
 def test_rank_with_a_proven_bound_is_the_rank(case, slack):
-    """rank(m, bound=b) is rank(m) for every upper bound b, and exact
-    elimination runs exactly when the rank mod PRIME falls short of
-    min(b, rows, columns)."""
+    """For every upper bound b on the rank, full = min(b, rows, columns)
+    is the rank when reaches_mod_p proves it, which happens exactly when
+    the rank mod PRIME is full; only a rank short of it is eliminated
+    exactly, by rank."""
     m, r = case
     rows, ncols = m.tolist(), m.shape[1]
     mod_p = _rank_mod(rows, ncols, linalg.PRIME)
     assert len(linalg._bareiss(rows, ncols, False, linalg.PRIME)[1]) == mod_p <= r
     assert rank(m) == r
     for bound in (r, r + slack):
+        full = min(bound, *m.shape)
         with mock.patch.object(linalg, "_rref_exact", wraps=linalg._rref_exact) as exact:
-            assert rank(m, bound=bound) == r
-        assert exact.called == (m.size > 0 and mod_p < min(bound, *m.shape))
+            reached = linalg.reaches_mod_p(m, full)
+            assert (full if reached else rank(m)) == r
+        assert reached == (mod_p == full)
+        assert exact.called == (m.size > 0 and mod_p < full)
 
 
 @settings(max_examples=200, deadline=None)
 @given(bounded_rank_cases(), st.integers(0, 2), st.data())
 def test_spanned_columns_with_a_proven_bound(case, slack, data):
-    """spanned_columns(m, k, b) equals the call without b for every upper
-    bound b on the rank of m; when the first k columns reach b modulo
-    PRIME every column is spanned, with no exact elimination."""
+    """When the first k columns reach an upper bound b on the rank of m
+    modulo PRIME (reaches_mod_p with ncols k) every column is spanned,
+    as spanned_columns finds; only short columns are eliminated exactly."""
     m, r = case
     k = data.draw(st.integers(0, m.shape[1]))
     want = linalg.spanned_columns(m, k)
     reached = _rank_mod(m[:, :k].tolist(), k, linalg.PRIME) == r + slack
     with mock.patch.object(linalg, "_rref_exact", wraps=linalg._rref_exact) as exact:
-        assert linalg.spanned_columns(m, k, r + slack) == want
+        proved = linalg.reaches_mod_p(m, r + slack, k)
+        got = [True] * (m.shape[1] - k) if proved else linalg.spanned_columns(m, k)
+    assert proved == reached
+    assert got == want
     assert exact.called != reached
     if reached:
         assert all(want)
@@ -625,30 +632,43 @@ def test_bound_reached_only_over_q_runs_the_exact_rank():
     p = linalg.PRIME
     one = np.array([[3 * p]], dtype=object)
     assert linalg._bareiss(one.tolist(), 1, False, p)[1] == []
-    assert rank(one, bound=1) == 1
+    assert not linalg.reaches_mod_p(one, 1)
+    assert rank(one) == 1
     congruent = np.array([[1, 2, 3], [1 + p, 2, 3 - 2 * p]], dtype=object)
-    assert rank(congruent, bound=2) == 2
-    assert linalg.spanned_columns(congruent.T.copy(), 1, 2) == [False]
-    assert linalg.spanned_columns(np.array([[p, 1, 2]], dtype=object), 1, 1) == [True, True]
+    assert not linalg.reaches_mod_p(congruent, 2)
+    assert rank(congruent) == 2
+    assert not linalg.reaches_mod_p(congruent.T.copy(), 2, 1)
+    assert linalg.spanned_columns(congruent.T.copy(), 1) == [False]
+    row = np.array([[p, 1, 2]], dtype=object)
+    assert not linalg.reaches_mod_p(row, 1, 1)
+    assert linalg.spanned_columns(row, 1) == [True, True]
 
 
 def test_spanned_columns_bound_is_reached_by_the_first_columns_only():
     # m has rank 2, its bound, but its first two columns only rank 1: the
     # third column is not spanned, whatever the whole matrix reaches.
     m = np.array([[1, 0, 0], [0, 0, 1]], dtype=object)
-    assert linalg.spanned_columns(m, 2, 2) == linalg.spanned_columns(m, 2) == [False]
-    assert linalg.spanned_columns(m[:, [0, 2, 1]].copy(), 2, 2) == [True]
+    assert linalg.reaches_mod_p(m, 2)
+    assert not linalg.reaches_mod_p(m, 2, 2)
+    assert linalg.spanned_columns(m, 2) == [False]
+    swapped = m[:, [0, 2, 1]].copy()
+    assert linalg.reaches_mod_p(swapped, 2, 2)
+    assert linalg.spanned_columns(swapped, 2) == [True]
 
 
 @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0), (2, 3)])
 def test_bound_zero_and_empty_matrices(shape):
     z = np.zeros(shape, dtype=int).astype(object)
-    assert rank(z, bound=0) == rank(z) == 0
-    assert rank(z, bound=2) == 0
+    assert linalg.reaches_mod_p(z, 0)
+    assert rank(z) == 0
+    full = min(2, *shape)
+    assert linalg.reaches_mod_p(z, full) == (full == 0)
+    assert not linalg.reaches_mod_p(z, 3)
     for k in range(shape[1] + 1):
-        assert linalg.spanned_columns(z, k, 0) == [True] * (shape[1] - k)
-    # Float ranks ignore bound.
-    assert rank(np.eye(3), bound=1) == 3
+        assert linalg.reaches_mod_p(z, 0, k)
+        assert linalg.spanned_columns(z, k) == [True] * (shape[1] - k)
+    # Float ranks have no modular pass: one SVD.
+    assert rank(np.eye(3)) == 3
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -2,14 +2,15 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fraction_reference import reference_rref
 from rigidlab import linalg, motions, rigidity
 from rigidlab.errors import BadSupportError
 from rigidlab.linalg import exact_matrix, rank
-from rigidlab.motions import PointConfiguration, trivial_motion_space
+from rigidlab.motions import (PointConfiguration, flatten_motion, trivial_motion_space,
+                              trivial_motions)
 from rigidlab.rigidity import (Framework, Graph, _implied_pairs_at,
                                analyze, double_banana, find_implied_k4,
                                flex_space, henneberg_extend, implied_pairs,
@@ -249,6 +250,42 @@ def test_implied_pairs_at_matches_row_reduction(name, g, seed):
         _implied_pairs_by_row_reduction(g, p, candidates)
 
 
+@st.composite
+def _small_frameworks(draw):
+    """A graph on V = 1 ... 9 vertices in R^n, n = 2 or 3, at integer
+    points drawn from [-50, 50] or from {-1, 0, 1}: the latter makes
+    points coincide or lie on a line or plane, where fewer coordinates
+    are pinned and the rotations' pins leave points 2 and 3."""
+    n, v = draw(st.sampled_from([2, 3])), draw(st.integers(1, 9))
+    coords = draw(st.sampled_from([st.integers(-1, 1), st.integers(-50, 50)]))
+    pts = draw(st.lists(st.lists(coords, min_size=v, max_size=v), min_size=n, max_size=n))
+    pairs = list(combinations(range(1, v + 1), 2))
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return Graph.from_edges(v, edges), PointConfiguration(exact_matrix(pts))
+
+
+@settings(max_examples=200, deadline=None)
+@example((Graph.complete(6),  # points 1-3 coincide: the rotations pin 4 and 5
+          PointConfiguration(exact_matrix([[0, 0, 0, 1, 0, 1], [0, 0, 0, 0, 1, 1],
+                                           [0, 0, 0, 0, 0, 1]]))))
+@given(_small_frameworks())
+def test_analyze_and_implied_pairs_match_the_fraction_reference(case):
+    """analyze and _implied_pairs_at, which eliminate a short rank on the
+    unpinned coordinates only, equal Fraction eliminations of the whole
+    matrices: the rank of the rigidity matrix and of the trivial motions'
+    generators, and each pair's row reduced against the edge rows."""
+    g, p = case
+    total = p.dim * p.count
+    r = len(reference_rref(rigidity_matrix(Framework(g, p)).tolist(), total)[1])
+    gens = [flatten_motion(u).tolist() for u in trivial_motions(p)]
+    trivial = len(reference_rref(gens, total)[1])
+    report = analyze(Framework(g, p))
+    assert (report.flex_dim, report.trivial_dim) == (total - r, trivial)
+    assert report.is_isostatic == (r == total - trivial == g.edge_count)
+    pairs = list(combinations(range(1, p.count + 1), 2))
+    assert _implied_pairs_at(g, p, pairs) == _implied_pairs_by_row_reduction(g, p, pairs)
+
+
 @pytest.mark.parametrize("g, want", [(K5E, {(4, 5)}), (double_banana(), {(1, 2)})],
                          ids=["K5-e", "double-banana"])
 def test_implied_pairs_build_no_flex_space(monkeypatch, g, want):
@@ -370,8 +407,9 @@ def test_implied_pairs_are_invariant_under_affine_maps_and_relabelling(name, g, 
 
 
 def _exact_calls(calls):
-    """(rows, ncols) of the exact eliminations among recorded _bareiss calls."""
-    return [(rows, ncols) for rows, ncols, modulus in calls if modulus is None]
+    """(rows, ncols, reduce) of the exact eliminations among recorded
+    _bareiss calls."""
+    return [call[:3] for call in calls if call[3] is None]
 
 
 WORK_CASES = [
@@ -387,23 +425,41 @@ WORK_CASES = [
 def test_analyze_eliminates_exactly_only_a_short_rank(bareiss_calls, name, g, ranks):
     """Isostatic, over-braced and independent flexible graphs reach their
     rank bound (nV - trivial_dim, or the edge count) modulo PRIME: the only
-    exact elimination is the points' affine rank.  The double banana's
-    rank falls short of both, so its rigidity matrix is eliminated once
-    exactly, after the one modular attempt."""
+    exact elimination is the points' affine rank, and no pin is chosen.
+    The double banana's rank falls short of both, so after the one
+    modular attempt the pins are chosen (point 1's coordinates, and a
+    forward elimination of the three rotations about p_1), and its
+    rigidity matrix is eliminated once exactly on the 3V - 6 others:
+    (18, 18) where the unpinned matrix is (18, 24)."""
     v = g.vertex_count
     fw = Framework(g, random_config(3, v, subrng(0, "work-" + name, 0)))
     analyze(fw)
-    assert _exact_calls(bareiss_calls) == [(v - 1, 3)] + [(g.edge_count, 3 * v)] * ranks
-    assert [call for call in bareiss_calls if call[2]] == \
-        [(g.edge_count, 3 * v, linalg.PRIME)]
+    pinned = [(3, 3 * v, False), (g.edge_count, 3 * v - 6, False)]
+    assert _exact_calls(bareiss_calls) == [(v - 1, 3, False)] + pinned * ranks
+    assert [call for call in bareiss_calls if call[3]] == \
+        [(g.edge_count, 3 * v, False, linalg.PRIME)]
 
 
 def test_implied_pairs_of_a_rigid_graph_need_no_exact_elimination(bareiss_calls):
     """At a sample where the octahedron is rigid its edge columns reach the
     rank bound modulo PRIME, so every candidate is implied without an
-    exact spanned_columns: the two samples eliminate only their affine
-    ranks exactly."""
+    exact spanned_columns or a pin choice: the two samples eliminate only
+    their affine ranks exactly."""
     g = _octahedron()
     assert implied_pairs(g, [(1, 2), (3, 4), (5, 6)], 3) == {(1, 2), (3, 4), (5, 6)}
-    assert _exact_calls(bareiss_calls) == [(5, 3)] * 2
-    assert [call[2] for call in bareiss_calls].count(linalg.PRIME) == 2
+    assert _exact_calls(bareiss_calls) == [(5, 3, False)] * 2
+    assert [call[3] for call in bareiss_calls].count(linalg.PRIME) == 2
+
+
+def test_implied_pairs_of_a_flexible_graph_eliminate_the_unpinned_rows(bareiss_calls):
+    """The double banana falls short of its bound modulo PRIME at both
+    samples, so each eliminates [R^T | C^T] (its 18 edges and 10 gaps)
+    exactly on the 18 rows outside the pinned coordinates, (18, 28) where
+    the unpinned matrix is (24, 28); the elimination's pivots lie in the
+    18 edge columns."""
+    g = double_banana()
+    gaps = [pair for pair in combinations(range(1, 9), 2) if not g.has_edge(*pair)]
+    assert implied_pairs(g, gaps, 3) == {(1, 2)}
+    sample = [(7, 3, False), (3, 24, False), (18, 18, False)]
+    assert _exact_calls(bareiss_calls) == sample * 2
+    assert [call for call in bareiss_calls if call[3]] == [(24, 18, False, linalg.PRIME)] * 2
