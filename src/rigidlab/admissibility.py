@@ -35,9 +35,12 @@ BLOCK_145 = (1, 4, 5)
 BLOCK_123 = (1, 2, 3)
 
 
-def _require_five_points(p: PointConfiguration) -> None:
+def _require_five_points(p: PointConfiguration, s: MotionSpace | None = None) -> None:
+    """p is five points in R^3, and s (when given) a motion space of p."""
     if p.dim != 3 or p.count != 5:
         raise ValueError(f"need 5 points in R^3, got {p.dim} x {p.count}")
+    if s is not None and s.config != p:
+        raise ValueError("motion space does not belong to this configuration")
 
 
 def split_blocks(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -64,9 +67,7 @@ def pin_mismatch_map(p: PointConfiguration, s: MotionSpace, x: np.ndarray,
     """3 x dim(s) matrix whose column for basis motion u is the difference
     of the two pin velocities of u at x.  A nonzero kernel vector is a
     motion that extends to a flex of the cone at x."""
-    _require_five_points(p)
-    if s.config != p:
-        raise ValueError("motion space does not belong to this configuration")
+    _require_five_points(p, s)
     side_q, side_r = _pin_blocks(p, tol)
     cols = [pin_velocity(side_q.with_motion(v), x, tol)
             - pin_velocity(side_r.with_motion(w), x, tol)
@@ -147,11 +148,9 @@ def check_admissibility(p: PointConfiguration, s: MotionSpace,
     as one stack (_pin_samples) and ranked by one linalg.rank call.
     Witness positions are returned as Fractions when exact.
     """
-    _require_five_points(p)
+    _require_five_points(p, s)
     if s.dim < 1:
         raise ValueError("candidate subspace must have positive dimension")
-    if s.config != p:
-        raise ValueError("motion space does not belong to this configuration")
     intersects = _ranks_mod_trivial(p, s.subspace.basis, tol)[0] < s.dim
     xs, m, _ = _pin_samples(p, samples, seed, "pin-sample",
                             _mismatch_sampler(p, s.basis_motions(), tol))
@@ -214,7 +213,7 @@ def sufficient_check(p: PointConfiguration, s: MotionSpace,
                      tol: float | None = None) -> bool:
     """Sufficient (not necessary) admissibility test: trivial intersection
     zero, every motion linear, and the stress gap vanishing on s."""
-    _require_five_points(p)
+    _require_five_points(p, s)
     if _ranks_mod_trivial(p, s.subspace.basis, tol)[0] < s.dim:
         return False
     sides = _pin_blocks(p, tol)
@@ -379,9 +378,7 @@ def classify_admissible(p: PointConfiguration, s: MotionSpace,
     weights are Fractions.  On float64 every denominator is 1 and the
     formulas are the float arithmetic as it stands.
     """
-    _require_five_points(p)
-    if s.config != p:
-        raise ValueError("motion space does not belong to this configuration")
+    _require_five_points(p, s)
     if s.dim != 2:
         raise ValueError("classification expects a 2-dimensional subspace")
     exact = p.exact

@@ -15,7 +15,7 @@ from operator import mul
 
 import numpy as np
 
-from . import linalg
+from . import linalg, rigidity
 from .errors import NotIsostaticError
 from .linalg import Subspace
 from .motions import PointConfiguration, skew_basis, strains
@@ -23,7 +23,6 @@ from .rigidity import (Framework, Graph, _implied_pairs_at, analyze,
                        complete_quadruple, henneberg_extend,
                        is_generically_isostatic, normalize_edge,
                        rigidity_matrix)
-from .sampling import random_config, subrng
 
 
 def edge_conic_space(p: PointConfiguration, edges,
@@ -104,8 +103,10 @@ class _Stretches:
     """g's stretch motions at the first V points of a sample q: u_e changes
     the length of edge e alone (R u_e is the unit vector at e, R g's
     rigidity matrix); the rows of W, the numerators of R R^T W = R solved
-    by linalg.solve_parts, are the u_e up to one common scale.  motions is
-    None when g is not isostatic at those points; callers then run the
+    by linalg.solve_parts, are the u_e up to one common scale.  r_ij . u_e
+    is the coefficient of edge e in pair ij's row expanded in R's rows, so
+    unstrained[e], the pairs where it is zero, are those g - e implies.
+    motions is None when g is not isostatic there; callers then run the
     per-case oracle on q itself.  q's point after the V-th is the new vertex.
     """
 
@@ -123,14 +124,8 @@ class _Stretches:
             self.motions = {e: [row[n * k:n * k + n] for k in range(v)]
                             for e, row in zip(edges, w.tolist())}
             rows = strains(fw.config, w, pairs).tolist()
-            self.table = {(ij, e): s for e, row in zip(edges, rows)
-                          for ij, s in zip(pairs, row)}
-
-    def strain(self, pair, e):
-        """r_ij . u_e, from the table built once: the coefficient of edge e
-        in the expansion of pair ij's row in the rows of R, up to the
-        common scale."""
-        return self.table[pair, e]
+            self.unstrained = {e: {ij for ij, s in zip(pairs, row) if s == 0}
+                               for e, row in zip(edges, rows)}
 
     def extension_rigid(self, xs, e, f) -> bool:
         """Flexes of g - e - f are trivial(p) + span(u_e, u_f), so the
@@ -154,13 +149,13 @@ class _Stretches:
 class ExtensionTable:
     """Every Henneberg 2-extension of one isostatic base graph g in R^n.
 
-    Built once per (g, n, seed) on the configurations that implied_pairs
-    and is_generically_rigid draw for a single case (the new vertex is
-    the last point of the latter), so each report equals the one those
-    oracles give case by case.  At a sample where g is isostatic, a pair
-    is implied by g - e - f when its strains along u_e and u_f vanish,
-    and rigidity is one (n + 2)-row integer rank; elsewhere that sample
-    runs _implied_pairs_at or analyze on the same configuration.
+    Built once per (g, n, seed) on the generic_samples that implied_pairs
+    and is_generically_rigid draw for a single case (the new vertex is the
+    last point of the latter), so each report equals the one those oracles
+    give case by case.  At a sample where g is isostatic, a pair is implied
+    by g - e - f when it lies in the zero-strain sets of both e and f
+    (_Stretches.unstrained), and rigidity is one (n + 2)-row integer rank;
+    elsewhere that sample runs _implied_pairs_at or analyze on it.
     """
 
     def __init__(self, g: Graph, n: int = 3, seed: int = 0):
@@ -169,8 +164,7 @@ class ExtensionTable:
         self.g, self.n = g, n
         v = g.vertex_count
         self._implied, self._rigid = (
-            [_Stretches(g, random_config(n, count, subrng(seed, tag, i)))
-             for i in range(2)]
+            [_Stretches(g, q) for q in rigidity.generic_samples(n, count, seed, tag)]
             for tag, count in (("implied", v), ("generic-rigid", v + 1)))
 
     def report(self, x, e, f) -> ExtensionReport:
@@ -191,14 +185,11 @@ class ExtensionTable:
         extension = henneberg_extend(self.g, xs, [e, f], self.n)
         support_edges = self.g.edges_within(xs)
 
-        implied = list(combinations(xs, 2))
+        implied = set(combinations(xs, 2))
         for s in self._implied:
-            if s.motions is None:
-                implied = _implied_pairs_at(self.g.without_edges([e, f]), s.q, implied)
-            else:
-                implied = [ij for ij in implied
-                           if s.strain(ij, e) == 0 and s.strain(ij, f) == 0]
-        implied = set(implied)
+            implied = (_implied_pairs_at(self.g.without_edges([e, f]), s.q, implied)
+                       if s.motions is None
+                       else implied & s.unstrained[e] & s.unstrained[f])
         k4 = complete_quadruple(implied, xs)
         probe = _find_implied_probe(implied, xs)
 

@@ -5,7 +5,8 @@ any float dtype means the float64 backend.  Mixing backends in one call
 is a bug.  zero_rows holds the zero rule of each backend, row by row
 (is_zero: one value): exact values are zero when every entry == 0,
 float values when max|value| <= tol * max(scale, 1); float ranks count
-singular values above tol times the largest (a stack: one batched SVD).
+singular values above tol times the largest (a stack: one batched SVD),
+and an SVD or least-squares operand that overflowed raises (_finite).
 Exact entries are Python ints; a fractions.Fraction enters only as
 parsed input (frac, exact_matrix) and is made only by over.  Every exact
 rank, nullspace, solve and inverse runs _bareiss, Bareiss elimination on
@@ -39,7 +40,7 @@ from math import gcd, lcm
 
 import numpy as np
 
-from .errors import OnAffineSpanError, SingularMatrixError
+from .errors import DegenerateConfigError, OnAffineSpanError, SingularMatrixError
 
 # Relative tolerance used by every float64 rank/zero decision.  Callers can
 # override per call; exact-backend calls ignore it.
@@ -213,6 +214,14 @@ def _primitive(row: list, at: int) -> list:
     return [v // g for v in row]
 
 
+def _finite(m: np.ndarray) -> np.ndarray:
+    """m in float64, where an inf or nan entry (an overflow) raises before
+    LAPACK can hang, fail to converge or rank it 0."""
+    if not np.isfinite(m := m.astype(float)).all():
+        raise DegenerateConfigError("float64 overflow: a matrix entry is not finite")
+    return m
+
+
 def _svd_rank(s: np.ndarray, tol: float | None):
     """Count of singular values (largest first, last axis: one count per
     matrix of a stack) above tol times the largest; all zero counts 0."""
@@ -243,7 +252,7 @@ def rank(m: np.ndarray, tol: float | None = None):
         ranks = [len(_rref_exact(rows, ncols, reduce=False)[1])
                  for rows in map(np.ndarray.tolist, stack)]
     else:
-        ranks = _svd_rank(np.linalg.svd(stack.astype(float), compute_uv=False),
+        ranks = _svd_rank(np.linalg.svd(_finite(stack), compute_uv=False),
                           tol).tolist()
     return ranks if m.ndim == 3 else ranks[0]
 
@@ -282,7 +291,7 @@ def nullspace_rows(m: np.ndarray, tol: float | None = None) -> np.ndarray:
         return basis
     if m.size == 0:
         return np.eye(n)
-    _, s, vh = np.linalg.svd(m.astype(float))
+    _, s, vh = np.linalg.svd(_finite(m))
     return vh[_svd_rank(s, tol):].copy()
 
 
@@ -345,8 +354,7 @@ def solve_parts(a: np.ndarray, b: np.ndarray, tol: float | None = None):
         for row, pc in zip(rows, pivots):
             x[pc] = row[ncols:]
         return (x[:, 0] if vector_rhs else x), d
-    af = a.astype(float)
-    bf = brows.astype(float)
+    af, bf = _finite(a), _finite(brows)
     x, *_ = np.linalg.lstsq(af, bf, rcond=None)
     if not is_zero(af @ x - bf, tol, np.hstack([np.abs(af) @ np.abs(x), bf])):
         return None
@@ -444,7 +452,7 @@ class Subspace:
         if any(is_exact(r) for r in rows):
             red, pivots = _rref_exact([r.tolist() for r in rows], n)
             return cls(n, array([_primitive(row, pc) for row, pc in zip(red, pivots)]))
-        _, s, vh = np.linalg.svd(np.vstack([r.astype(float) for r in rows]))
+        _, s, vh = np.linalg.svd(_finite(np.vstack(rows)))
         return cls(n, vh[:_svd_rank(s, tol)].copy())
 
     @property

@@ -171,17 +171,20 @@ def analyze(fw: Framework, tol: float | None = None) -> RigidityReport:
                           is_isostatic=isostatic)
 
 
+def generic_samples(n: int, count: int, seed: int, tag: str):
+    """The two random configurations that decide a generic verdict, drawn
+    lazily from the substreams (seed, tag, 0) and (seed, tag, 1)."""
+    return (random_config(n, count, subrng(seed, tag, idx)) for idx in range(2))
+
+
 def _generic_witness(g: Graph, n: int, seed: int, tag: str, holds) -> bool:
-    """True when holds(analyze(...)) at one of two random configurations:
-    one witness decides, a negative answer needs both samples to agree.
+    """True when holds(analyze(...)) at one of the two generic_samples: one
+    witness decides (the second is not drawn), "no" needs both to agree.
     A wrong "not rigid" needs a nonzero minor of degree r, g's generic rank
     (<= nV - n(n+1)/2 for V >= n), to vanish at both draws of 2*10^6 + 1
     values a coordinate: probability <= (r/(2*10^6 + 1))^2 (Schwartz-Zippel)."""
-    for idx in range(2):
-        p = random_config(n, g.vertex_count, subrng(seed, tag, idx))
-        if holds(analyze(Framework(g, p))):
-            return True
-    return False
+    return any(holds(analyze(Framework(g, p)))
+               for p in generic_samples(n, g.vertex_count, seed, tag))
 
 
 def is_generically_rigid(g: Graph, n: int, seed: int = 0) -> bool:
@@ -197,11 +200,11 @@ def is_generically_isostatic(g: Graph, n: int, seed: int = 0) -> bool:
 def _implied_pairs_at(g: Graph, p: PointConfiguration, candidates) -> set:
     """Candidate pairs whose rigidity row is in g's row space at the exact
     configuration p: the unit motions' strains on the edges, then on the
-    candidates, are [R^T | C^T] on ints, and one elimination decides all.
-    Every column vanishes on the trivial motions, so nV - _trivial_dim(p)
-    bounds the rank: when R reaches it modulo linalg.PRIME (g rigid at p)
-    every candidate is implied with no exact elimination; otherwise the
-    exact elimination runs on the unpinned rows (_unpinned)."""
+    candidates, are [R^T | C^T] on ints; one elimination, its pivots in the
+    edge columns, decides each candidate alone.  Every column vanishes on
+    the trivial motions, so nV - _trivial_dim(p) bounds the rank: when R
+    reaches it modulo linalg.PRIME every candidate is implied with no
+    exact elimination; otherwise that runs on the unpinned rows (_unpinned)."""
     pairs = [*g.sorted_edges(), *candidates]
     total = p.dim * p.count
     cols = strains(p, np.eye(total, dtype=int), pairs)
@@ -212,17 +215,17 @@ def _implied_pairs_at(g: Graph, p: PointConfiguration, candidates) -> set:
 
 
 def implied_pairs(g: Graph, candidates, n: int, seed: int = 0) -> set:
-    """Subset of candidate pairs implied by g at generic configurations,
-    that is at both of two random ones.  A wrong "implied" needs a nonzero
-    minor of g plus the pair, of degree r as in _generic_witness, to vanish
-    at both: probability <= (r/(2*10^6 + 1))^2 (Schwartz-Zippel)."""
-    cands = [normalize_edge(i, j) for i, j in candidates]
-    agreed = None
-    for idx in range(2):
-        p = random_config(n, g.vertex_count, subrng(seed, "implied", idx))
-        found = _implied_pairs_at(g, p, cands)
-        agreed = found if agreed is None else agreed & found
-    return agreed if agreed is not None else set()
+    """Subset of candidate pairs implied by g at both generic_samples; the
+    second tests only the pairs the first found implied, and is not drawn
+    when there are none.  A wrong "implied" needs a nonzero minor of g plus
+    the pair, of degree r as in _generic_witness, to vanish at both:
+    probability <= (r/(2*10^6 + 1))^2 (Schwartz-Zippel)."""
+    implied = [normalize_edge(i, j) for i, j in candidates]
+    for p in generic_samples(n, g.vertex_count, seed, "implied"):
+        implied = _implied_pairs_at(g, p, implied)
+        if not implied:
+            break
+    return implied
 
 
 def is_implied_edge(g: Graph, i: int, j: int, n: int, seed: int = 0) -> bool:

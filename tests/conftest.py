@@ -21,18 +21,26 @@ def fraction_counter(monkeypatch):
     return lambda: built[0]
 
 
+class BareissCall(tuple):
+    """(rows, ncols, reduce, modulus) of one linalg._bareiss call, with the
+    row width, ncols pivot-eligible columns and any after them, as width."""
+
+
 @pytest.fixture
 def bareiss_calls(monkeypatch):
     """The list of (rows, ncols, reduce, modulus) of every linalg._bareiss
-    call made since the fixture was set up; reduce False marks forward
-    elimination, modulus None exact elimination."""
+    call made since the fixture was set up, each a BareissCall carrying
+    its row width; reduce False marks forward elimination, modulus None
+    exact elimination."""
     from rigidlab import linalg
 
     calls = []
     real = linalg._bareiss
 
     def recording(rows, ncols, reduce=True, modulus=None):
-        calls.append((len(rows), ncols, reduce, modulus))
+        call = BareissCall((len(rows), ncols, reduce, modulus))
+        call.width = len(rows[0]) if rows else 0
+        calls.append(call)
         return real(rows, ncols, reduce, modulus)
 
     monkeypatch.setattr(linalg, "_bareiss", recording)

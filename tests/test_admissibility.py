@@ -392,6 +392,19 @@ def test_check_admissibility_rejects_a_space_of_another_config():
         check_admissibility(STANDARD, other)
 
 
+@pytest.mark.parametrize("query", [
+    check_admissibility, classify_admissible, sufficient_check,
+    lambda p, s: pin_mismatch_map(p, s, exact_matrix([7, 8, 9]))],
+    ids=["check_admissibility", "classify_admissible", "sufficient_check",
+         "pin_mismatch_map"])
+def test_space_readers_reject_a_family_member_of_another_config(query):
+    # sufficient_check once answered False here instead of raising.
+    other = random_general_config(3, 5, 5, "val-other")
+    member = construct_admissible_family(other, trials=1, seed=3)[0]
+    with pytest.raises(ValueError, match="does not belong"):
+        query(STANDARD, member)
+
+
 def test_exact_query_builds_a_tenth_of_the_fractions(monkeypatch):
     # One exact check_admissibility and one classify_admissible on the
     # first configuration of the five-point benchmark deck run on Python

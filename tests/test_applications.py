@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rigidlab import applications, linalg, rigidity
+from rigidlab import linalg, rigidity
 from rigidlab.applications import (ExtensionReport, ExtensionTable,
                                    _find_implied_probe, _Stretches,
                                    conic_probe_graphs, edge_conic_space,
@@ -16,7 +16,7 @@ from rigidlab.rigidity import (Framework, Graph, _implied_pairs_at, analyze,
                                complete_quadruple, double_banana,
                                henneberg_extend, implied_pairs,
                                is_generically_rigid)
-from rigidlab.sampling import random_general_config, subrng
+from rigidlab.sampling import random_general_config
 from rigidlab.verify import run_check
 
 STANDARD = PointConfiguration(exact_matrix(
@@ -180,25 +180,17 @@ def test_table_falls_back_at_a_coplanar_sample(monkeypatch):
     # The first implied and generic-rigid samples are flattened onto z = 0
     # (the new vertex keeps its height), where K5 - e is not isostatic: the
     # table must run the per-case oracle there, on the same points.
-    real_subrng, real_config = subrng, rigidity.random_config
-    flat = {("implied", 0), ("generic-rigid", 0)}
+    real = rigidity.generic_samples
 
-    def tagged_subrng(seed, tag, index=0):
-        rng = real_subrng(seed, tag, index)
-        rng.flat = (tag, index) in flat
-        return rng
+    def flattened(n, count, seed, tag):
+        for idx, p in enumerate(real(n, count, seed, tag)):
+            if idx == 0 and tag in ("implied", "generic-rigid"):
+                points = p.points.copy()
+                points[2, :5] = 0
+                p = PointConfiguration(points)
+            yield p
 
-    def flattened_config(dim, count, rng, **kwargs):
-        p = real_config(dim, count, rng, **kwargs)
-        if getattr(rng, "flat", False):
-            points = p.points.copy()
-            points[2, :5] = 0
-            p = PointConfiguration(points)
-        return p
-
-    for module in (applications, rigidity):
-        monkeypatch.setattr(module, "subrng", tagged_subrng)
-        monkeypatch.setattr(module, "random_config", flattened_config)
+    monkeypatch.setattr(rigidity, "generic_samples", flattened)
     g = Graph.complete(5).without_edges([(4, 5)])
     table = ExtensionTable(g, 3, 0)
     assert [s.motions is None for s in table._implied + table._rigid] == \
@@ -252,7 +244,7 @@ def _grown_isostatic(draw):
 @settings(max_examples=40, deadline=None)
 @given(g=_grown_isostatic(), data=st.data())
 def test_stretch_strains_match_the_row_reduction(g, data):
-    # The zero pattern of r_ij . u_e, and the rank that replaces the
+    # The zero sets of r_ij . u_e, and the rank that replaces the
     # extension's analyze, against the per-case computations at one
     # integer configuration (small coordinates: special positions happen).
     v = g.vertex_count
@@ -264,11 +256,10 @@ def test_stretch_strains_match_the_row_reduction(g, data):
     p = PointConfiguration(q.points[:, :v])
     pairs = list(combinations(range(1, v + 1), 2))
     for e in g.sorted_edges():
-        assert {ij for ij in pairs if s.strain(ij, e) == 0} == \
-            _implied_pairs_at(g.without_edges([e]), p, pairs)
+        assert s.unstrained[e] == _implied_pairs_at(g.without_edges([e]), p, pairs)
     e, f = data.draw(st.lists(st.sampled_from(g.sorted_edges()), min_size=2,
                               max_size=2, unique=True), label="ef")
-    assert {ij for ij in pairs if s.strain(ij, e) == 0 == s.strain(ij, f)} == \
+    assert s.unstrained[e] & s.unstrained[f] == \
         _implied_pairs_at(g.without_edges([e, f]), p, pairs)
     rest = [k for k in range(1, v + 1) if k not in {*e, *f}]
     xs = sorted({*e, *f, *data.draw(st.lists(

@@ -1,5 +1,8 @@
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -357,6 +360,34 @@ def test_coordinates_beyond_float64_are_parse_errors(tmp_path, capsys, kind):
     captured = capsys.readouterr()
     assert "admissible: " in captured.out
     assert captured.err == ""
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_float_overflow_in_a_conic_exits_4(tmp_path, capsys):
+    # (p_i - p_j)(p_i - p_j)^T overflows to inf at 1e160, where the SVD
+    # once failed to converge and exited 2 as a usage error.
+    points = [[v * 1e160 for v in row] for row in STANDARD_POINTS]
+    argv = ["conic", _config_file(tmp_path, "p.json", points),
+            "--probe", "triangle-and-path", "--backend", "float"]
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not finite" in captured.err
+
+
+def test_float_overflow_in_a_conic_exits_4_without_hanging(tmp_path):
+    # At 1e300 the SVD of the inf matrix once ran for good: main runs in a
+    # child process, so a hang fails this test instead of the suite.
+    points = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1], [1e300, 2, 3]]
+    argv = ["conic", _config_file(tmp_path, "p.json", points),
+            "--probe", "triangle-and-path", "--backend", "float"]
+    src = str(Path(cli.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-m", "rigidlab.cli", *argv],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 4
+    assert done.stdout == ""
+    assert "not finite" in done.stderr
 
 
 @pytest.mark.parametrize("error", [DegenerateConfigError, HypothesisViolatedError,

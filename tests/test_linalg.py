@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from fraction_reference import over_entry, reference_nullspace, reference_rref
 from rigidlab import linalg
-from rigidlab.errors import OnAffineSpanError, SingularMatrixError
+from rigidlab.errors import (DegenerateConfigError, OnAffineSpanError,
+                             SingularMatrixError)
 from rigidlab.linalg import (Subspace, _rref_exact, exact_matrix, frac,
                              identity, invert, is_zero, nullspace_rows,
                              ones_vector, rank, sherman_morrison_inverse, solve,
@@ -688,3 +689,16 @@ def test_one_and_two_vertex_graphs(n, count, edges):
     assert is_generically_rigid(g, n) == rigid
     pairs = [(1, 2)] if count == 2 else []
     assert implied_pairs(g, pairs, n) == (set(pairs) if rigid else set())
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("call", [
+    rank, nullspace_rows, invert, lambda m: solve(m, np.ones(2)),
+    lambda m: solve(np.eye(2), m), lambda m: Subspace.from_spanning(list(m))],
+    ids=["rank", "nullspace_rows", "invert", "solve-a", "solve-b", "from_spanning"])
+def test_float_operands_that_are_not_finite_raise(call, bad):
+    # An overflowed entry never reaches LAPACK, where an SVD could hang,
+    # fail to converge, or read NaN singular values as rank 0.
+    m = np.array([[1.0, 2.0], [3.0, bad]])
+    with pytest.raises(DegenerateConfigError, match="not finite"):
+        call(m)

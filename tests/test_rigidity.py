@@ -1,4 +1,5 @@
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -303,6 +304,44 @@ def test_implied_pairs_build_no_flex_space(monkeypatch, g, want):
     assert _implied_pairs_at(g, p, nonedges) == want
 
 
+@st.composite
+def _implied_queries(draw):
+    """An implied_pairs query: a graph on V = 2 ... 8 vertices in R^n,
+    n = 2 or 3, candidate pairs (edges among them), and a seed.  With
+    special set, the two samples are instead integer configurations with
+    coordinates in {-1, 0, 1}, where they often disagree."""
+    n, v = draw(st.sampled_from([2, 3])), draw(st.integers(2, 8))
+    pairs = list(combinations(range(1, v + 1), 2))
+    g = Graph.from_edges(v, draw(st.sets(st.sampled_from(pairs))))
+    cands = draw(st.lists(st.sampled_from(pairs), unique=True))
+    special = draw(st.lists(st.lists(st.lists(st.integers(-1, 1), min_size=v, max_size=v),
+                                     min_size=n, max_size=n), min_size=2, max_size=2)
+                   | st.none())
+    return g, n, cands, draw(st.integers(0, 99)), special
+
+
+@settings(max_examples=150, deadline=None)
+@example((double_banana(), 3, [pair for pair in combinations(range(1, 9), 2)
+                               if not double_banana().has_edge(*pair)], 0, None))
+@given(_implied_queries())
+def test_implied_pairs_is_the_intersection_at_both_samples(query):
+    """implied_pairs tests at its second sample only the pairs its first
+    found implied; that equals testing every candidate at both samples
+    and intersecting.  The example is flexible: its first sample finds
+    one of the 10 gaps implied."""
+    g, n, cands, seed, special = query
+    if special is None:
+        samples = [random_config(n, g.vertex_count, subrng(seed, "implied", idx))
+                   for idx in range(2)]
+        got = implied_pairs(g, cands, n, seed)
+    else:
+        samples = [PointConfiguration(exact_matrix(pts)) for pts in special]
+        with mock.patch.object(rigidity, "generic_samples", lambda *args: iter(samples)):
+            got = implied_pairs(g, cands, n, seed)
+    assert got == _implied_pairs_at(g, samples[0], cands) & \
+        _implied_pairs_at(g, samples[1], cands)
+
+
 def _integer_rows(rows: int, cols: int, bound: int):
     row = st.lists(st.integers(-bound, bound), min_size=cols, max_size=cols)
     return st.lists(row, min_size=rows, max_size=rows)
@@ -453,13 +492,15 @@ def test_implied_pairs_of_a_rigid_graph_need_no_exact_elimination(bareiss_calls)
 
 def test_implied_pairs_of_a_flexible_graph_eliminate_the_unpinned_rows(bareiss_calls):
     """The double banana falls short of its bound modulo PRIME at both
-    samples, so each eliminates [R^T | C^T] (its 18 edges and 10 gaps)
-    exactly on the 18 rows outside the pinned coordinates, (18, 28) where
-    the unpinned matrix is (24, 28); the elimination's pivots lie in the
-    18 edge columns."""
+    samples, so each eliminates [R^T | C^T] exactly on the 18 rows outside
+    the pinned coordinates, where the unpinned matrix has 24; the
+    elimination's pivots lie in the 18 edge columns.  The first sample's C
+    is the 10 gaps, 18 x 28; the second's is the one pair the first found
+    implied, 18 x 19, where testing every gap again would be 18 x 28."""
     g = double_banana()
     gaps = [pair for pair in combinations(range(1, 9), 2) if not g.has_edge(*pair)]
     assert implied_pairs(g, gaps, 3) == {(1, 2)}
     sample = [(7, 3, False), (3, 24, False), (18, 18, False)]
     assert _exact_calls(bareiss_calls) == sample * 2
     assert [call for call in bareiss_calls if call[3]] == [(24, 18, False, linalg.PRIME)] * 2
+    assert [call.width for call in bareiss_calls if call[:2] == (18, 18)] == [28, 19]
