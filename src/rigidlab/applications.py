@@ -20,8 +20,7 @@ from .errors import NotIsostaticError
 from .linalg import Subspace
 from .motions import PointConfiguration, skew_basis, strains
 from .rigidity import (Framework, Graph, _implied_pairs_at, analyze,
-                       complete_quadruple, henneberg_extend,
-                       is_generically_isostatic, normalize_edge,
+                       complete_quadruple, henneberg_extend, normalize_edge,
                        rigidity_matrix)
 
 
@@ -100,30 +99,29 @@ def _find_implied_probe(implied: set, xs: list[int]):
 
 
 class _Stretches:
-    """g's stretch motions at the first V points of a sample q: u_e changes
-    the length of edge e alone (R u_e is the unit vector at e, R g's
-    rigidity matrix); the rows of W, the numerators of R R^T W = R solved
-    by linalg.solve_parts, are the u_e up to one common scale.  r_ij . u_e
-    is the coefficient of edge e in pair ij's row expanded in R's rows, so
-    unstrained[e], the pairs where it is zero, are those g - e implies.
-    motions is None when g is not isostatic there; callers then run the
-    per-case oracle on q itself.  q's point after the V-th is the new vertex.
+    """g's stretch motions at p, the first V points of a sample q (its next
+    point is the new vertex): u_e changes the length of edge e alone
+    (R u_e is the unit vector at e, R g's rigidity matrix at p); the rows
+    of W, the numerators of R R^T W = R solved by linalg.solve_parts, are
+    the u_e up to one common scale.  r_ij . u_e is the coefficient of edge
+    e in pair ij's row expanded in R's rows, so unstrained[e], the pairs
+    where it is zero, are those g - e implies.  motions is None when g is
+    not isostatic at p; callers then run the per-case oracles on p and q.
     """
 
     def __init__(self, g: Graph, q: PointConfiguration):
-        self.q = q
         n, v = q.dim, g.vertex_count
-        pts = q.ints.T.tolist()
-        self.base, self.new = pts[:v], pts[v:]
+        self.q, self.p = q, PointConfiguration(q.points[:, :v])
+        *self.base, self.pv = q.ints.T.tolist()
         self.motions = None
-        fw = Framework(g, PointConfiguration(q.points[:, :v]))
+        fw = Framework(g, self.p)
         if analyze(fw).is_isostatic:
             r = rigidity_matrix(fw)
             w = linalg.solve_parts(r @ r.T, r)[0]
             edges, pairs = g.sorted_edges(), list(combinations(range(1, v + 1), 2))
             self.motions = {e: [row[n * k:n * k + n] for k in range(v)]
                             for e, row in zip(edges, w.tolist())}
-            rows = strains(fw.config, w, pairs).tolist()
+            rows = strains(self.p, w, pairs).tolist()
             self.unstrained = {e: {ij for ij, s in zip(pairs, row) if s == 0}
                                for e, row in zip(edges, rows)}
 
@@ -134,11 +132,10 @@ class _Stretches:
         [d_k | d_k . b(k) for each rotation b, u_e, u_f] per support
         vertex k, d_k = p_v - p_k, has rank n + 2 (the translations
         repeat the d_k columns and are left out)."""
-        pv = self.new[0]
         rows = []
         for k in xs:
             pk = self.base[k - 1]
-            d = [a - b for a, b in zip(pv, pk)]
+            d = [a - b for a, b in zip(self.pv, pk)]
             rows.append(d + [d[a] * pk[b] - d[b] * pk[a]
                              for a, b in combinations(range(len(d)), 2)]
                         + [sum(map(mul, d, self.motions[h][k - 1]))
@@ -149,23 +146,23 @@ class _Stretches:
 class ExtensionTable:
     """Every Henneberg 2-extension of one isostatic base graph g in R^n.
 
-    Built once per (g, n, seed) on the generic_samples that implied_pairs
-    and is_generically_rigid draw for a single case (the new vertex is the
-    last point of the latter), so each report equals the one those oracles
-    give case by case.  At a sample where g is isostatic, a pair is implied
-    by g - e - f when it lies in the zero-strain sets of both e and f
-    (_Stretches.unstrained), and rigidity is one (n + 2)-row integer rank;
-    elsewhere that sample runs _implied_pairs_at or analyze on it.
+    Built once per (g, n, seed): one _Stretches per generic sample q of
+    V + 1 points.  The stream is prefix-closed, so q's first V points p
+    are the sample implied_pairs draws for g - e - f, and q the one
+    is_generically_rigid draws for the extension: each report equals the
+    one those oracles give case by case.  Where g is isostatic at p, a
+    pair is implied by g - e - f when it lies in the zero-strain sets of
+    both e and f (_Stretches.unstrained), and rigidity is one (n + 2)-row
+    integer rank; elsewhere _implied_pairs_at runs on p and analyze on q.
+    g is refused when it is isostatic at neither p.
     """
 
     def __init__(self, g: Graph, n: int = 3, seed: int = 0):
-        if not is_generically_isostatic(g, n, seed):
-            raise NotIsostaticError("base graph is not generically isostatic")
         self.g, self.n = g, n
-        v = g.vertex_count
-        self._implied, self._rigid = (
-            [_Stretches(g, q) for q in rigidity.generic_samples(n, count, seed, tag)]
-            for tag, count in (("implied", v), ("generic-rigid", v + 1)))
+        self._samples = [_Stretches(g, q) for q in
+                         rigidity.generic_samples(n, g.vertex_count + 1, seed)]
+        if all(s.motions is None for s in self._samples):
+            raise NotIsostaticError("base graph is not generically isostatic")
 
     def report(self, x, e, f) -> ExtensionReport:
         """The 2-extension on support x that deletes e and f.
@@ -186,8 +183,8 @@ class ExtensionTable:
         support_edges = self.g.edges_within(xs)
 
         implied = set(combinations(xs, 2))
-        for s in self._implied:
-            implied = (_implied_pairs_at(self.g.without_edges([e, f]), s.q, implied)
+        for s in self._samples:
+            implied = (_implied_pairs_at(self.g.without_edges([e, f]), s.p, implied)
                        if s.motions is None
                        else implied & s.unstrained[e] & s.unstrained[f])
         k4 = complete_quadruple(implied, xs)
@@ -201,7 +198,7 @@ class ExtensionTable:
             elif probe is not None:
                 predicted, rule = True, "implied-triangle-pendant"
         actual = any(analyze(Framework(extension, s.q)).is_rigid if s.motions is None
-                     else s.extension_rigid(xs, e, f) for s in self._rigid)
+                     else s.extension_rigid(xs, e, f) for s in self._samples)
         return ExtensionReport(
             support_edge_count=len(support_edges),
             implied_k4=k4,

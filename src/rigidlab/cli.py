@@ -100,6 +100,8 @@ def _load_json(path: str):
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: nested too deeply") from exc
 
 
 def _expect(condition: bool, message: str) -> None:
@@ -108,19 +110,20 @@ def _expect(condition: bool, message: str) -> None:
 
 
 def _is_index(value) -> bool:
-    return type(value) is int
+    """A JSON integer below 2**63 in size, numpy's limit for a count or index."""
+    return type(value) is int and abs(value) < 2 ** 63
 
 
 def load_graph(path: str) -> Graph:
     data = _load_json(path)
     _expect(isinstance(data, dict), f"{path}: top level must be an object")
-    _expect(_is_index(data.get("vertices")), f"{path}: field 'vertices' must be an integer")
+    _expect(_is_index(data.get("vertices")), f"{path}: field 'vertices' must be an int64 integer")
     edges = data.get("edges")
     _expect(isinstance(edges, list), f"{path}: field 'edges' must be a list")
     for pos, pair in enumerate(edges):
         _expect(isinstance(pair, list) and len(pair) == 2
                 and all(_is_index(v) for v in pair),
-                f"{path}: edges[{pos}] must be a pair of integers")
+                f"{path}: edges[{pos}] must be a pair of int64 integers")
     try:
         return Graph.from_edges(data["vertices"], [tuple(e) for e in edges])
     except ValueError as exc:
@@ -143,7 +146,7 @@ def load_config(path: str, exact: bool) -> PointConfiguration:
     data = _load_json(path)
     _expect(isinstance(data, dict), f"{path}: top level must be an object")
     dim = data.get("dim")
-    _expect(_is_index(dim) and dim >= 1, f"{path}: field 'dim' must be a positive integer")
+    _expect(_is_index(dim) and dim >= 1, f"{path}: field 'dim' must be a positive int64 integer")
     points = data.get("points")
     _expect(isinstance(points, list) and points, f"{path}: field 'points' must be a non-empty list")
     mat = zeros((dim, len(points)), exact)
@@ -458,7 +461,9 @@ def main(argv=None) -> int:
     if args.tol is not None and not 0 < args.tol < 1:
         parser.error("--tol must be a number in (0, 1)")
     try:
-        code, inputs, records = args.func(args)
+        # A float64 overflow is reported once, by linalg._finite, not by numpy.
+        with np.errstate(over="ignore", invalid="ignore"):
+            code, inputs, records = args.func(args)
     except ParseError as exc:
         print(f"rigidlab: parse error: {exc}", file=sys.stderr)
         return 3

@@ -18,7 +18,7 @@ from . import linalg
 from .errors import BadSupportError
 from .motions import (MotionSpace, PointConfiguration, flatten_motion, strains,
                       trivial_motions)
-from .sampling import random_config, subrng
+from .sampling import random_int_vector, subrng
 
 
 def normalize_edge(i: int, j: int) -> tuple[int, int]:
@@ -171,30 +171,26 @@ def analyze(fw: Framework, tol: float | None = None) -> RigidityReport:
                           is_isostatic=isostatic)
 
 
-def generic_samples(n: int, count: int, seed: int, tag: str):
-    """The two random configurations that decide a generic verdict, drawn
-    lazily from the substreams (seed, tag, 0) and (seed, tag, 1)."""
-    return (random_config(n, count, subrng(seed, tag, idx)) for idx in range(2))
-
-
-def _generic_witness(g: Graph, n: int, seed: int, tag: str, holds) -> bool:
-    """True when holds(analyze(...)) at one of the two generic_samples: one
-    witness decides (the second is not drawn), "no" needs both to agree.
-    A wrong "not rigid" needs a nonzero minor of degree r, g's generic rank
-    (<= nV - n(n+1)/2 for V >= n), to vanish at both draws of 2*10^6 + 1
-    values a coordinate: probability <= (r/(2*10^6 + 1))^2 (Schwartz-Zippel)."""
-    return any(holds(analyze(Framework(g, p)))
-               for p in generic_samples(n, g.vertex_count, seed, tag))
+def generic_samples(n: int, count: int, seed: int):
+    """The two random configurations of count points in R^n that decide a
+    generic verdict, drawn lazily.  Sample idx is n * count draws of
+    random_int_vector from the one substream (seed, "generic", idx), taken
+    point by point, so the stream is prefix-closed: the first V points of
+    a (V + 1)-point sample are the V-point sample."""
+    for idx in range(2):
+        flat = random_int_vector(n * count, subrng(seed, "generic", idx))
+        yield PointConfiguration(linalg.array(flat).reshape(count, n).T)
 
 
 def is_generically_rigid(g: Graph, n: int, seed: int = 0) -> bool:
-    """Rigidity of g in R^n at generic configurations."""
-    return _generic_witness(g, n, seed, "generic-rigid", lambda r: r.is_rigid)
-
-
-def is_generically_isostatic(g: Graph, n: int, seed: int = 0) -> bool:
-    """Isostaticity of g in R^n at generic configurations."""
-    return _generic_witness(g, n, seed, "isostatic", lambda r: r.is_isostatic)
+    """Rigidity of g in R^n at generic configurations: true when analyze
+    finds g rigid at one of the two generic_samples; one witness decides
+    (the second is not drawn), "not rigid" needs both to agree.  A wrong
+    "not rigid" needs a nonzero minor of degree r, g's generic rank
+    (<= nV - n(n+1)/2 for V >= n), to vanish at both draws of 2*10^6 + 1
+    values a coordinate: probability <= (r/(2*10^6 + 1))^2 (Schwartz-Zippel)."""
+    return any(analyze(Framework(g, p)).is_rigid
+               for p in generic_samples(n, g.vertex_count, seed))
 
 
 def _implied_pairs_at(g: Graph, p: PointConfiguration, candidates) -> set:
@@ -218,10 +214,10 @@ def implied_pairs(g: Graph, candidates, n: int, seed: int = 0) -> set:
     """Subset of candidate pairs implied by g at both generic_samples; the
     second tests only the pairs the first found implied, and is not drawn
     when there are none.  A wrong "implied" needs a nonzero minor of g plus
-    the pair, of degree r as in _generic_witness, to vanish at both:
+    the pair, of degree r as in is_generically_rigid, to vanish at both:
     probability <= (r/(2*10^6 + 1))^2 (Schwartz-Zippel)."""
     implied = [normalize_edge(i, j) for i, j in candidates]
-    for p in generic_samples(n, g.vertex_count, seed, "implied"):
+    for p in generic_samples(n, g.vertex_count, seed):
         implied = _implied_pairs_at(g, p, implied)
         if not implied:
             break

@@ -177,7 +177,7 @@ def _check_rigidity_sanity(seed: int, samples: int | None):
     if not (k5.is_rigid and not k5.is_isostatic):
         problems.append("K5 not rigid or wrongly isostatic")
     banana = double_banana()
-    for idx, p in enumerate(generic_samples(3, 8, seed, "sanity-banana")):
+    for idx, p in enumerate(generic_samples(3, 8, seed)):
         rep = analyze(Framework(banana, p))
         if rep.is_rigid or rep.flex_dim != 7:
             problems.append(f"double banana flex_dim {rep.flex_dim} at sample {idx}")

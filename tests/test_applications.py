@@ -112,6 +112,14 @@ def test_flexible_base_refused():
         two_extension_report(double_banana(), [1, 2, 3, 4, 5], (1, 3), (1, 4))
 
 
+@pytest.mark.parametrize("g", [Graph.complete(5),
+                               _nearly_complete_five().without_edges([(1, 2)])],
+                         ids=["K5", "K5-e-less-an-edge"])
+def test_over_braced_and_flexible_bases_refused(g):
+    with pytest.raises(NotIsostaticError):
+        ExtensionTable(g, 3, 0)
+
+
 def test_short_support_refused():
     with pytest.raises(BadSupportError):
         two_extension_report(_nearly_complete_five(), [1, 2, 3, 4],
@@ -177,14 +185,14 @@ def test_table_matches_the_per_case_oracles(name, g, count):
 
 
 def test_table_falls_back_at_a_coplanar_sample(monkeypatch):
-    # The first implied and generic-rigid samples are flattened onto z = 0
-    # (the new vertex keeps its height), where K5 - e is not isostatic: the
-    # table must run the per-case oracle there, on the same points.
+    # The first sample's first five points are flattened onto z = 0 (a new
+    # sixth point keeps its height), where K5 - e is not isostatic: the
+    # table must run the per-case oracles there, on the same points.
     real = rigidity.generic_samples
 
-    def flattened(n, count, seed, tag):
-        for idx, p in enumerate(real(n, count, seed, tag)):
-            if idx == 0 and tag in ("implied", "generic-rigid"):
+    def flattened(n, count, seed):
+        for idx, p in enumerate(real(n, count, seed)):
+            if idx == 0:
                 points = p.points.copy()
                 points[2, :5] = 0
                 p = PointConfiguration(points)
@@ -193,8 +201,7 @@ def test_table_falls_back_at_a_coplanar_sample(monkeypatch):
     monkeypatch.setattr(rigidity, "generic_samples", flattened)
     g = Graph.complete(5).without_edges([(4, 5)])
     table = ExtensionTable(g, 3, 0)
-    assert [s.motions is None for s in table._implied + table._rigid] == \
-        [True, False, True, False]
+    assert [s.motions is None for s in table._samples] == [True, False]
     for xs, e, f in _cases(g):
         assert table.report(xs, e, f) == _reference_report(g, xs, e, f, 0), (e, f)
 
@@ -217,6 +224,19 @@ def test_extension_eliminations_do_not_grow_with_cases(monkeypatch):
     assert run_check("extension-predictions", seed=0).passed
     assert [size for size in sizes if size > 5] == one_case
     assert sizes.count(5) >= 36
+
+
+def test_table_eliminates_three_times_per_sample(bareiss_calls):
+    # At each of the two (V + 1)-point samples: the points' affine rank,
+    # the modular proof that K5 - e is isostatic at the first V points and
+    # the 9 x 24 Gauss-Jordan solve of R R^T W = R.  Check 11's table adds
+    # one (n + 2)-row rank per case on top.
+    ExtensionTable(_nearly_complete_five(), 3, 0)
+    sample = [(4, 3, False, None), (9, 15, False, linalg.PRIME), (9, 24, True, None)]
+    assert bareiss_calls == sample * 2
+    bareiss_calls.clear()
+    assert run_check("extension-predictions", seed=0).passed
+    assert len(bareiss_calls) == 48
 
 
 @st.composite
@@ -253,14 +273,13 @@ def test_stretch_strains_match_the_row_reduction(g, data):
         min_size=3, max_size=3), label="q")))
     s = _Stretches(g, q)
     assume(s.motions is not None)
-    p = PointConfiguration(q.points[:, :v])
     pairs = list(combinations(range(1, v + 1), 2))
     for e in g.sorted_edges():
-        assert s.unstrained[e] == _implied_pairs_at(g.without_edges([e]), p, pairs)
+        assert s.unstrained[e] == _implied_pairs_at(g.without_edges([e]), s.p, pairs)
     e, f = data.draw(st.lists(st.sampled_from(g.sorted_edges()), min_size=2,
                               max_size=2, unique=True), label="ef")
     assert s.unstrained[e] & s.unstrained[f] == \
-        _implied_pairs_at(g.without_edges([e, f]), p, pairs)
+        _implied_pairs_at(g.without_edges([e, f]), s.p, pairs)
     rest = [k for k in range(1, v + 1) if k not in {*e, *f}]
     xs = sorted({*e, *f, *data.draw(st.lists(
         st.sampled_from(rest), min_size=5 - len({*e, *f}),

@@ -1,11 +1,17 @@
+import contextlib
+import copy
 import inspect
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import rigidlab.cli as cli
 import rigidlab.verify as verify
@@ -362,17 +368,21 @@ def test_coordinates_beyond_float64_are_parse_errors(tmp_path, capsys, kind):
     assert captured.err == ""
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+OVERFLOW_MESSAGE = ("rigidlab: degenerate input: float64 overflow: "
+                    "a matrix entry is not finite\n")
+
+
 def test_float_overflow_in_a_conic_exits_4(tmp_path, capsys):
     # (p_i - p_j)(p_i - p_j)^T overflows to inf at 1e160, where the SVD
-    # once failed to converge and exited 2 as a usage error.
+    # once failed to converge and exited 2 as a usage error.  The overflow
+    # is reported by that one line, with no numpy RuntimeWarning before it.
     points = [[v * 1e160 for v in row] for row in STANDARD_POINTS]
     argv = ["conic", _config_file(tmp_path, "p.json", points),
             "--probe", "triangle-and-path", "--backend", "float"]
     assert main(argv) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "not finite" in captured.err
+    assert captured.err == OVERFLOW_MESSAGE
 
 
 def test_float_overflow_in_a_conic_exits_4_without_hanging(tmp_path):
@@ -387,7 +397,8 @@ def test_float_overflow_in_a_conic_exits_4_without_hanging(tmp_path):
                           env={**os.environ, "PYTHONPATH": src})
     assert done.returncode == 4
     assert done.stdout == ""
-    assert "not finite" in done.stderr
+    assert "RuntimeWarning" not in done.stderr
+    assert done.stderr == OVERFLOW_MESSAGE
 
 
 @pytest.mark.parametrize("error", [DegenerateConfigError, HypothesisViolatedError,
@@ -487,3 +498,118 @@ def test_only_main_writes_stdout():
               for path in sorted(src.glob("*.py"))}
     assert in_main > 0
     assert counts == {**dict.fromkeys(counts, 0), "cli.py": in_main}
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["implied"], '{"vertices": %d, "edges": [[1, 2]]}' % 10 ** 400),
+    (["henneberg", "-x", "1", "2", "3"], '{"vertices": %d, "edges": [[1, 2]]}' % 10 ** 400),
+    (["analyze"], '{"vertices": %d, "edges": [[1, 2]]}' % 10 ** 400),
+    (["implied"], '{"vertices": 5, "edges": ' + "[" * 5000 + "]" * 5000 + "}"),
+], ids=["implied-huge-count", "henneberg-huge-count", "analyze-huge-count",
+        "implied-deep-nesting"])
+def test_huge_counts_and_deep_nesting_are_parse_errors(tmp_path, capsys, argv, text):
+    # A 400-digit vertex count once looped drawing its random points, and
+    # nesting past the recursion limit escaped main as a RecursionError.
+    path = tmp_path / "g.json"
+    path.write_text(text, encoding="utf-8")
+    assert main([argv[0], str(path), *argv[1:]]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("rigidlab: parse error: ")
+
+
+# Malformed input: mutations of valid graph, config and subspace files.
+# A "\0deep:D" string stands for D nested lists, spliced into the text.
+_DEEP = "\0deep:"
+
+_JUNK = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 9),
+    st.sampled_from(["1/0", "x", "", "2/3", "1e400"]),
+    st.sampled_from([10 ** 400, -10 ** 400, 10 ** 400 + 1]),
+    st.floats(), st.builds(dict), st.builds(list),
+    st.recursive(st.none() | st.integers(-1, 2) | st.text(max_size=2),
+                 lambda inner: st.lists(inner, max_size=3)
+                 | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+                 max_leaves=6),
+    st.sampled_from([3, 40, 3_000, 100_000]).map(lambda depth: f"{_DEEP}{depth}"),
+)
+
+_VALID = {
+    "graph": {"vertices": 5, "edges": [list(e) for e in Graph.complete(5)
+                                       .without_edges([(4, 5)]).sorted_edges()]},
+    "config": {"dim": 3, "points": STANDARD_POINTS},
+    "subspace": {"basis": [[[0, 0, 0, 0, 0], [0, 0, 0, 0, 0], [1, 0, 0, 0, 0]]]},
+}
+
+_COMMANDS = {
+    "analyze": (["graph", "config"], lambda f: ["analyze", f["graph"], f["config"]]),
+    "admissible": (["config", "subspace"], lambda f: [
+        "admissible", f["config"], "--subspace", f["subspace"], "--samples", "2"]),
+    "conic": (["config", "graph"], lambda f: ["conic", f["config"], "--graph", f["graph"]]),
+    "implied": (["graph"], lambda f: ["implied", f["graph"]]),
+    "henneberg": (["graph"], lambda f: [
+        "henneberg", f["graph"], "-x", "1", "2", "3", "4", "5", "-f", "1,2", "1,3"]),
+}
+
+
+def _paths(value, path=()):
+    yield path
+    items = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from _paths(child, (*path, key))
+
+
+@st.composite
+def _mutated(draw, valid):
+    """valid after one to three edits at random places: a value replaced
+    by junk, a key or list entry deleted (a ragged row), junk appended to
+    a list, or a value wrapped in a list."""
+    doc = copy.deepcopy(valid)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        edit = draw(st.sampled_from(["replace", "delete", "append", "wrap"]))
+        if not path:
+            doc = draw(_JUNK) if edit in ("replace", "delete") else [doc]
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        if edit == "replace":
+            parent[key] = draw(_JUNK)
+        elif edit == "delete":
+            del parent[key]
+        elif edit == "append" and isinstance(parent[key], list):
+            parent[key].append(draw(_JUNK))
+        else:
+            parent[key] = [parent[key]]
+    return doc
+
+
+def _json_text(doc) -> str:
+    return re.sub(r'"\\u0000deep:(\d+)"', lambda m: "[" * int(m[1]) + "]" * int(m[1]),
+                  json.dumps(doc))
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), command=st.sampled_from(sorted(_COMMANDS)),
+       backend=st.sampled_from(["exact", "float"]), fmt=st.sampled_from(["text", "jsonl"]))
+def test_malformed_input_files_exit_0_to_4_without_a_traceback(tmp_path, data, command,
+                                                              backend, fmt):
+    kinds, argv = _COMMANDS[command]
+    bad = data.draw(st.sets(st.sampled_from(kinds), min_size=1), label="mutated")
+    files = {}
+    for kind in kinds:
+        doc = data.draw(_mutated(_VALID[kind]), label=kind) if kind in bad else _VALID[kind]
+        files[kind] = str(tmp_path / f"{kind}.json")
+        Path(files[kind]).write_text(_json_text(doc), encoding="utf-8")
+    extra = ["--backend", backend] if command in ("analyze", "admissible", "conic") else []
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv(files), *extra, "--format", fmt])
+    assert code in (0, 1, 2, 3, 4)
+    if code >= 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("rigidlab: ")

@@ -1,3 +1,5 @@
+import ast
+import inspect
 from itertools import combinations
 from unittest import mock
 
@@ -7,16 +9,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fraction_reference import reference_rref
-from rigidlab import linalg, motions, rigidity
+from rigidlab import applications, linalg, motions, rigidity
 from rigidlab.errors import BadSupportError
 from rigidlab.linalg import exact_matrix, rank
 from rigidlab.motions import (PointConfiguration, flatten_motion, trivial_motion_space,
                               trivial_motions)
 from rigidlab.rigidity import (Framework, Graph, _implied_pairs_at,
                                analyze, double_banana, find_implied_k4,
-                               flex_space, henneberg_extend, implied_pairs,
-                               is_generically_rigid, is_implied_edge,
-                               normalize_edge, rigidity_matrix)
+                               flex_space, generic_samples, henneberg_extend,
+                               implied_pairs, is_generically_rigid,
+                               is_implied_edge, normalize_edge, rigidity_matrix)
 from rigidlab.sampling import random_config, subrng
 
 
@@ -331,8 +333,7 @@ def test_implied_pairs_is_the_intersection_at_both_samples(query):
     one of the 10 gaps implied."""
     g, n, cands, seed, special = query
     if special is None:
-        samples = [random_config(n, g.vertex_count, subrng(seed, "implied", idx))
-                   for idx in range(2)]
+        samples = list(generic_samples(n, g.vertex_count, seed))
         got = implied_pairs(g, cands, n, seed)
     else:
         samples = [PointConfiguration(exact_matrix(pts)) for pts in special]
@@ -340,6 +341,32 @@ def test_implied_pairs_is_the_intersection_at_both_samples(query):
             got = implied_pairs(g, cands, n, seed)
     assert got == _implied_pairs_at(g, samples[0], cands) & \
         _implied_pairs_at(g, samples[1], cands)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_generic_samples_are_prefix_closed(n):
+    # The first V points of each (V + 1)-point sample are the V-point one,
+    # so one stream serves a graph and every one-vertex extension of it.
+    for seed in range(5):
+        for v in range(1, 10):
+            short, long = (list(generic_samples(n, count, seed)) for count in (v, v + 1))
+            assert len(short) == len(long) == 2
+            assert short == [PointConfiguration(q.points[:, :v]) for q in long]
+            assert short[0] != short[1]
+
+
+def test_only_generic_samples_draws_in_the_generic_layer():
+    # Every generic verdict and the 2-extension table read one stream.
+    sites = {}
+    for module in (rigidity, applications):
+        for node in ast.parse(inspect.getsource(module)).body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            for sub in ast.walk(node):
+                name = getattr(sub, "id", None) or getattr(sub, "attr", "")
+                if name == "subrng" or name.startswith("random_"):
+                    sites.setdefault(module.__name__, set()).add(node.name)
+    assert sites == {"rigidlab.rigidity": {"generic_samples"}}
 
 
 def _integer_rows(rows: int, cols: int, bound: int):
