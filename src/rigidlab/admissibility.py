@@ -19,8 +19,7 @@ import numpy as np
 from . import linalg
 from .errors import (DegenerateConfigError, HypothesisViolatedError,
                      ParallelSpanError, SingularMatrixError)
-from .linalg import (Subspace, exact_matrix, frac, is_zero, ones_vector,
-                     sym_outer_system)
+from .linalg import Subspace, is_zero, ones_vector, sym_outer_system
 from .motions import (MotionSpace, PointConfiguration, _linear_parts,
                       _ranks_mod_trivial, flatten_motion, p_equivalent,
                       same_mod_trivial, take_points)
@@ -77,12 +76,11 @@ def pin_mismatch_map(p: PointConfiguration, s: MotionSpace, x: np.ndarray,
 
 def _mismatch_sampler(p: PointConfiguration, motions, tol: float | None,
                       blocks=(BLOCK_145, BLOCK_123)):
-    """Set up once for motions of p pinned on two blocks of p.dim points,
-    each inverted once (_pin_blocks): k cleared positions X = x xi, one
-    per row, give (usable rows, the stack sigma_r N_q - sigma_q N_r,
-    sigma_q sigma_r as a k x 1 x 1 stack) by pins.pin_stack at s = 1,
-    on the cleared motions."""
-    motions = [linalg.cleared(u)[0] for u in motions]
+    """Set up once for integer (exact) motions of p pinned on two blocks
+    of p.dim points, each inverted once (_pin_blocks): k positions
+    X / xi, one per row, give (usable rows, the stack
+    sigma_r N_q - sigma_q N_r, sigma_q sigma_r as a k x 1 x 1 stack) by
+    pins.pin_stack at s = 1."""
     sides = [(side, np.stack([take_points(u, ids).T for u in motions]))
              for side, ids in zip(_pin_blocks(p, tol, blocks=blocks), blocks)]
 
@@ -111,7 +109,7 @@ def _pin_samples(p: PointConfiguration, samples: int, seed: int, tag: str,
     order, position idx drawn in R^p.dim from the (seed, tag, idx) stream,
     as Python ints when exact (random_int_vector: the draws of
     random_exact_vector) and float64 at DEFAULT_BOUND; evaluate maps
-    cleared positions (X, xi) to (usable mask, *stacks).  The first
+    positions (X, xi), xi all ones, to (usable mask, *stacks).  The first
     `samples` draws go to one call, each further call draws as many as
     were skipped; after 10*samples draws, DegenerateConfigError."""
     if samples < 1:
@@ -125,9 +123,7 @@ def _pin_samples(p: PointConfiguration, samples: int, seed: int, tag: str,
         xs = [random_int_vector(p.dim, rng) if p.exact
               else random_float_vector(p.dim, rng, float(DEFAULT_BOUND)) for rng in rngs]
         drawn += want
-        cols = [linalg.cleared(x) for x in xs]
-        usable, *stacks = evaluate(linalg.array([ints for ints, _ in cols], p.exact),
-                                   linalg.array([d for _, d in cols], p.exact))
+        usable, *stacks = evaluate(linalg.array(xs, p.exact), ones_vector(want, p.exact))
         kept += [x for x, ok in zip(xs, usable) if ok]
         parts.append([stack[usable] for stack in stacks])
     return kept, *(np.concatenate(col) for col in zip(*parts))
@@ -141,11 +137,11 @@ def check_admissibility(p: PointConfiguration, s: MotionSpace,
     Condition 1 (trivial intersection) is decided outright; condition 2
     is accepted when the mismatch map is rank-deficient at every valid
     sample position, taken on sigma_r N_q - sigma_q N_r with both blocks
-    inverted once: per side, pins.pin_stack at s = 1 on the cleared
-    motions u = U/lambda_u, so the pin velocity of u is
-    N[:, u]/(sigma lambda_u).  A zero D (by the zero rule against a)
-    skips the sample uncounted.  All samples of a query are evaluated
-    as one stack (_pin_samples) and ranked by one linalg.rank call.
+    inverted once: per side, pins.pin_stack at s = 1 on the integer basis
+    motions u, so the pin velocity of u is N[:, u]/sigma.  A zero D (by
+    the zero rule against a) skips the sample uncounted.  All samples of
+    a query are evaluated as one stack (_pin_samples) and ranked by one
+    linalg.rank call.
     Witness positions are returned as Fractions when exact.
     """
     _require_five_points(p, s)
@@ -155,7 +151,7 @@ def check_admissibility(p: PointConfiguration, s: MotionSpace,
     xs, m, _ = _pin_samples(p, samples, seed, "pin-sample",
                             _mismatch_sampler(p, s.basis_motions(), tol))
     ranks = linalg.rank(m, tol)
-    failures = [exact_matrix(x) if p.exact else x
+    failures = [linalg.over(linalg.array(x, p.exact), 1)
                 for x, rk in zip(xs, ranks) if rk >= s.dim]
     return AdmissibilityReport(
         candidate_dim=s.dim,
@@ -182,28 +178,28 @@ def single_vertex_space(p: PointConfiguration) -> MotionSpace:
 
 def proportional_pair_space(p: PointConfiguration, k) -> MotionSpace:
     """Motions with point 2's velocity k times point 1's, both orthogonal
-    to the chord p1 - p2, and points 3,4,5 fixed."""
+    to the chord p1 - p2, and points 3,4,5 fixed; an exact k = num/den (an
+    int or a Fraction) gives integer motions, den d and num d."""
     _require_five_points(p)
     chord = p.ints[:, 0] - p.ints[:, 1]
     if is_zero(chord):
         raise DegenerateConfigError("points 1 and 2 coincide")
-    scale = frac(k) if p.exact else float(k)
+    num, den = (k.numerator, k.denominator) if p.exact else (float(k), 1)
     plane = linalg.nullspace_rows(chord.reshape(1, 3))
     basis = []
     for direction in plane:
         u = linalg.zeros((3, 5), p.exact)
-        u[:, 0] = direction
-        u[:, 1] = direction * scale
+        u[:, 0], u[:, 1] = direction * den, direction * num
         basis.append(u)
     return MotionSpace.from_motions(p, basis)
 
 
 def _stress_gap(sides: tuple[PinContext, PinContext], u: np.ndarray) -> np.ndarray:
     """(q^T)^{-1} diag(v^T q) - (r^T)^{-1} diag(w^T r) for one motion u of
-    the two blocks, times delta_q delta_r kappa lambda_u (u = U/lambda_u):
-    integers when exact, the gap itself on float64."""
+    the two blocks, times delta_q delta_r kappa: integers for an integer
+    u, the gap itself on float64."""
     side_q, side_r = sides
-    v, w = split_blocks(linalg.cleared(np.asarray(u))[0])
+    v, w = split_blocks(np.asarray(u))
     left = side_q.adj.T @ (v * side_q.ints).sum(axis=0)
     right = side_r.adj.T @ (w * side_r.ints).sum(axis=0)
     return side_r.det * left - side_q.det * right
@@ -314,6 +310,7 @@ def one_dim_space_inadmissible(p: PointConfiguration, u: np.ndarray,
     u = np.asarray(u)
     if u.shape != p.points.shape:
         raise ValueError("motion shape does not match configuration")
+    u = linalg.cleared(u)[0]
     if _ranks_mod_trivial(p, [flatten_motion(u)], tol)[0] == 0:
         raise ValueError("u is a trivial motion; the test needs a nontrivial one")
     ids_q = tuple(list(range(1, n)) + [n + 1])

@@ -109,6 +109,11 @@ def _expect(condition: bool, message: str) -> None:
         raise ParseError(message)
 
 
+# At n = 3 and V = 200, rigidity_matrix builds a dense 600 x 600 matrix of
+# unit motions, and implied strains them on up to V(V-1)/2 = 19,900 pairs.
+_MAX_VERTICES = 200
+
+
 def _is_index(value) -> bool:
     """A JSON integer below 2**63 in size, numpy's limit for a count or index."""
     return type(value) is int and abs(value) < 2 ** 63
@@ -117,7 +122,9 @@ def _is_index(value) -> bool:
 def load_graph(path: str) -> Graph:
     data = _load_json(path)
     _expect(isinstance(data, dict), f"{path}: top level must be an object")
-    _expect(_is_index(data.get("vertices")), f"{path}: field 'vertices' must be an int64 integer")
+    vertices = data.get("vertices")
+    _expect(type(vertices) is int and 1 <= vertices <= _MAX_VERTICES,
+            f"{path}: field 'vertices' must be an integer from 1 to {_MAX_VERTICES}")
     edges = data.get("edges")
     _expect(isinstance(edges, list), f"{path}: field 'edges' must be a list")
     for pos, pair in enumerate(edges):
@@ -125,7 +132,7 @@ def load_graph(path: str) -> Graph:
                 and all(_is_index(v) for v in pair),
                 f"{path}: edges[{pos}] must be a pair of int64 integers")
     try:
-        return Graph.from_edges(data["vertices"], [tuple(e) for e in edges])
+        return Graph.from_edges(vertices, [tuple(e) for e in edges])
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
 
@@ -149,10 +156,11 @@ def load_config(path: str, exact: bool) -> PointConfiguration:
     _expect(_is_index(dim) and dim >= 1, f"{path}: field 'dim' must be a positive int64 integer")
     points = data.get("points")
     _expect(isinstance(points, list) and points, f"{path}: field 'points' must be a non-empty list")
-    mat = zeros((dim, len(points)), exact)
     for j, row in enumerate(points):
         _expect(isinstance(row, list) and len(row) == dim,
                 f"{path}: points[{j}] must be a list of {dim} coordinates")
+    mat = zeros((dim, len(points)), exact)
+    for j, row in enumerate(points):
         for i, value in enumerate(row):
             _store_scalar(mat, (i, j), value, f"{path}: points[{j}][{i}]")
     return PointConfiguration(mat)

@@ -18,12 +18,12 @@ nonzero mod PRIME is a nonzero integer, so a rank reached mod PRIME is
 reached over Q, and a caller that has proved it an upper bound needs no
 exact elimination.  Exact bases (Subspace, nullspace_rows) are primitive
 integer rows (gcd 1).  adjugate and solve_parts return integers over one
-denominator; invert and solve make Fractions of them (over).  cleared,
-the one denominator-clearing helper, scales exact values by the lcm of
-their denominators (a list of Python ints passes as it is): a
-configuration's points once (motions.PointConfiguration, which every
-exact reader of a configuration then uses), elimination rows, motions,
-pin samples, the x of sherman_morrison_inverse, check 12's pairs.
+denominator; invert and solve make Fractions of them (over).  One rule
+clears denominators (cleared): each function here that takes an exact
+matrix clears it once, as a whole, when called, so it accepts Fractions
+and numpy ints, and _bareiss takes Python ints and never clears.
+Elsewhere a value is cleared where it enters: a configuration's points
+(motions.PointConfiguration), a motion given to a public function.
 
 Only this module names the array format of a backend: other modules
 build their matrices with array, zeros, identity, ones_vector or
@@ -128,16 +128,16 @@ def is_zero(value, tol: float | None = None, scale=1.0) -> bool:
 
 def cleared(values):
     """(ints, d) with values == ints / d: Python ints in a list, or in an
-    object array for an array; a float array comes back with d = 1.
-    Python ints and Fractions are taken as stored; any other entry
-    (np.integer, str, float) goes through frac, so no fixed-width int
-    comes back.  A list of Python ints is returned as it is, d = 1."""
+    object array for an array.  A float array, or an all-int list or
+    object array (one type scan), is returned as it is, d = 1.  Else
+    Fractions are taken as stored, any other entry (np.integer, str,
+    float) goes through frac, and d is the lcm of the denominators."""
     if isinstance(values, np.ndarray):
-        if not is_exact(values):
+        if not is_exact(values) or set(map(type, flat := values.ravel().tolist())) <= {int}:
             return values, 1
-        ints, d = cleared(values.ravel().tolist())
+        ints, d = cleared(flat)
         return np.array(ints, dtype=object).reshape(values.shape), d
-    if type(values) is list and all(type(v) is int for v in values):
+    if type(values) is list and set(map(type, values)) <= {int}:
         return values, 1
     values = [v if isinstance(v, (int, Fraction)) else frac(v) for v in values]
     # A set, not a generator: a resized *args tuple lands in another
@@ -146,31 +146,28 @@ def cleared(values):
     return [v.numerator * (d // v.denominator) for v in values], d
 
 
-def _bareiss(rows: list[list], ncols: int, reduce: bool = True,
+def _bareiss(rows: list[list[int]], ncols: int, reduce: bool = True,
              modulus: int | None = None):
     """Fraction-free elimination: (integer rows, pivot columns, d), d the
     last pivot (1 when there is none).
 
-    Entries are ints, Fractions or anything frac accepts.  Each row is
-    scaled by the lcm of its denominators (cleared), which keeps the row
-    space, and Bareiss elimination runs on the integer rows; every entry
-    it forms is a minor of the cleared rows, so the division by the
-    previous pivot is exact under each mode's rule.  reduce=True is
-    Gauss-Jordan: exact provided every row but the pivot row, whatever
-    its entry in the pivot column, is updated at every step; each pivot
-    row's pivot then ends equal to d, so the reduced row echelon form is
-    the pivot rows over d.  reduce=False is forward elimination: only the
-    rows below the pivot are updated, exact provided each of them is
-    updated at every step, a zero in the pivot column included; every
-    row comes back in echelon form, those below the rank zero in the
-    first ncols columns.  The rows below never read the rows above, so
-    both modes find the same pivots.  With a modulus every entry is a
-    residue and each update is (a p - f b) % modulus, with no division:
-    a row whose pivot-column entry is 0 is left as it is.
+    Entries are Python ints, never cleared here (each caller clears its
+    matrix as a whole, which keeps its ranks, pivots and row space).
+    Every entry Bareiss elimination forms is a minor of the rows, so the
+    division by the previous pivot is exact under each mode's rule.
+    reduce=True is Gauss-Jordan: exact provided every row but the pivot
+    row, whatever its entry in the pivot column, is updated at every step;
+    each pivot row's pivot then ends equal to d, so the reduced row
+    echelon form is the pivot rows over d.  reduce=False is forward
+    elimination: only the rows below the pivot are updated, exact provided
+    each of them is updated at every step, a zero in the pivot column
+    included; every row comes back in echelon form, those below the rank
+    zero in the first ncols columns.  The rows below never read the rows
+    above, so both modes find the same pivots.  With a modulus every entry
+    is a residue and each update is (a p - f b) % modulus, with no
+    division: a row whose pivot-column entry is 0 is left as it is.
     """
-    mat = [cleared(row)[0] for row in rows]
-    if modulus:
-        mat = [[v % modulus for v in row] for row in mat]
+    mat = [[v % modulus for v in row] for row in rows] if modulus else list(rows)
     pivots: list[int] = []
     lead = 0
     prev = 1
@@ -202,7 +199,7 @@ def _bareiss(rows: list[list], ncols: int, reduce: bool = True,
     return mat, pivots, prev
 
 
-def _rref_exact(rows: list[list], ncols: int, reduce: bool = True):
+def _rref_exact(rows: list[list[int]], ncols: int, reduce: bool = True):
     """_bareiss without d: the integer rows and the pivot columns."""
     return _bareiss(rows, ncols, reduce)[:2]
 
@@ -230,7 +227,7 @@ def _svd_rank(s: np.ndarray, tol: float | None):
 
 def reaches_mod_p(m: np.ndarray, target: int, ncols: int | None = None) -> bool:
     """Whether the first ncols columns (every column by default) of the
-    exact integer matrix m have rank target modulo PRIME.  A minor
+    exact matrix m, cleared, have rank target modulo PRIME.  A minor
     nonzero mod PRIME is a nonzero integer, so this proves rank >= target
     over Q: a rank with the proven upper bound target is then target with
     no exact elimination, and first ncols columns that reach a proven
@@ -238,7 +235,7 @@ def reaches_mod_p(m: np.ndarray, target: int, ncols: int | None = None) -> bool:
     rows or those columns is never reached."""
     ncols = m.shape[1] if ncols is None else ncols
     return (target <= min(m.shape[0], ncols)
-            and len(_bareiss(m.tolist(), ncols, False, PRIME)[1]) == target)
+            and len(_bareiss(cleared(m)[0].tolist(), ncols, False, PRIME)[1]) == target)
 
 
 def rank(m: np.ndarray, tol: float | None = None):
@@ -250,7 +247,7 @@ def rank(m: np.ndarray, tol: float | None = None):
     elif is_exact(stack):
         ncols = stack.shape[2]
         ranks = [len(_rref_exact(rows, ncols, reduce=False)[1])
-                 for rows in map(np.ndarray.tolist, stack)]
+                 for rows in cleared(stack)[0].tolist()]
     else:
         ranks = _svd_rank(np.linalg.svd(_finite(stack), compute_uv=False),
                           tol).tolist()
@@ -260,14 +257,14 @@ def rank(m: np.ndarray, tol: float | None = None):
 def pivot_columns(m: np.ndarray) -> list[int]:
     """The pivot columns of the exact matrix m's echelon form (forward
     elimination, as rank)."""
-    return _rref_exact(m.tolist(), m.shape[1], reduce=False)[1]
+    return _rref_exact(cleared(m)[0].tolist(), m.shape[1], reduce=False)[1]
 
 
 def spanned_columns(m: np.ndarray, ncols: int) -> list[bool]:
     """Whether each column of the exact matrix m after the first ncols lies
     in their span: forward elimination with pivots in those columns only,
     and a column is spanned when it is zero in every row below the rank."""
-    rows, pivots = _rref_exact(m.tolist(), ncols, reduce=False)
+    rows, pivots = _rref_exact(cleared(m)[0].tolist(), ncols, reduce=False)
     return [not any(row[j] for row in rows[len(pivots):]) for j in range(ncols, m.shape[1])]
 
 
@@ -281,7 +278,7 @@ def nullspace_rows(m: np.ndarray, tol: float | None = None) -> np.ndarray:
         m = m.reshape(1, -1)
     n = m.shape[1]
     if is_exact(m):
-        red, pivots = _rref_exact(m.tolist(), n)
+        red, pivots = _rref_exact(cleared(m)[0].tolist(), n)
         d = red[0][pivots[0]] if pivots else 1
         basis = zeros((n - len(pivots), n))
         for row, fc in zip(basis, (c for c in range(n) if c not in pivots)):
@@ -334,7 +331,7 @@ def solve_parts(a: np.ndarray, b: np.ndarray, tol: float | None = None):
 
     b may be a vector or a matrix of stacked right-hand sides; free
     variables are set to zero.  Exact x is integer and d the last pivot
-    of Gauss-Jordan on [a | b] (_bareiss).  Float x is the least-squares
+    of Gauss-Jordan on [a | b] cleared as a whole (_bareiss).  Float x is the least-squares
     solution and d = 1; the system is consistent when the residual is
     zero by is_zero, scaled by the largest entry of |a| @ |x| and of |b|.
     """
@@ -346,8 +343,7 @@ def solve_parts(a: np.ndarray, b: np.ndarray, tol: float | None = None):
         raise ValueError("solve: row counts differ")
     ncols, nrhs = a.shape[1], brows.shape[1]
     if is_exact(a):
-        aug = [ra + rb for ra, rb in zip(a.tolist(), brows.tolist())]
-        rows, pivots, d = _bareiss(aug, ncols + nrhs)
+        rows, pivots, d = _bareiss(cleared(np.hstack([a, brows]))[0].tolist(), ncols + nrhs)
         if any(pc >= ncols for pc in pivots):
             return None
         x = np.zeros((ncols, nrhs), dtype=object)
@@ -450,7 +446,7 @@ class Subspace:
         if ambient_dim is not None and ambient_dim != n:
             raise ValueError("spanning vectors do not match ambient_dim")
         if any(is_exact(r) for r in rows):
-            red, pivots = _rref_exact([r.tolist() for r in rows], n)
+            red, pivots = _rref_exact(cleared(np.vstack(rows))[0].tolist(), n)
             return cls(n, array([_primitive(row, pc) for row, pc in zip(red, pivots)]))
         _, s, vh = np.linalg.svd(_finite(np.vstack(rows)))
         return cls(n, vh[:_svd_rank(s, tol)].copy())

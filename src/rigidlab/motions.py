@@ -122,10 +122,9 @@ def _preserves_distances(p: PointConfiguration, motions, ids,
                          tol: float | None) -> bool:
     """True when each flattened motion has zero strain on every pair of the
     1-based points ids; a float strain is scaled by (|u_a| + |u_b|)
-    (|p_a| + |p_b|), the operands its differences round against.
-    Exact motions are cleared to ints first: the same zeros, no Fraction."""
+    (|p_a| + |p_b|), the operands its differences round against."""
     pairs = list(combinations(ids, 2))
-    u = linalg.cleared(linalg.array(motions, p.exact))[0]
+    u = linalg.array(motions, p.exact)
     values = strains(p, u, pairs)
     if p.exact:
         return is_zero(values)
@@ -235,12 +234,12 @@ def _ranks_mod_trivial(p: PointConfiguration, motions, tol: float | None = None,
     flattened motions, T the trivial motions of p.  At affine rank
     min(k-1, n) K_k is infinitesimally rigid at p (Asimow-Roth), so T is
     the kernel of the strains on all pairs, and an exact S is ranked by
-    its rows of the strains, taken once on cleared ints.  Else the answer
+    its rows of the strains, taken once.  Else the answer
     is rank [T basis; S] - dim T, T built once."""
     motions = linalg.array(motions, p.exact)
     if p.exact and p.affine_rank() == min(p.count - 1, p.dim):
         pairs = list(combinations(range(1, p.count + 1), 2))
-        rows = strains(p, linalg.cleared(motions)[0], pairs)
+        rows = strains(p, motions, pairs)
         return [linalg.rank(rows[b]) for b in blocks]
     triv = trivial_motion_space(p, tol).subspace
     return [linalg.rank(np.vstack([triv.basis, motions[b]]), tol) - triv.dim

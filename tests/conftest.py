@@ -45,3 +45,19 @@ def bareiss_calls(monkeypatch):
 
     monkeypatch.setattr(linalg, "_bareiss", recording)
     return calls
+
+
+@pytest.fixture
+def int_only_bareiss(monkeypatch):
+    """linalg._bareiss wrapped to assert that every entry it receives is a
+    Python int: each linalg function clears its matrix before the kernel."""
+    from rigidlab import linalg
+
+    real = linalg._bareiss
+
+    def checked(rows, ncols, reduce=True, modulus=None):
+        bad = {type(v).__name__ for row in rows for v in row if type(v) is not int}
+        assert not bad, f"_bareiss received {sorted(bad)} entries"
+        return real(rows, ncols, reduce, modulus)
+
+    monkeypatch.setattr(linalg, "_bareiss", checked)

@@ -172,8 +172,7 @@ def test_one_dim_rejects_trivial_motion():
 
 
 def _stacked(sample, xs, exact: bool):
-    """The stacked sampler at positions xs, cleared row by row as
-    _pin_samples clears them."""
+    """The stacked sampler at positions xs, each cleared to X / xi."""
     return sample(*(linalg.array(col, exact) for col in zip(*map(cleared, xs))))
 
 
@@ -200,11 +199,12 @@ def test_one_dim_samples_are_the_scaled_velocity_gap():
                 uc = to_float(u)
             sides = [PinContext(take_points(pc.points, b), take_points(uc, b))
                      for b in blocks]
-            lam = cleared(uc)[1]
+            # The sampler takes integer motions: uc cleared to U / lam.
+            u_int, lam = cleared(uc)
             xs = [x if scale is None else to_float(x) * scale
                   for x in points + on_span]
             usable, m, sigmas = _stacked(
-                _mismatch_sampler(pc, [uc], None, blocks), xs, pc.exact)
+                _mismatch_sampler(pc, [u_int], None, blocks), xs, pc.exact)
             assert m.shape == (len(xs), n, 1) and sigmas.shape == (len(xs), 1, 1)
             assert usable.tolist() == [True] * len(points) + [False] * len(on_span)
             for k, x in enumerate(xs[:len(points)]):
@@ -726,3 +726,24 @@ def test_integer_bases_build_no_fraction(fraction_counter):
     assert fraction_counter() == before
     assert (space.dim, meet.dim, join.dim) == (7, 3, 6)
     assert all(type(v) is int for s in (triv, space, meet, join) for v in s.basis.flat)
+
+
+def test_the_example_spaces_build_no_fraction_but_their_witnesses(fraction_counter):
+    # The paired space of ratio 3/7 holds integer motions (7 d, 3 d) and is
+    # admissible, so no Fraction is built; an inadmissible query returns
+    # its witness positions as Fractions, the only ones it makes.
+    p = random_general_config(3, 5, 0, "family-config/0", bound=1000)
+    k = Fraction(3, 7)
+    before = fraction_counter()
+    space = proportional_pair_space(p, k)
+    assert check_admissibility(p, space, samples=5).admissible
+    assert fraction_counter() == before
+    assert all(type(v) is int for v in space.subspace.basis.flat)
+    u = space.basis_motions()[0]
+    assert (u[:, 1] * k.denominator == u[:, 0] * k.numerator).all()
+    generic = MotionSpace.from_motions(p, [random_exact_matrix(3, 5, subrng(0, "witness", i), 9)
+                                           for i in range(2)])
+    report = check_admissibility(p, generic, samples=5)
+    assert not report.admissible and len(report.witness_failures) == 5
+    assert fraction_counter() == before + 15
+    assert all(type(v) is Fraction for x in report.witness_failures for v in x)

@@ -5,13 +5,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rigidlab import linalg, rigidity
+from rigidlab.admissibility import (ClassificationKind, check_admissibility,
+                                    classify_admissible)
 from rigidlab.applications import (ExtensionReport, ExtensionTable,
                                    _find_implied_probe, _Stretches,
                                    conic_probe_graphs, edge_conic_space,
                                    skew_matrix_space, two_extension_report)
 from rigidlab.errors import BadSupportError, NotIsostaticError
 from rigidlab.linalg import exact_matrix
-from rigidlab.motions import PointConfiguration
+from rigidlab.motions import MotionSpace, PointConfiguration
 from rigidlab.rigidity import (Framework, Graph, _implied_pairs_at, analyze,
                                complete_quadruple, double_banana,
                                henneberg_extend, implied_pairs,
@@ -182,6 +184,41 @@ def test_table_matches_the_per_case_oracles(name, g, count):
     table = ExtensionTable(g, 3, 0)
     for xs, e, f in cases:
         assert table.report(xs, e, f) == _reference_report(g, xs, e, f, 0), (xs, e, f)
+
+
+def _restricted_flexes(s: _Stretches, xs, e, f):
+    """(p|x, S): the sample's first V points restricted to the support x,
+    and the span of the stretch motions u_e and u_f restricted to x."""
+    cols = [k - 1 for k in xs]
+    px = PointConfiguration(s.p.points[:, cols])
+    motions = [linalg.array([s.motions[h][k - 1] for k in xs]).T for h in (e, f)]
+    return px, MotionSpace.from_motions(px, motions)
+
+
+def test_an_extension_is_rigid_exactly_when_its_restricted_flexes_are_inadmissible():
+    # The flexes of g - e - f are T(p) + span(u_e, u_f), and a vertex joined
+    # to all of x extends a nonzero motion of their restriction S exactly
+    # where the mismatch map is rank-deficient: the rank verdict of the
+    # table and the pin-sample verdict of check_admissibility must agree.
+    # K5 - e's 36 cases and every 4th case of each n = 6 graph; every
+    # blocked (admissible) space is in the rank-one form.
+    admissible = {}
+    for name, g, _ in GROWN:
+        table = ExtensionTable(g, 3, 0)
+        sample = table._samples[0]
+        assert sample.motions is not None
+        cases = list(_cases(g))
+        admissible[name] = 0
+        for xs, e, f in cases if name == "K5-e" else cases[::4]:
+            px, space = _restricted_flexes(sample, xs, e, f)
+            verdict = check_admissibility(px, space, 20, 0).admissible
+            assert verdict == (not table.report(xs, e, f).extension_rigid), (name, xs, e, f)
+            if verdict:
+                admissible[name] += 1
+                kind = classify_admissible(px, space).kind
+                assert kind is ClassificationKind.RANK_ONE_FORM, (name, xs, e, f)
+    assert admissible["K5-e"] == 6
+    assert sum(admissible.values()) > admissible["K5-e"]
 
 
 def test_table_falls_back_at_a_coplanar_sample(monkeypatch):

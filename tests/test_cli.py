@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -518,6 +519,36 @@ def test_huge_counts_and_deep_nesting_are_parse_errors(tmp_path, capsys, argv, t
     assert captured.err.startswith("rigidlab: parse error: ")
 
 
+_HUGE_GRAPH = {"vertices": 100_000_000, "edges": [[1, 2]]}
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["implied", "{}"], _HUGE_GRAPH),
+    (["analyze", "{}"], _HUGE_GRAPH),
+    (["henneberg", "{}", "-x", "1", "2", "3"], _HUGE_GRAPH),
+    (["conic", "{}", "--probe", "triangle-and-path"], {"dim": 10 ** 9, "points": [[1, 2, 3]]}),
+    (["analyze", "{}"], {"vertices": cli._MAX_VERTICES + 1, "edges": [[1, 2]]}),
+], ids=["implied-1e8-vertices", "analyze-1e8-vertices", "henneberg-1e8-vertices",
+        "conic-1e9-dim", "analyze-one-vertex-too-many"])
+def test_counts_too_large_to_build_are_parse_errors(tmp_path, capsys, argv, doc):
+    # Each of the first four once ran out of memory or drew random points
+    # for minutes: a count is checked before anything is built from it.
+    path = str(tmp_path / "in.json")
+    Path(path).write_text(json.dumps(doc), encoding="utf-8")
+    start = time.perf_counter()
+    assert main([arg.format(path) for arg in argv]) == 3
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("rigidlab: parse error: ")
+
+
+def test_the_vertex_bound_is_reachable(tmp_path, capsys):
+    graph = _write(tmp_path, "g.json", {"vertices": cli._MAX_VERTICES, "edges": [[1, 2]]})
+    assert main(["analyze", graph]) == 1
+    assert f"flex_dim: {3 * cli._MAX_VERTICES - 1}" in capsys.readouterr().out
+
+
 # Malformed input: mutations of valid graph, config and subspace files.
 # A "\0deep:D" string stands for D nested lists, spliced into the text.
 _DEEP = "\0deep:"
@@ -526,6 +557,7 @@ _JUNK = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 9),
     st.sampled_from(["1/0", "x", "", "2/3", "1e400"]),
     st.sampled_from([10 ** 400, -10 ** 400, 10 ** 400 + 1]),
+    st.sampled_from([cli._MAX_VERTICES + 1, 10 ** 8, 10 ** 9]),
     st.floats(), st.builds(dict), st.builds(list),
     st.recursive(st.none() | st.integers(-1, 2) | st.text(max_size=2),
                  lambda inner: st.lists(inner, max_size=3)

@@ -231,7 +231,9 @@ def rational_matrices(draw):
 @given(rational_matrices())
 def test_rref_matches_fraction_reference(case):
     rows, ncols = case
-    red, pivots = _rref_exact(rows, ncols)
+    # The kernel takes Python ints: each row cleared, which keeps the row space.
+    ints = [linalg.cleared(row)[0] for row in rows]
+    red, pivots = _rref_exact(ints, ncols)
     want_red, want_pivots = reference_rref(rows, ncols)
     assert pivots == want_pivots
     # Gauss-Jordan leaves every pivot row with the same pivot: over it, the
@@ -241,7 +243,7 @@ def test_rref_matches_fraction_reference(case):
     assert not any(v for row in red[len(pivots):] for v in row)
     # The rank-only mode eliminates forward only and finds the same pivots;
     # with pivots allowed in every column, the rows below the rank are zero.
-    forward, pivots = _rref_exact(rows, ncols, reduce=False)
+    forward, pivots = _rref_exact(ints, ncols, reduce=False)
     assert pivots == want_pivots
     assert len(forward) == len(rows)
     assert not any(v for row in forward[len(pivots):] for v in row)
@@ -410,6 +412,8 @@ def test_cleared_returns_python_ints_as_they_are():
     ints = [3, -7, 0, 2 ** 80]
     assert linalg.cleared(ints) == (ints, 1)
     assert linalg.cleared(ints)[0] is ints
+    matrix = linalg.array([[3, -7], [0, 2 ** 80]])
+    assert linalg.cleared(matrix)[0] is matrix and linalg.cleared(matrix)[1] == 1
     mixed = [np.int64(4), 6, Fraction(1, 3)]
     got, d = linalg.cleared(mixed)
     assert (got, d) == ([12, 18, 1], 3)
@@ -441,7 +445,10 @@ def test_integer_entries_match_fraction_results(cast):
     assert all(type(v) is int for v in linalg.cleared(flat)[0].flat)
     for m, m_frac in ((flat, flat_frac), (square, square_frac)):
         want = reference_rref(m_frac.tolist(), m.shape[1])[1]
-        forward, pivots = _rref_exact(m.tolist(), m.shape[1], reduce=False)
+        # pivot_columns clears np.int64 to Python ints before the kernel.
+        assert linalg.pivot_columns(m) == want
+        forward, pivots = _rref_exact(linalg.cleared(m)[0].tolist(), m.shape[1],
+                                      reduce=False)
         assert pivots == want
         assert not any(v for row in forward[len(pivots):] for v in row)
     assert rank(flat) == rank(flat_frac) == 3

@@ -1,5 +1,6 @@
 import ast
 import inspect
+from fractions import Fraction
 from itertools import combinations
 from unittest import mock
 
@@ -531,3 +532,21 @@ def test_implied_pairs_of_a_flexible_graph_eliminate_the_unpinned_rows(bareiss_c
     assert _exact_calls(bareiss_calls) == sample * 2
     assert [call for call in bareiss_calls if call[3]] == [(24, 18, False, linalg.PRIME)] * 2
     assert [call.width for call in bareiss_calls if call[:2] == (18, 18)] == [28, 19]
+
+
+@pytest.mark.parametrize("g", [double_banana(), Graph.complete(5).without_edges([(4, 5), (1, 2)])],
+                         ids=["double-banana", "K5-less-45-12"])
+def test_verdicts_are_those_of_the_points_scaled_to_rationals(g):
+    # At p / 7 the strains, and so every matrix the rank questions take,
+    # hold Fractions: each linalg entry point, reaches_mod_p, pivot_columns
+    # and spanned_columns included, must clear them for the int-only kernel.
+    v = g.vertex_count
+    non_edges = [pair for pair in combinations(range(1, v + 1), 2) if pair not in g.edges]
+    for seed in range(20):
+        p = next(generic_samples(3, v, seed))
+        scaled = PointConfiguration(p.points * Fraction(1, 7))
+        assert scaled.den == 7
+        fw, fw_scaled = Framework(g, p), Framework(g, scaled)
+        assert analyze(fw_scaled) == analyze(fw), seed
+        assert _implied_pairs_at(g, scaled, non_edges) == _implied_pairs_at(g, p, non_edges), seed
+        assert rank(rigidity_matrix(fw_scaled)) == rank(rigidity_matrix(fw)), seed

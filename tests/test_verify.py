@@ -247,7 +247,8 @@ def test_integer_poly_instances_scale_the_fraction_ones(seed):
     ("conic-at-infinity", 0),
     ("affine-poly-cases", 0),
     ("extension-predictions", 0),
-    ("classification-trichotomy", 94),  # 85 at seed 0, plus 10%
+    ("example-spaces-admissible", 5),  # the five drawn ratios
+    ("classification-trichotomy", 60),  # 55 at seed 0, plus 10%
 ])
 def test_checks_build_few_fractions(fraction_counter, name, ceiling):
     assert run_check(name, 0).passed
@@ -255,14 +256,15 @@ def test_checks_build_few_fractions(fraction_counter, name, ceiling):
 
 
 def test_battery_builds_few_fractions(fraction_counter):
-    """A seed-0 pass builds 6,220 Fractions: check 1 5,700 (rational by
+    """A seed-0 pass builds 6,160 Fractions: check 1 5,700 (rational by
     design: its draws, the direct inverse and the update); check 3 400
     (limit_velocity's values 150 and their products with x 250); check
-    10 85 (50 making the classification weights, 35 the example spaces'
-    ratios); check 6 35 (the same ratios).  The rest build none: the pin
-    instances of checks 1-3 test x against q's affine span on integers."""
+    10 55 (50 making the classification weights, 5 the example spaces'
+    drawn ratios); check 6 5 (the same ratios, whose spaces hold integer
+    motions).  The rest build none: the pin instances of checks 1-3 test
+    x against q's affine span on integers."""
     assert all(res.passed for res in run_battery(0))
-    assert fraction_counter() <= 6842
+    assert fraction_counter() <= 6160
 
 
 def test_exact_draws_are_python_ints(fraction_counter):
