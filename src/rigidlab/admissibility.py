@@ -119,7 +119,8 @@ def _pin_samples(p: PointConfiguration, samples: int, seed: int, tag: str,
         want = min(samples - len(kept), 10 * samples - drawn)
         if want == 0:
             raise DegenerateConfigError("could not collect enough valid pin samples")
-        rngs = [subrng(seed, tag, idx) for idx in range(drawn, drawn + want)]
+        # One Random (a 2.5 KB state) alive at a time.
+        rngs = (subrng(seed, tag, idx) for idx in range(drawn, drawn + want))
         xs = [random_int_vector(p.dim, rng) if p.exact
               else random_float_vector(p.dim, rng, float(DEFAULT_BOUND)) for rng in rngs]
         drawn += want

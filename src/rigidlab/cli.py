@@ -8,12 +8,12 @@ Input files are JSON:
   subspace  {"basis": [[[...], ...], ...]}            each basis motion is an
             n x k matrix given row-major
 
-Each cmd_* returns its exit code, its input names and a list of
-(label, fields, text lines) records; main writes stdout only after the
-command has returned, so exits 2, 3 and 4 leave stdout empty.  With
---format jsonl every record, after a manifest of the run, is one JSON
-object per line; output depends only on the inputs and the seed, never
-on timing.
+Each cmd_* returns its exit code and a list of (label, fields, text
+lines) records; main writes stdout only after the command has returned,
+so exits 2, 3 and 4 leave stdout empty.  With --format jsonl every
+record, after a manifest of the run read from the parsed arguments, is
+one JSON object per line; output depends only on the inputs and the
+seed, never on timing.
 """
 
 from __future__ import annotations
@@ -48,33 +48,27 @@ exit codes:
 """
 
 
-def _jsonable(value):
+def _json_default(value):
+    """The values json does not encode itself: a Fraction as "a/b", an
+    Enum as its value, a set sorted, a numpy array or scalar as Python's."""
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, Enum):
         return value.value
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, set, frozenset)):
-        seq = sorted(value) if isinstance(value, (set, frozenset)) else value
-        return [_jsonable(v) for v in seq]
-    return value
+    if isinstance(value, (set, frozenset)):
+        return sorted(value)
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _text(value) -> str:
     """One value as text: true/false, a list space-separated."""
-    value = _jsonable(value)
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, list):
+    if isinstance(value, (list, tuple)):
         return " ".join(str(v) for v in value)
     return str(value)
 
@@ -91,10 +85,10 @@ def _record(label: str, fields: dict, *keys: str):
     return label, fields, [f"{key}: {_text(fields[key])}" for key in keys]
 
 
-def _load_json(path: str):
+def _load_object(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
+            data = json.load(handle)
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
@@ -102,6 +96,8 @@ def _load_json(path: str):
             f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except RecursionError as exc:
         raise ParseError(f"{path}: nested too deeply") from exc
+    _expect(isinstance(data, dict), f"{path}: top level must be an object")
+    return data
 
 
 def _expect(condition: bool, message: str) -> None:
@@ -111,7 +107,11 @@ def _expect(condition: bool, message: str) -> None:
 
 # At n = 3 and V = 200, rigidity_matrix builds a dense 600 x 600 matrix of
 # unit motions, and implied strains them on up to V(V-1)/2 = 19,900 pairs.
+# -n/--dim is held to the same size: n V at most 3 * _MAX_VERTICES.
 _MAX_VERTICES = 200
+# check_admissibility holds the mismatch maps of all its pin samples at
+# once, about 2 KB each: --samples 100000 on example1 peaks near 230 MB.
+_MAX_SAMPLES = 100_000
 
 
 def _is_index(value) -> bool:
@@ -120,8 +120,7 @@ def _is_index(value) -> bool:
 
 
 def load_graph(path: str) -> Graph:
-    data = _load_json(path)
-    _expect(isinstance(data, dict), f"{path}: top level must be an object")
+    data = _load_object(path)
     vertices = data.get("vertices")
     _expect(type(vertices) is int and 1 <= vertices <= _MAX_VERTICES,
             f"{path}: field 'vertices' must be an integer from 1 to {_MAX_VERTICES}")
@@ -150,8 +149,7 @@ def _store_scalar(mat, index, value, where: str) -> None:
 
 
 def load_config(path: str, exact: bool) -> PointConfiguration:
-    data = _load_json(path)
-    _expect(isinstance(data, dict), f"{path}: top level must be an object")
+    data = _load_object(path)
     dim = data.get("dim")
     _expect(_is_index(dim) and dim >= 1, f"{path}: field 'dim' must be a positive int64 integer")
     points = data.get("points")
@@ -168,8 +166,7 @@ def load_config(path: str, exact: bool) -> PointConfiguration:
 
 def load_subspace(path: str, p: PointConfiguration, exact: bool,
                   tol: float | None) -> MotionSpace:
-    data = _load_json(path)
-    _expect(isinstance(data, dict), f"{path}: top level must be an object")
+    data = _load_object(path)
     basis = data.get("basis")
     _expect(isinstance(basis, list) and basis, f"{path}: field 'basis' must be a non-empty list")
     motions = []
@@ -187,8 +184,7 @@ def load_subspace(path: str, p: PointConfiguration, exact: bool,
 
 
 def write_graph(path: str, g: Graph) -> None:
-    payload = {"vertices": g.vertex_count,
-               "edges": [list(e) for e in g.sorted_edges()]}
+    payload = {"vertices": g.vertex_count, "edges": g.sorted_edges()}
     try:
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, sort_keys=True, indent=2)
@@ -225,13 +221,28 @@ def builtin_space(token: str, p: PointConfiguration, seed: int):
                      "example2:K, or constructed:SEED")
 
 
-def cmd_analyze(args):
+def _load_graph(args) -> Graph:
+    """args.graph, refused before any draw if -n/--dim is too large for it."""
     g = load_graph(args.graph)
+    if args.dim * g.vertex_count > 3 * _MAX_VERTICES:
+        raise ValueError(f"-n/--dim {args.dim} on {g.vertex_count} vertices is over "
+                         f"{3 * _MAX_VERTICES} coordinates")
+    return g
+
+
+def _five_points(args, tag: str) -> PointConfiguration:
+    """args.config, or five seeded points in general position in R^3."""
     exact = args.backend == "exact"
-    inputs = [args.graph]
+    if args.config:
+        return load_config(args.config, exact)
+    return random_general_config(3, 5, args.seed, tag, exact=exact, bound=1000)
+
+
+def cmd_analyze(args):
+    g = _load_graph(args)
+    exact = args.backend == "exact"
     if args.config:
         p = load_config(args.config, exact)
-        inputs.append(args.config)
     else:
         p = random_config(args.dim, g.vertex_count,
                           subrng(args.seed, "cli-analyze", 0), exact=exact)
@@ -239,7 +250,7 @@ def cmd_analyze(args):
     fields = dict(vertices=g.vertex_count, edges=g.edge_count, dim=p.dim,
                   flex_dim=report.flex_dim, trivial_dim=report.trivial_dim,
                   rigid=report.is_rigid, isostatic=report.is_isostatic)
-    return (0 if report.is_rigid else 1), inputs, [_record(
+    return (0 if report.is_rigid else 1), [_record(
         "analysis", fields, "vertices", "edges", "flex_dim", "trivial_dim",
         "rigid", "isostatic")]
 
@@ -255,7 +266,7 @@ def _parse_edge_token(token: str) -> tuple[int, int]:
 
 
 def cmd_henneberg(args):
-    g = load_graph(args.graph)
+    g = _load_graph(args)
     removed = [_parse_edge_token(t) for t in args.remove]
     extension = henneberg_extend(g, args.support, removed, args.dim)
     rigid = is_generically_rigid(extension, args.dim, args.seed)
@@ -264,30 +275,19 @@ def cmd_henneberg(args):
         write_graph(args.output, extension)
         lines.append(f"wrote: {args.output}")
     lines.append(f"rigid: {_text(rigid)}")
-    fields = dict(vertices=extension.vertex_count,
-                  edges=[list(e) for e in extension.sorted_edges()],
+    fields = dict(vertices=extension.vertex_count, edges=extension.sorted_edges(),
                   output=args.output, rigid=rigid)
-    return (0 if rigid else 1), [args.graph], [("extension", fields, lines)]
+    return (0 if rigid else 1), [("extension", fields, lines)]
 
 
 def cmd_admissible(args):
-    exact = args.backend == "exact"
-    inputs = []
-    if args.config:
-        p = load_config(args.config, exact)
-        inputs.append(args.config)
-    else:
-        p = random_general_config(3, 5, args.seed, "cli-admissible", exact=exact,
-                                  bound=1000)
-    if args.subspace:
-        space = load_subspace(args.subspace, p, exact, args.tol)
-        inputs.append(args.subspace)
+    p = _five_points(args, "cli-admissible")
+    if args.subspace is not None:
+        space = load_subspace(args.subspace, p, p.exact, args.tol)
     else:
         space = builtin_space(args.builtin, p, args.seed)
-        inputs.append(args.builtin)
-    samples = args.samples if args.samples is not None else 20
-    report = check_admissibility(p, space, samples=samples, seed=args.seed,
-                                 tol=args.tol)
+    report = check_admissibility(p, space, samples=args.samples or 20,
+                                 seed=args.seed, tol=args.tol)
     fields = dict(candidate_dim=report.candidate_dim,
                   intersects_trivial=report.intersects_trivial,
                   samples_tested=report.samples_tested,
@@ -300,57 +300,43 @@ def cmd_admissible(args):
                        "max_mismatch_rank", "admissible")]
     if report.admissible and space.dim == 2:
         cls = classify_admissible(p, space, args.tol)
-        plane = None if cls.plane is None else [list(row) for row in _printed(cls.plane.basis)]
-        weights = None if cls.weights is None else list(cls.weights)
+        plane = None if cls.plane is None else _printed(cls.plane.basis)
         lines = [f"classification: {cls.kind.value}"]
-        if weights is not None:
-            lines.append(f"weights: {_text(weights)}")
+        if cls.weights is not None:
+            lines.append(f"weights: {_text(cls.weights)}")
         records.append(("classification", dict(kind=cls.kind, plane=plane,
-                        weights=weights, details=cls.details), lines))
-    return (0 if report.admissible else 1), inputs, records
+                        weights=cls.weights, details=cls.details), lines))
+    return (0 if report.admissible else 1), records
 
 
 def cmd_implied(args):
-    g = load_graph(args.graph)
+    g = _load_graph(args)
     if args.pair:
         i, j = args.pair
         implied = is_implied_edge(g, i, j, args.dim, args.seed)
         lo, hi = min(i, j), max(i, j)
-        return (0 if implied else 1), [args.graph], [(
-            "implied", dict(pair=[lo, hi], implied=implied),
+        return (0 if implied else 1), [(
+            "implied", dict(pair=(lo, hi), implied=implied),
             [f"pair: {lo},{hi}", f"implied: {_text(implied)}"])]
     vertices = range(1, g.vertex_count + 1)
     candidates = [(i, j) for i in vertices for j in vertices
                   if i < j and not g.has_edge(i, j)]
     found = sorted(implied_pairs(g, candidates, args.dim, args.seed))
     lines = [f"implied_nonedges: {len(found)}"] + [f"  {i},{j}" for i, j in found]
-    return 0, [args.graph], [("implied", dict(pairs=[list(e) for e in found]), lines)]
+    return 0, [("implied", dict(pairs=found), lines)]
 
 
 def cmd_conic(args):
-    exact = args.backend == "exact"
-    inputs = []
-    if args.config:
-        p = load_config(args.config, exact)
-        if p.dim != 3:
-            raise ValueError(f"conic needs a configuration in R^3, got dim {p.dim}")
-        inputs.append(args.config)
-    else:
-        p = random_general_config(3, 5, args.seed, "cli-conic", exact=exact,
-                                  bound=1000)
-    if args.probe:
-        edges = conic_probe_graphs()[args.probe]
-        inputs.append(args.probe)
-    else:
-        g = load_graph(args.edge_file)
-        edges = g.sorted_edges()
-        inputs.append(args.edge_file)
+    p = _five_points(args, "cli-conic")
+    if p.dim != 3:
+        raise ValueError(f"conic needs a configuration in R^3, got dim {p.dim}")
+    edges = (conic_probe_graphs()[args.probe] if args.probe
+             else load_graph(args.edge_file).sorted_edges())
     space = edge_conic_space(p, edges, args.tol)
-    skew = space.equals(skew_matrix_space(3, exact), args.tol)
-    basis = [[list(row) for row in vec.reshape(3, 3)]
-             for vec in _printed(space.basis, last=True)]
+    skew = space.equals(skew_matrix_space(3, p.exact), args.tol)
+    basis = [vec.reshape(3, 3) for vec in _printed(space.basis, last=True)]
     fields = dict(dim=space.dim, skew_space=skew, basis=basis)
-    return (0 if skew else 1), inputs, [_record("conic", fields, "dim", "skew_space")]
+    return (0 if skew else 1), [_record("conic", fields, "dim", "skew_space")]
 
 
 def cmd_verify(args):
@@ -365,7 +351,7 @@ def cmd_verify(args):
                for index, res in enumerate(results, start=1)]
     records.append(("summary", dict(total=total, failed=failed, passed=total - failed),
                     [f"passed {total - failed}/{total}"]))
-    return (0 if failed == 0 else 1), [], records
+    return (0 if failed == 0 else 1), records
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -464,6 +450,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.samples is not None and args.samples < 1:
         parser.error("--samples must be a positive integer")
+    if args.samples is not None and args.samples > _MAX_SAMPLES:
+        parser.error(f"--samples must be at most {_MAX_SAMPLES}")
     if getattr(args, "dim", 1) < 1:
         parser.error("-n/--dim must be a positive integer")
     if args.tol is not None and not 0 < args.tol < 1:
@@ -471,7 +459,7 @@ def main(argv=None) -> int:
     try:
         # A float64 overflow is reported once, by linalg._finite, not by numpy.
         with np.errstate(over="ignore", invalid="ignore"):
-            code, inputs, records = args.func(args)
+            code, records = args.func(args)
     except ParseError as exc:
         print(f"rigidlab: parse error: {exc}", file=sys.stderr)
         return 3
@@ -481,11 +469,15 @@ def main(argv=None) -> int:
     except (BadSupportError, ValueError) as exc:
         print(f"rigidlab: usage error: {exc}", file=sys.stderr)
         return 2
+    inputs = [getattr(args, key) for key in
+              ("graph", "config", "subspace", "builtin", "probe", "edge_file")
+              if getattr(args, key, None)]
     manifest = dict(command=args.command, inputs=inputs, seed=args.seed,
                     samples=args.samples, backend=args.backend, tolerance=args.tol)
     for label, fields, lines in [("manifest", manifest, []), *records]:
         if args.fmt == "jsonl":
-            print(json.dumps(_jsonable({"record": label, **fields}), sort_keys=True))
+            print(json.dumps({"record": label, **fields}, sort_keys=True,
+                             default=_json_default))
         else:
             for line in lines:
                 print(line)

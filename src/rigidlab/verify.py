@@ -30,8 +30,7 @@ from .motions import (MotionSpace, PointConfiguration, is_infinitesimal_isometry
 from .pins import PinContext, limit_velocity, pin_stack, pin_velocity
 from .rigidity import (Framework, Graph, analyze, double_banana,
                        generic_samples, is_implied_edge)
-from .sampling import (random_config, random_exact_matrix,
-                       random_exact_vector, random_float_matrix,
+from .sampling import (random_config, random_exact_matrix, random_float_matrix,
                        random_float_vector, random_general_config,
                        random_rational_matrix, subrng)
 
@@ -68,16 +67,12 @@ def _general_config(seed: int, tag: str, idx: int,
 
 def _pin_instance(seed: int, tag: str, idx: int, rational: bool = False):
     """Invertible 3x3 block q, motion v, and a pin x off q's affine span."""
+    draw = random_rational_matrix if rational else random_exact_matrix
     for shift in range(50):
         rng = subrng(seed, tag, 50 * idx + shift)
-        if rational:
-            q = random_rational_matrix(3, 3, rng, SMALL_BOUND)
-            v = random_rational_matrix(3, 3, rng, SMALL_BOUND)
-            x = random_rational_matrix(1, 3, rng, SMALL_BOUND)[0]
-        else:
-            q = random_exact_matrix(3, 3, rng, SMALL_BOUND)
-            v = random_exact_matrix(3, 3, rng, SMALL_BOUND)
-            x = random_exact_vector(3, rng, SMALL_BOUND)
+        q = draw(3, 3, rng, SMALL_BOUND)
+        v = draw(3, 3, rng, SMALL_BOUND)
+        x = draw(1, 3, rng, SMALL_BOUND)[0]
         try:
             ctx = PinContext(q, v)
         except SingularMatrixError:

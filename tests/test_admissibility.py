@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from rigidlab import admissibility, linalg, motions
-from rigidlab.admissibility import (BLOCK_123, BLOCK_145, _mismatch_sampler,
-                                    _pin_samples, check_admissibility,
+from rigidlab.admissibility import (BLOCK_123, BLOCK_145, ClassificationKind,
+                                    _mismatch_sampler, _pin_samples,
+                                    check_admissibility,
                                     classify_admissible,
                                     construct_admissible_family,
                                     one_dim_space_inadmissible,
@@ -747,3 +748,19 @@ def test_the_example_spaces_build_no_fraction_but_their_witnesses(fraction_count
     assert not report.admissible and len(report.witness_failures) == 5
     assert fraction_counter() == before + 15
     assert all(type(v) is Fraction for x in report.witness_failures for v in x)
+
+
+def test_the_classification_builds_only_its_weights(fraction_counter):
+    # A rank-one form returns its five weights as Fractions, the only ones
+    # it makes; an all-affine space returns no weights and makes none.
+    p = random_general_config(3, 5, 0, "cli-admissible", bound=1000)
+    rank_one = proportional_pair_space(p, Fraction(3, 7))
+    affine = construct_admissible_family(p, trials=1, seed=1)[0]
+    before = fraction_counter()
+    form = classify_admissible(p, rank_one)
+    assert form.kind is ClassificationKind.RANK_ONE_FORM
+    assert fraction_counter() == before + 5
+    cls = classify_admissible(p, affine)
+    assert cls.kind is ClassificationKind.ALL_AFFINE and cls.weights is None
+    assert fraction_counter() == before + 5
+    assert list(form.weights) == [1, Fraction(3, 7), 0, 0, 0]

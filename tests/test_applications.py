@@ -243,6 +243,15 @@ def test_table_falls_back_at_a_coplanar_sample(monkeypatch):
         assert table.report(xs, e, f) == _reference_report(g, xs, e, f, 0), (e, f)
 
 
+def test_the_extension_table_builds_no_fraction(fraction_counter):
+    g = _nearly_complete_five()
+    before = fraction_counter()
+    table = ExtensionTable(g, 3, 0)
+    reports = [table.report(xs, e, f) for xs, e, f in _cases(g)]
+    assert fraction_counter() == before
+    assert sum(r.extension_rigid for r in reports) == 30
+
+
 def test_extension_eliminations_do_not_grow_with_cases(monkeypatch):
     # The base graph's eliminations (its rank and the R R^T solve at each
     # sample) run once per table: check 11's 36 cases make as many as one

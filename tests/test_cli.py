@@ -465,6 +465,8 @@ FAILURES = {
         lambda d, mp: ["admissible", _config_file(d, "p.json", STANDARD_POINTS),
                        "--builtin", "nope"], 3,
         "parse error: unknown builtin"),
+    "admissible-empty-subspace-path": (
+        lambda d, mp: ["admissible", "--subspace", ""], 3, "parse error: : "),
     "implied-pair-out-of-range": (
         lambda d, mp: ["implied", _k5e(d), "--pair", "1", "9"], 2,
         "usage error: vertex 9"),
@@ -547,6 +549,31 @@ def test_the_vertex_bound_is_reachable(tmp_path, capsys):
     graph = _write(tmp_path, "g.json", {"vertices": cli._MAX_VERTICES, "edges": [[1, 2]]})
     assert main(["analyze", graph]) == 1
     assert f"flex_dim: {3 * cli._MAX_VERTICES - 1}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["analyze", "{}", "-n", "100000000"], 2),
+    (["implied", "{}", "-n", "100000000"], 2),
+    (["admissible", "--builtin", "example1", "--samples", "100000000"], 2),
+    (["analyze", "{}", "-n", str(3 * cli._MAX_VERTICES // 5 + 1)], 2),
+    (["analyze", "{}", "-n", str(3 * cli._MAX_VERTICES // 5)], 1),
+], ids=["analyze-n-1e8", "implied-n-1e8", "admissible-samples-1e8",
+        "analyze-n-one-too-many", "analyze-n-at-the-bound"])
+def test_counts_too_large_to_draw_are_usage_errors(tmp_path, capsys, argv, code):
+    # The first three once died of a MemoryError: -n/--dim times the vertex
+    # count, and --samples, are checked before anything is drawn.
+    path = _graph_file(tmp_path, "k5e.json", Graph.complete(5).without_edges([(4, 5)]))
+    start = time.perf_counter()
+    try:
+        got = main([arg.format(path) for arg in argv])
+    except SystemExit as exc:
+        got = exc.code
+    assert got == code
+    assert time.perf_counter() - start < 0.5
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.out == ""
+        assert ("-n/--dim" if "-n" in argv else "--samples") in captured.err
 
 
 # Malformed input: mutations of valid graph, config and subspace files.

@@ -153,6 +153,23 @@ def test_analyze_of_an_integer_configuration_builds_no_fraction(fraction_counter
     assert fraction_counter() == before
 
 
+def test_the_generic_oracles_build_no_fraction(fraction_counter):
+    # Generic samples are integer draws, so the implied-pair and rigidity
+    # oracles stay in integers: every non-edge of the double banana, one
+    # pair of K5 - e, and a 2-extension of K5 - e.
+    banana = double_banana()
+    k5e = Graph.complete(5).without_edges([(4, 5)])
+    vertices = range(1, banana.vertex_count + 1)
+    nonedges = [(i, j) for i in vertices for j in vertices
+                if i < j and not banana.has_edge(i, j)]
+    extension = henneberg_extend(k5e, [1, 2, 3, 4, 5], [(1, 2), (2, 3)], 3)
+    before = fraction_counter()
+    assert len(implied_pairs(banana, nonedges, 3, 0)) == 1
+    assert is_implied_edge(k5e, 4, 5, 3, 0)
+    assert is_generically_rigid(extension, 3, 0)
+    assert fraction_counter() == before
+
+
 def _octahedron() -> Graph:
     antipodal = {(1, 2), (3, 4), (5, 6)}
     return Graph.from_edges(6, [e for e in Graph.complete(6).sorted_edges()
