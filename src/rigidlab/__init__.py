@@ -17,7 +17,8 @@ from .errors import (BadSupportError, DegenerateConfigError,
                      OnAffineSpanError, ParallelSpanError, ParseError,
                      RigidLabError, SingularMatrixError)
 from .linalg import (DEFAULT_RANK_TOL, Subspace, exact_matrix, frac, invert,
-                     nullspace_rows, rank, sherman_morrison_inverse, solve)
+                     nullspace_rows, rank, sherman_morrison_inverse, solve,
+                     tolerance)
 from .motions import (MotionSpace, PointConfiguration, affine_motion_parts,
                       flatten_motion, is_infinitesimal_isometry,
                       linear_motion_matrix, p_equivalent, restricts_to_isometry,

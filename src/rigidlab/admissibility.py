@@ -47,46 +47,43 @@ def split_blocks(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return take_points(mat, BLOCK_145), take_points(mat, BLOCK_123)
 
 
-def _pin_blocks(p: PointConfiguration, tol: float | None,
-                error: type = DegenerateConfigError,
+def _pin_blocks(p: PointConfiguration, error: type = DegenerateConfigError,
                 blocks=(BLOCK_145, BLOCK_123)) -> tuple[PinContext, ...]:
     """One PinContext per block of p, zero velocities, from p's cleared
-    points; a block singular at tol raises error("pin block is singular")."""
+    points; a singular block raises error("pin block is singular")."""
     zero = linalg.array([[0] * p.dim] * p.dim, p.exact)
     try:
         return tuple(PinContext(take_points(p.points, ids), zero,
-                                integer_block(take_points(p.ints, ids), p.den, tol))
+                                integer_block(take_points(p.ints, ids), p.den))
                      for ids in blocks)
     except SingularMatrixError as exc:
         raise error(f"pin block is singular: {exc}") from exc
 
 
-def pin_mismatch_map(p: PointConfiguration, s: MotionSpace, x: np.ndarray,
-                     tol: float | None = None) -> np.ndarray:
+def pin_mismatch_map(p: PointConfiguration, s: MotionSpace, x: np.ndarray) -> np.ndarray:
     """3 x dim(s) matrix whose column for basis motion u is the difference
     of the two pin velocities of u at x.  A nonzero kernel vector is a
     motion that extends to a flex of the cone at x."""
     _require_five_points(p, s)
-    side_q, side_r = _pin_blocks(p, tol)
-    cols = [pin_velocity(side_q.with_motion(v), x, tol)
-            - pin_velocity(side_r.with_motion(w), x, tol)
+    side_q, side_r = _pin_blocks(p)
+    cols = [pin_velocity(side_q.with_motion(v), x)
+            - pin_velocity(side_r.with_motion(w), x)
             for v, w in map(split_blocks, s.basis_motions())]
     return linalg.array(cols, p.exact).T
 
 
-def _mismatch_sampler(p: PointConfiguration, motions, tol: float | None,
-                      blocks=(BLOCK_145, BLOCK_123)):
+def _mismatch_sampler(p: PointConfiguration, motions, blocks=(BLOCK_145, BLOCK_123)):
     """Set up once for integer (exact) motions of p pinned on two blocks
     of p.dim points, each inverted once (_pin_blocks): k positions
     X / xi, one per row, give (usable rows, the stack
     sigma_r N_q - sigma_q N_r, sigma_q sigma_r as a k x 1 x 1 stack) by
     pins.pin_stack at s = 1."""
     sides = [(side, np.stack([take_points(u, ids).T for u in motions]))
-             for side, ids in zip(_pin_blocks(p, tol, blocks=blocks), blocks)]
+             for side, ids in zip(_pin_blocks(p, blocks=blocks), blocks)]
 
     def mismatch(x_int: np.ndarray, xi: np.ndarray) -> tuple:
         (ok_q, n_q, sigma_q), (ok_r, n_r, sigma_r) = (
-            pin_stack(side, vt, x_int, xi, tol=tol) for side, vt in sides)
+            pin_stack(side, vt, x_int, xi) for side, vt in sides)
         sigma_q, sigma_r = sigma_q[:, None, None], sigma_r[:, None, None]
         return ok_q & ok_r, sigma_r * n_q - sigma_q * n_r, sigma_q * sigma_r
     return mismatch
@@ -131,8 +128,7 @@ def _pin_samples(p: PointConfiguration, samples: int, seed: int, tag: str,
 
 
 def check_admissibility(p: PointConfiguration, s: MotionSpace,
-                        samples: int = 20, seed: int = 0,
-                        tol: float | None = None) -> AdmissibilityReport:
+                        samples: int = 20, seed: int = 0) -> AdmissibilityReport:
     """Sampled admissibility test for a motion subspace of five points.
 
     Condition 1 (trivial intersection) is decided outright; condition 2
@@ -148,10 +144,10 @@ def check_admissibility(p: PointConfiguration, s: MotionSpace,
     _require_five_points(p, s)
     if s.dim < 1:
         raise ValueError("candidate subspace must have positive dimension")
-    intersects = _ranks_mod_trivial(p, s.subspace.basis, tol)[0] < s.dim
+    intersects = _ranks_mod_trivial(p, s.subspace.basis)[0] < s.dim
     xs, m, _ = _pin_samples(p, samples, seed, "pin-sample",
-                            _mismatch_sampler(p, s.basis_motions(), tol))
-    ranks = linalg.rank(m, tol)
+                            _mismatch_sampler(p, s.basis_motions()))
+    ranks = linalg.rank(m)
     failures = [linalg.over(linalg.array(x, p.exact), 1)
                 for x, rk in zip(xs, ranks) if rk >= s.dim]
     return AdmissibilityReport(
@@ -206,20 +202,18 @@ def _stress_gap(sides: tuple[PinContext, PinContext], u: np.ndarray) -> np.ndarr
     return side_r.det * left - side_q.det * right
 
 
-def sufficient_check(p: PointConfiguration, s: MotionSpace,
-                     tol: float | None = None) -> bool:
+def sufficient_check(p: PointConfiguration, s: MotionSpace) -> bool:
     """Sufficient (not necessary) admissibility test: trivial intersection
     zero, every motion linear, and the stress gap vanishing on s."""
     _require_five_points(p, s)
-    if _ranks_mod_trivial(p, s.subspace.basis, tol)[0] < s.dim:
+    if _ranks_mod_trivial(p, s.subspace.basis)[0] < s.dim:
         return False
-    sides = _pin_blocks(p, tol)
-    return all(_linear_parts(p, u, False, tol) is not None
-               and is_zero(_stress_gap(sides, u), tol, u) for u in s.basis_motions())
+    sides = _pin_blocks(p)
+    return all(_linear_parts(p, u, False) is not None
+               and is_zero(_stress_gap(sides, u), u) for u in s.basis_motions())
 
 
-def stress_matched_linear_space(p: PointConfiguration,
-                                tol: float | None = None) -> MotionSpace:
+def stress_matched_linear_space(p: PointConfiguration) -> MotionSpace:
     """Linear motions u = m p whose stress gap vanishes.
 
     The gap is a linear map on the nine-dimensional space of linear
@@ -228,7 +222,7 @@ def stress_matched_linear_space(p: PointConfiguration,
     in the three-dimensional space of skew linear motions.
     """
     _require_five_points(p)
-    sides = _pin_blocks(p, tol)
+    sides = _pin_blocks(p)
     gens = []
     gaps = []
     for a in range(3):
@@ -237,20 +231,19 @@ def stress_matched_linear_space(p: PointConfiguration,
             u[a] = p.ints[b]
             gens.append(u)
             gaps.append(_stress_gap(sides, u))
-    kernel = linalg.nullspace_rows(linalg.array(gaps, p.exact).T, tol)
+    kernel = linalg.nullspace_rows(linalg.array(gaps, p.exact).T)
     motions = [sum(gen * c for c, gen in zip(coeffs, gens)) for coeffs in kernel]
-    return MotionSpace.from_motions(p, motions, tol)
+    return MotionSpace.from_motions(p, motions)
 
 
 def construct_admissible_family(p: PointConfiguration, trials: int = 20,
-                                seed: int = 0,
-                                tol: float | None = None) -> list[MotionSpace]:
+                                seed: int = 0) -> list[MotionSpace]:
     """Sample 2-dimensional admissible subspaces of the stress-matched
     linear motions that meet the trivial motions only in zero: integer
     combinations of the rows of its basis.
     """
     _require_five_points(p)
-    basis = stress_matched_linear_space(p, tol).subspace.basis
+    basis = stress_matched_linear_space(p).subspace.basis
     out: list[MotionSpace] = []
     for attempt in range(100 * trials):
         if len(out) == trials:
@@ -259,16 +252,16 @@ def construct_admissible_family(p: PointConfiguration, trials: int = 20,
         coeffs = linalg.array([[rng.randint(-9, 9) for _ in basis]
                                for _ in range(2)], p.exact)
         vecs = [sum(c * b for c, b in zip(row, basis)) for row in coeffs]
-        if _ranks_mod_trivial(p, vecs, tol)[0] != 2:
+        if _ranks_mod_trivial(p, vecs)[0] != 2:
             continue
-        out.append(MotionSpace(p, Subspace.from_spanning(vecs, tol=tol)))
+        out.append(MotionSpace(p, Subspace.from_spanning(vecs)))
     if len(out) < trials:
         raise DegenerateConfigError("failed to sample enough admissible subspaces")
     return out
 
 
 def projected_limit_mismatch(p: PointConfiguration, u: np.ndarray,
-                             x: np.ndarray, tol: float | None = None) -> np.ndarray:
+                             x: np.ndarray) -> np.ndarray:
     """Difference of the two limit velocities of u at direction x,
     projected onto the plane orthogonal to p1 along (q^T)^{-1} 1.
 
@@ -280,7 +273,7 @@ def projected_limit_mismatch(p: PointConfiguration, u: np.ndarray,
     u = np.asarray(u)
     if u.shape != (3, 5):
         raise ValueError("motion must be 3 x 5")
-    side_q, side_r = _pin_blocks(p, tol)
+    side_q, side_r = _pin_blocks(p)
     q_inv, r_inv = (linalg.over(side.adj, side.det) for side in (side_q, side_r))
     v, w = split_blocks(u)
     ones = ones_vector(3, p.exact)
@@ -288,15 +281,14 @@ def projected_limit_mismatch(p: PointConfiguration, u: np.ndarray,
     w_r = w @ r_inv
     bmat = (w_r - v @ q_inv).T
     s = scale_factor(side_r, x)
-    if is_zero(s, tol):
+    if is_zero(s):
         raise ParallelSpanError("x is parallel to the affine span of the r block")
     quad = x @ (w_r.T @ x)
     return bmat @ x - c * (quad / s)
 
 
 def one_dim_space_inadmissible(p: PointConfiguration, u: np.ndarray,
-                               samples: int = 20, seed: int = 0,
-                               tol: float | None = None) -> bool:
+                               samples: int = 20, seed: int = 0) -> bool:
     """Confirm that the line spanned by a nontrivial motion u of n+1
     points in R^n is inadmissible: the two pin extensions disagree at
     every sampled position.
@@ -312,16 +304,16 @@ def one_dim_space_inadmissible(p: PointConfiguration, u: np.ndarray,
     if u.shape != p.points.shape:
         raise ValueError("motion shape does not match configuration")
     u = linalg.cleared(u)[0]
-    if _ranks_mod_trivial(p, [flatten_motion(u)], tol)[0] == 0:
+    if _ranks_mod_trivial(p, [flatten_motion(u)])[0] == 0:
         raise ValueError("u is a trivial motion; the test needs a nontrivial one")
     ids_q = tuple(list(range(1, n)) + [n + 1])
     ids_r = tuple(range(1, n + 1))
     # Each sample is sigma_q sigma_r lambda_u times the velocity gap; float64
-    # (lambda_u = 1) tests the gap itself against tol.
+    # (lambda_u = 1) tests the gap itself at the tolerance.
     _, m, scale = _pin_samples(p, samples, seed, "one-dim",
-                               _mismatch_sampler(p, [u], tol, (ids_q, ids_r)))
+                               _mismatch_sampler(p, [u], (ids_q, ids_r)))
     gaps = m if p.exact else m / scale
-    return not linalg.zero_rows(gaps.reshape(len(m), -1), tol).any()
+    return not linalg.zero_rows(gaps.reshape(len(m), -1)).any()
 
 
 class ClassificationKind(Enum):
@@ -357,8 +349,7 @@ def _normalize_weights(z: np.ndarray) -> tuple:
     return shifted, next((v for v in shifted if v), 1)
 
 
-def classify_admissible(p: PointConfiguration, s: MotionSpace,
-                        tol: float | None = None) -> Classification:
+def classify_admissible(p: PointConfiguration, s: MotionSpace) -> Classification:
     """Normal form of an admissible 2-dimensional subspace.
 
     Either every motion in s is affine, or s is p-equivalent to a space
@@ -380,19 +371,19 @@ def classify_admissible(p: PointConfiguration, s: MotionSpace,
     if s.dim != 2:
         raise ValueError("classification expects a 2-dimensional subspace")
     exact = p.exact
-    side_q, side_r = _pin_blocks(p, tol, HypothesisViolatedError)
+    side_q, side_r = _pin_blocks(p, HypothesisViolatedError)
     q, a_q, dq = side_q.ints, side_q.adj, side_q.det
     r, a_r, dr = side_r.ints, side_r.adj, side_r.det
     ones = linalg.array([1] * 3, exact)
     # The gap of the inverse-transpose row sums: c / (dq dr).
     c = dq * (a_r.T @ ones) - dr * (a_q.T @ ones)
-    if is_zero(c, tol):
+    if is_zero(c):
         raise HypothesisViolatedError(
             "the two pin blocks have equal inverse-transpose row sums "
             "(coplanar configuration)")
 
     motions = s.basis_motions()
-    if all(_linear_parts(p, u, True, tol) is not None for u in motions):
+    if all(_linear_parts(p, u, True) is not None for u in motions):
         return Classification(ClassificationKind.ALL_AFFINE, None, None,
                               "every motion in the subspace is affine")
 
@@ -400,7 +391,7 @@ def classify_admissible(p: PointConfiguration, s: MotionSpace,
     q1 = q[:, 0]
     d = linalg.array([q1[1] * c[2] - q1[2] * c[1], q1[2] * c[0] - q1[0] * c[2],
                       q1[0] * c[1] - q1[1] * c[0]], exact)
-    if is_zero(d, tol):
+    if is_zero(d):
         raise HypothesisViolatedError("first point is zero or aligned with the "
                                       "row-sum gap; translate the configuration")
     cd = linalg.array([c, d], exact).T
@@ -412,7 +403,7 @@ def classify_admissible(p: PointConfiguration, s: MotionSpace,
         # [c d] Y = (dq w A_r - dr v A_q)^T on integers, Y = y / eta.  In
         # rationals the mismatch (w r^{-1} - v q^{-1})^T is then
         # c (-shift)^T + d k^T with shift = -y[0] / eta and k = kappa y[1] / eta.
-        parts = linalg.solve_parts(cd, (dq * (w @ a_r) - dr * (v @ a_q)).T, tol)
+        parts = linalg.solve_parts(cd, (dq * (w @ a_r) - dr * (v @ a_q)).T)
         if parts is None:
             return Classification(
                 ClassificationKind.ANOMALY, None, None,
@@ -422,7 +413,7 @@ def classify_admissible(p: PointConfiguration, s: MotionSpace,
         # ((w + shift 1^T) r^{-1})^T, times eta dr.
         targets.append(((eta * w - np.outer(y[0], ones)) @ a_r).T)
 
-    plane = Subspace.from_spanning(k_vecs, 3, tol)
+    plane = Subspace.from_spanning(k_vecs, 3)
     if plane.dim != 2:
         return Classification(
             ClassificationKind.ANOMALY, None, None,
@@ -435,7 +426,7 @@ def classify_admissible(p: PointConfiguration, s: MotionSpace,
         rows += k_rows
         rhs += k_rhs
     # The common linear part l is lvec / (ell kappa dr).
-    parts = linalg.solve_parts(linalg.array(rows, exact), linalg.array(rhs, exact), tol)
+    parts = linalg.solve_parts(linalg.array(rows, exact), linalg.array(rhs, exact))
     if parts is None:
         return Classification(
             ClassificationKind.ANOMALY, None, None,
@@ -446,7 +437,7 @@ def classify_admissible(p: PointConfiguration, s: MotionSpace,
     front = dq * (r.T @ lvec)
     rear = q.T @ (dq * lvec - ell * d)
     weights = linalg.array([*front, *rear[1:]], exact)
-    if not is_zero(front[0] - rear[0], tol, np.array([front[0], rear[0]])):
+    if not is_zero(front[0] - rear[0], np.array([front[0], rear[0]])):
         return Classification(
             ClassificationKind.ANOMALY, None, None,
             "weight consistency across the shared point failed")
@@ -456,11 +447,11 @@ def classify_admissible(p: PointConfiguration, s: MotionSpace,
         weights = linalg.over(shifted, lead)
         recon = [flatten_motion(np.outer(k_vec, shifted)) for k_vec in k_vecs]
         equivalent = (linalg.rank(linalg.array(recon)) == 2
-                      and same_mod_trivial(p, s.subspace.basis, recon, tol))
+                      and same_mod_trivial(p, s.subspace.basis, recon))
     else:
         recon = MotionSpace.from_motions(
-            p, [np.outer(direction, weights) for direction in plane.basis], tol)
-        equivalent = recon.dim == 2 and p_equivalent(s, recon, tol)
+            p, [np.outer(direction, weights) for direction in plane.basis])
+        equivalent = recon.dim == 2 and p_equivalent(s, recon)
     if not equivalent:
         return Classification(
             ClassificationKind.ANOMALY, plane, weights,

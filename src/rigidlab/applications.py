@@ -24,8 +24,7 @@ from .rigidity import (Framework, Graph, _implied_pairs_at, analyze,
                        rigidity_matrix)
 
 
-def edge_conic_space(p: PointConfiguration, edges,
-                     tol: float | None = None) -> Subspace:
+def edge_conic_space(p: PointConfiguration, edges) -> Subspace:
     """Matrices m with (p_i - p_j)^T m (p_i - p_j) = 0 on every edge.
 
     Returned as a subspace of R^(n*n) (row-major vec of m), the kernel of
@@ -49,7 +48,7 @@ def edge_conic_space(p: PointConfiguration, edges,
         rows.append(np.outer(d, d).reshape(-1))
     if not rows:
         return Subspace(n * n, linalg.identity(n * n, p.exact))
-    return Subspace(n * n, linalg.nullspace_rows(linalg.array(rows, p.exact), tol))
+    return Subspace(n * n, linalg.nullspace_rows(linalg.array(rows, p.exact)))
 
 
 def skew_matrix_space(n: int = 3, exact: bool = True) -> Subspace:

@@ -31,7 +31,7 @@ from .admissibility import (check_admissibility, classify_admissible,
                             proportional_pair_space, single_vertex_space)
 from .applications import conic_probe_graphs, edge_conic_space, skew_matrix_space
 from .errors import BadSupportError, ParseError, RigidLabError
-from .linalg import is_exact, over, zeros
+from .linalg import is_exact, over, tolerance, zeros
 from .motions import MotionSpace, PointConfiguration
 from .rigidity import (Framework, Graph, analyze, henneberg_extend,
                        implied_pairs, is_generically_rigid, is_implied_edge)
@@ -164,8 +164,7 @@ def load_config(path: str, exact: bool) -> PointConfiguration:
     return PointConfiguration(mat)
 
 
-def load_subspace(path: str, p: PointConfiguration, exact: bool,
-                  tol: float | None) -> MotionSpace:
+def load_subspace(path: str, p: PointConfiguration, exact: bool) -> MotionSpace:
     data = _load_object(path)
     basis = data.get("basis")
     _expect(isinstance(basis, list) and basis, f"{path}: field 'basis' must be a non-empty list")
@@ -180,7 +179,7 @@ def load_subspace(path: str, p: PointConfiguration, exact: bool,
             for j, value in enumerate(row):
                 _store_scalar(u, (i, j), value, f"{path}: basis[{b}][{i}][{j}]")
         motions.append(u)
-    return MotionSpace.from_motions(p, motions, tol)
+    return MotionSpace.from_motions(p, motions)
 
 
 def write_graph(path: str, g: Graph) -> None:
@@ -230,23 +229,26 @@ def _load_graph(args) -> Graph:
     return g
 
 
+def _config(args, draw) -> PointConfiguration:
+    """The configuration file args.config when one is given, an empty path
+    included, else the command's seeded draw(exact)."""
+    exact = args.backend == "exact"
+    if args.config is not None:
+        return load_config(args.config, exact)
+    return draw(exact)
+
+
 def _five_points(args, tag: str) -> PointConfiguration:
     """args.config, or five seeded points in general position in R^3."""
-    exact = args.backend == "exact"
-    if args.config:
-        return load_config(args.config, exact)
-    return random_general_config(3, 5, args.seed, tag, exact=exact, bound=1000)
+    return _config(args, lambda exact: random_general_config(
+        3, 5, args.seed, tag, exact=exact, bound=1000))
 
 
 def cmd_analyze(args):
     g = _load_graph(args)
-    exact = args.backend == "exact"
-    if args.config:
-        p = load_config(args.config, exact)
-    else:
-        p = random_config(args.dim, g.vertex_count,
-                          subrng(args.seed, "cli-analyze", 0), exact=exact)
-    report = analyze(Framework(g, p), args.tol)
+    p = _config(args, lambda exact: random_config(
+        args.dim, g.vertex_count, subrng(args.seed, "cli-analyze", 0), exact=exact))
+    report = analyze(Framework(g, p))
     fields = dict(vertices=g.vertex_count, edges=g.edge_count, dim=p.dim,
                   flex_dim=report.flex_dim, trivial_dim=report.trivial_dim,
                   rigid=report.is_rigid, isostatic=report.is_isostatic)
@@ -283,11 +285,10 @@ def cmd_henneberg(args):
 def cmd_admissible(args):
     p = _five_points(args, "cli-admissible")
     if args.subspace is not None:
-        space = load_subspace(args.subspace, p, p.exact, args.tol)
+        space = load_subspace(args.subspace, p, p.exact)
     else:
         space = builtin_space(args.builtin, p, args.seed)
-    report = check_admissibility(p, space, samples=args.samples or 20,
-                                 seed=args.seed, tol=args.tol)
+    report = check_admissibility(p, space, samples=args.samples or 20, seed=args.seed)
     fields = dict(candidate_dim=report.candidate_dim,
                   intersects_trivial=report.intersects_trivial,
                   samples_tested=report.samples_tested,
@@ -299,7 +300,7 @@ def cmd_admissible(args):
                        "intersects_trivial", "samples_tested", "sample_ranks",
                        "max_mismatch_rank", "admissible")]
     if report.admissible and space.dim == 2:
-        cls = classify_admissible(p, space, args.tol)
+        cls = classify_admissible(p, space)
         plane = None if cls.plane is None else _printed(cls.plane.basis)
         lines = [f"classification: {cls.kind.value}"]
         if cls.weights is not None:
@@ -332,8 +333,8 @@ def cmd_conic(args):
         raise ValueError(f"conic needs a configuration in R^3, got dim {p.dim}")
     edges = (conic_probe_graphs()[args.probe] if args.probe
              else load_graph(args.edge_file).sorted_edges())
-    space = edge_conic_space(p, edges, args.tol)
-    skew = space.equals(skew_matrix_space(3, p.exact), args.tol)
+    space = edge_conic_space(p, edges)
+    skew = space.equals(skew_matrix_space(3, p.exact))
     basis = [vec.reshape(3, 3) for vec in _printed(space.basis, last=True)]
     fields = dict(dim=space.dim, skew_space=skew, basis=basis)
     return (0 if skew else 1), [_record("conic", fields, "dim", "skew_space")]
@@ -457,8 +458,9 @@ def main(argv=None) -> int:
     if args.tol is not None and not 0 < args.tol < 1:
         parser.error("--tol must be a number in (0, 1)")
     try:
-        # A float64 overflow is reported once, by linalg._finite, not by numpy.
-        with np.errstate(over="ignore", invalid="ignore"):
+        # A float64 overflow is reported once, by linalg._finite, not by
+        # numpy; --tol holds for every float decision of the command.
+        with np.errstate(over="ignore", invalid="ignore"), tolerance(args.tol):
             code, records = args.func(args)
     except ParseError as exc:
         print(f"rigidlab: parse error: {exc}", file=sys.stderr)

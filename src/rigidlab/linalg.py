@@ -7,6 +7,8 @@ is a bug.  zero_rows holds the zero rule of each backend, row by row
 float values when max|value| <= tol * max(scale, 1); float ranks count
 singular values above tol times the largest (a stack: one batched SVD),
 and an SVD or least-squares operand that overflowed raises (_finite).
+tol is the tolerance in force (the context manager tolerance), never an
+argument, so no other module handles it; exact calls never read it.
 Exact entries are Python ints; a fractions.Fraction enters only as
 parsed input (frac, exact_matrix) and is made only by over.  Every exact
 rank, nullspace, solve and inverse runs _bareiss, Bareiss elimination on
@@ -35,6 +37,8 @@ pins.pin_stack applies it to stacks of vectors; both are fraction-free.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -42,14 +46,23 @@ import numpy as np
 
 from .errors import DegenerateConfigError, OnAffineSpanError, SingularMatrixError
 
-# Relative tolerance used by every float64 rank/zero decision.  Callers can
-# override per call; exact-backend calls ignore it.
+# Relative tolerance of every float64 rank/zero decision outside a
+# tolerance block; exact-backend calls never read it.
 DEFAULT_RANK_TOL = 1e-9
 PRIME = 2 ** 30 - 35  # the largest prime below 2**30: one CPython digit per residue
+_TOL: ContextVar[float] = ContextVar("rank_tol", default=DEFAULT_RANK_TOL)
 
 
-def _tol(tol: float | None) -> float:
-    return DEFAULT_RANK_TOL if tol is None else float(tol)
+@contextmanager
+def tolerance(tol: float | None):
+    """Set the relative tolerance of every float zero and rank decision
+    (zero_rows, _svd_rank) for the block, restored on exit, as np.errstate
+    sets numpy's error handling; None is DEFAULT_RANK_TOL."""
+    token = _TOL.set(DEFAULT_RANK_TOL if tol is None else float(tol))
+    try:
+        yield
+    finally:
+        _TOL.reset(token)
 
 
 def frac(value) -> Fraction:
@@ -105,7 +118,7 @@ def to_float(m: np.ndarray) -> np.ndarray:
     return np.asarray(m, dtype=float)
 
 
-def zero_rows(values: np.ndarray, tol: float | None = None, scale=1.0) -> np.ndarray:
+def zero_rows(values: np.ndarray, scale=1.0) -> np.ndarray:
     """The zero rule of both backends, one verdict per row of a 2-D array:
     exact rows are zero when every entry == 0, float rows when max|row| <=
     tol * max(scale, 1), scale a number or an array whose row i's largest
@@ -114,16 +127,16 @@ def zero_rows(values: np.ndarray, tol: float | None = None, scale=1.0) -> np.nda
         return np.array([all(v == 0 for v in row) for row in values.tolist()], bool)
     if isinstance(scale, np.ndarray):
         scale = np.abs(scale).max(axis=1, initial=0.0)
-    return np.abs(values).max(axis=1, initial=0.0) <= _tol(tol) * np.maximum(scale, 1.0)
+    return np.abs(values).max(axis=1, initial=0.0) <= _TOL.get() * np.maximum(scale, 1.0)
 
 
-def is_zero(value, tol: float | None = None, scale=1.0) -> bool:
+def is_zero(value, scale=1.0) -> bool:
     """zero_rows for one value, a scalar or an array taken as one row (an
     array scale counts its largest |entry|)."""
     if not isinstance(value, (float, np.ndarray)):
         return value == 0
     scale = scale.reshape(1, -1) if isinstance(scale, np.ndarray) else scale
-    return bool(zero_rows(np.reshape(value, (1, -1)), tol, scale)[0])
+    return bool(zero_rows(np.reshape(value, (1, -1)), scale)[0])
 
 
 def cleared(values):
@@ -219,10 +232,10 @@ def _finite(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _svd_rank(s: np.ndarray, tol: float | None):
+def _svd_rank(s: np.ndarray):
     """Count of singular values (largest first, last axis: one count per
     matrix of a stack) above tol times the largest; all zero counts 0."""
-    return (s > _tol(tol) * s[..., :1]).sum(axis=-1)
+    return (s > _TOL.get() * s[..., :1]).sum(axis=-1)
 
 
 def reaches_mod_p(m: np.ndarray, target: int, ncols: int | None = None) -> bool:
@@ -238,7 +251,7 @@ def reaches_mod_p(m: np.ndarray, target: int, ncols: int | None = None) -> bool:
             and len(_bareiss(cleared(m)[0].tolist(), ncols, False, PRIME)[1]) == target)
 
 
-def rank(m: np.ndarray, tol: float | None = None):
+def rank(m: np.ndarray):
     """Rank of a matrix or a vector; a 3-D stack gives one per matrix."""
     m = np.asarray(m)
     stack = m if m.ndim == 3 else m.reshape(1, 1, -1) if m.ndim < 2 else m[None]
@@ -249,8 +262,7 @@ def rank(m: np.ndarray, tol: float | None = None):
         ranks = [len(_rref_exact(rows, ncols, reduce=False)[1])
                  for rows in cleared(stack)[0].tolist()]
     else:
-        ranks = _svd_rank(np.linalg.svd(_finite(stack), compute_uv=False),
-                          tol).tolist()
+        ranks = _svd_rank(np.linalg.svd(_finite(stack), compute_uv=False)).tolist()
     return ranks if m.ndim == 3 else ranks[0]
 
 
@@ -268,7 +280,7 @@ def spanned_columns(m: np.ndarray, ncols: int) -> list[bool]:
     return [not any(row[j] for row in rows[len(pivots):]) for j in range(ncols, m.shape[1])]
 
 
-def nullspace_rows(m: np.ndarray, tol: float | None = None) -> np.ndarray:
+def nullspace_rows(m: np.ndarray) -> np.ndarray:
     """Basis of the right nullspace, one vector per row.  Exact rows, one
     per free column fc: d e_fc - sum_i R_i[fc] e_(p_i) over the pivot
     rows R_i of _rref_exact (pivot column p_i, pivot d), made primitive
@@ -289,7 +301,7 @@ def nullspace_rows(m: np.ndarray, tol: float | None = None) -> np.ndarray:
     if m.size == 0:
         return np.eye(n)
     _, s, vh = np.linalg.svd(_finite(m))
-    return vh[_svd_rank(s, tol):].copy()
+    return vh[_svd_rank(s):].copy()
 
 
 def over(num: np.ndarray, den) -> np.ndarray:
@@ -301,7 +313,7 @@ def over(num: np.ndarray, den) -> np.ndarray:
                     dtype=object).reshape(num.shape)
 
 
-def adjugate(m: np.ndarray, tol: float | None = None):
+def adjugate(m: np.ndarray):
     """(a, d) with m^{-1} = a / d.  A float matrix gives (its inverse, 1).
     An exact one, cleared to M / k, gives integers a = k E and d, where
     Gauss-Jordan on [M | I] ends at [d I | E] (_bareiss), so E = d M^{-1}
@@ -311,7 +323,7 @@ def adjugate(m: np.ndarray, tol: float | None = None):
         raise ValueError(f"invert needs a square matrix, got shape {m.shape}")
     n = m.shape[0]
     if not is_exact(m):
-        if rank(m, tol) < n:
+        if rank(m) < n:
             raise SingularMatrixError("matrix is numerically singular")
         return np.linalg.inv(m.astype(float)), 1
     ints, k = cleared(m)
@@ -322,11 +334,11 @@ def adjugate(m: np.ndarray, tol: float | None = None):
     return np.array([[k * v for v in row[n:]] for row in rows], dtype=object), d
 
 
-def invert(m: np.ndarray, tol: float | None = None) -> np.ndarray:
-    return over(*adjugate(m, tol))
+def invert(m: np.ndarray) -> np.ndarray:
+    return over(*adjugate(m))
 
 
-def solve_parts(a: np.ndarray, b: np.ndarray, tol: float | None = None):
+def solve_parts(a: np.ndarray, b: np.ndarray):
     """(x, d) with a @ (x / d) = b, or None when inconsistent.
 
     b may be a vector or a matrix of stacked right-hand sides; free
@@ -352,14 +364,14 @@ def solve_parts(a: np.ndarray, b: np.ndarray, tol: float | None = None):
         return (x[:, 0] if vector_rhs else x), d
     af, bf = _finite(a), _finite(brows)
     x, *_ = np.linalg.lstsq(af, bf, rcond=None)
-    if not is_zero(af @ x - bf, tol, np.hstack([np.abs(af) @ np.abs(x), bf])):
+    if not is_zero(af @ x - bf, np.hstack([np.abs(af) @ np.abs(x), bf])):
         return None
     return (x[:, 0] if vector_rhs else x), 1
 
 
-def solve(a: np.ndarray, b: np.ndarray, tol: float | None = None):
+def solve(a: np.ndarray, b: np.ndarray):
     """One solution of a @ x = b, or None when inconsistent (solve_parts)."""
-    parts = solve_parts(a, b, tol)
+    parts = solve_parts(a, b)
     return None if parts is None else over(*parts)
 
 
@@ -386,8 +398,7 @@ def sym_outer_system(vec: np.ndarray, target: np.ndarray):
     return rows, rhs
 
 
-def sherman_morrison_inverse(q: np.ndarray, x: np.ndarray,
-                             tol: float | None = None) -> np.ndarray:
+def sherman_morrison_inverse(q: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Inverse of (1 x^T - q^T) computed from q^{-1} by a rank-one update.
 
     1 is the all-ones column.  Requires q invertible and x off the affine
@@ -404,11 +415,11 @@ def sherman_morrison_inverse(q: np.ndarray, x: np.ndarray,
         raise ValueError("sherman_morrison_inverse needs a square q")
     if x.shape != (n,):
         raise ValueError("x must be a vector matching q")
-    adj, det = adjugate(q, tol)
+    adj, det = adjugate(q)
     x_int, xi = cleared(x)
     ax = adj @ x_int
     d = det * xi - ax.sum()
-    if is_zero(d, tol, ax):
+    if is_zero(d, ax):
         raise OnAffineSpanError("x lies on the affine span of the columns of q")
     update = np.tile(ax, (n, 1))  # 1 (A X)^T, then D I added
     update[range(n), range(n)] += d
@@ -435,8 +446,7 @@ class Subspace:
         self.basis = basis
 
     @classmethod
-    def from_spanning(cls, vectors, ambient_dim: int | None = None,
-                      tol: float | None = None) -> "Subspace":
+    def from_spanning(cls, vectors, ambient_dim: int | None = None) -> "Subspace":
         rows = [np.asarray(v).reshape(-1) for v in vectors]
         if not rows:
             if ambient_dim is None:
@@ -449,7 +459,7 @@ class Subspace:
             red, pivots = _rref_exact(cleared(np.vstack(rows))[0].tolist(), n)
             return cls(n, array([_primitive(row, pc) for row, pc in zip(red, pivots)]))
         _, s, vh = np.linalg.svd(_finite(np.vstack(rows)))
-        return cls(n, vh[:_svd_rank(s, tol)].copy())
+        return cls(n, vh[:_svd_rank(s)].copy())
 
     @property
     def dim(self) -> int:
@@ -459,40 +469,40 @@ class Subspace:
     def exact(self) -> bool:
         return is_exact(self.basis)
 
-    def contains(self, v: np.ndarray, tol: float | None = None) -> bool:
+    def contains(self, v: np.ndarray) -> bool:
         v = np.asarray(v).reshape(-1)
         if v.shape[0] != self.ambient_dim:
             raise ValueError("vector does not match ambient dimension")
         if self.dim == 0:
-            return is_zero(v, tol)
+            return is_zero(v)
         stacked = np.vstack([self.basis, v.reshape(1, -1)])
-        return rank(stacked, tol) == self.dim
+        return rank(stacked) == self.dim
 
-    def contains_subspace(self, other: "Subspace", tol: float | None = None) -> bool:
+    def contains_subspace(self, other: "Subspace") -> bool:
         self._check_peer(other)
         if other.dim == 0:
             return True
         stacked = np.vstack([self.basis, other.basis])
-        return rank(stacked, tol) == self.dim
+        return rank(stacked) == self.dim
 
-    def intersection(self, other: "Subspace", tol: float | None = None) -> "Subspace":
+    def intersection(self, other: "Subspace") -> "Subspace":
         self._check_peer(other)
         if self.dim == 0 or other.dim == 0:
             return Subspace(self.ambient_dim, zeros((0, self.ambient_dim), self.exact))
         m = np.hstack([self.basis.T, -other.basis.T])
-        null = nullspace_rows(m, tol)
+        null = nullspace_rows(m)
         vecs = [coeffs[: self.dim] @ self.basis for coeffs in null]
-        return Subspace.from_spanning(vecs, self.ambient_dim, tol) if vecs else \
+        return Subspace.from_spanning(vecs, self.ambient_dim) if vecs else \
             Subspace(self.ambient_dim, zeros((0, self.ambient_dim), self.exact))
 
-    def join(self, other: "Subspace", tol: float | None = None) -> "Subspace":
+    def join(self, other: "Subspace") -> "Subspace":
         self._check_peer(other)
-        return Subspace.from_spanning(
-            list(self.basis) + list(other.basis), self.ambient_dim, tol)
+        return Subspace.from_spanning(list(self.basis) + list(other.basis),
+                                      self.ambient_dim)
 
-    def equals(self, other: "Subspace", tol: float | None = None) -> bool:
+    def equals(self, other: "Subspace") -> bool:
         return (self.ambient_dim == other.ambient_dim and self.dim == other.dim
-                and self.contains_subspace(other, tol))
+                and self.contains_subspace(other))
 
     def _check_peer(self, other: "Subspace") -> None:
         if not isinstance(other, Subspace):

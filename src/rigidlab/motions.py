@@ -51,16 +51,16 @@ class PointConfiguration:
             raise ValueError(f"point index {i} out of range 1..{self.count}")
         return self.points[:, i - 1]
 
-    def affine_rank(self, tol: float | None = None) -> int:
+    def affine_rank(self) -> int:
         """Dimension of the affine span: the rank of the columns p_i - p_1
         (0 for a single point), on the cleared points."""
-        return linalg.rank((self.ints[:, 1:] - self.ints[:, :1]).T, tol)
+        return linalg.rank((self.ints[:, 1:] - self.ints[:, :1]).T)
 
-    def is_general_position(self, tol: float | None = None) -> bool:
+    def is_general_position(self) -> bool:
         """True when every subset of at most dim+1 points is affinely independent."""
         size = min(self.dim + 1, self.count)
-        return all(linalg.rank((self.ints[:, s[1:]] - self.ints[:, s[:1]]).T, tol)
-                   == size - 1 for s in map(list, combinations(range(self.count), size)))
+        return all(linalg.rank((self.ints[:, s[1:]] - self.ints[:, s[:1]]).T) == size - 1
+                   for s in map(list, combinations(range(self.count), size)))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PointConfiguration)
@@ -118,8 +118,7 @@ def strains(p: PointConfiguration, motions, pairs) -> np.ndarray:
     return out if p.den == 1 else out * Fraction(1, p.den)
 
 
-def _preserves_distances(p: PointConfiguration, motions, ids,
-                         tol: float | None) -> bool:
+def _preserves_distances(p: PointConfiguration, motions, ids) -> bool:
     """True when each flattened motion has zero strain on every pair of the
     1-based points ids; a float strain is scaled by (|u_a| + |u_b|)
     (|p_a| + |p_b|), the operands its differences round against."""
@@ -132,16 +131,15 @@ def _preserves_distances(p: PointConfiguration, motions, ids,
     u, pts = u.reshape(-1, p.count, p.dim), p.points.T
     unorm, pnorm = np.linalg.norm(u, axis=2), np.linalg.norm(pts, axis=1)
     scale = (unorm[:, i] + unorm[:, j]) * (pnorm[i] + pnorm[j])
-    return bool(linalg.zero_rows(values.reshape(-1, 1), tol, scale.reshape(-1, 1)).all())
+    return bool(linalg.zero_rows(values.reshape(-1, 1), scale.reshape(-1, 1)).all())
 
 
-def is_infinitesimal_isometry(p: PointConfiguration, u: np.ndarray,
-                              tol: float | None = None) -> bool:
+def is_infinitesimal_isometry(p: PointConfiguration, u: np.ndarray) -> bool:
     """True when u preserves every pairwise distance to first order."""
     u = np.asarray(u)
     if u.shape != p.points.shape:
         raise ValueError("motion shape does not match configuration")
-    return _preserves_distances(p, [flatten_motion(u)], range(1, p.count + 1), tol)
+    return _preserves_distances(p, [flatten_motion(u)], range(1, p.count + 1))
 
 
 class MotionSpace:
@@ -156,10 +154,9 @@ class MotionSpace:
         self.subspace = subspace
 
     @classmethod
-    def from_motions(cls, config: PointConfiguration, motions,
-                     tol: float | None = None) -> "MotionSpace":
+    def from_motions(cls, config: PointConfiguration, motions) -> "MotionSpace":
         vecs = [flatten_motion(u) for u in motions]
-        sub = Subspace.from_spanning(vecs, config.dim * config.count, tol)
+        sub = Subspace.from_spanning(vecs, config.dim * config.count)
         return cls(config, sub)
 
     @property
@@ -190,15 +187,13 @@ def trivial_motions(p: PointConfiguration) -> list[np.ndarray]:
     return gens + [a @ rel for a in skew_basis(p.dim, p.exact)]
 
 
-def trivial_motion_space(p: PointConfiguration,
-                         tol: float | None = None) -> MotionSpace:
+def trivial_motion_space(p: PointConfiguration) -> MotionSpace:
     """The span of trivial_motions(p); its dimension is n(n+1)/2
     whenever the affine span of the points has dimension at least n-1."""
-    return MotionSpace.from_motions(p, trivial_motions(p), tol)
+    return MotionSpace.from_motions(p, trivial_motions(p))
 
 
-def _linear_parts(p: PointConfiguration, u: np.ndarray, affine: bool,
-                  tol: float | None = None):
+def _linear_parts(p: PointConfiguration, u: np.ndarray, affine: bool):
     """(x, d) = linalg.solve_parts([ints^T | 1], u^T), the ones only when
     affine, or None: u = m p (+ b 1^T) with m = den x[:dim]^T / d and
     b = x[dim] / d; scaling unknowns by den moves no pivot."""
@@ -208,27 +203,25 @@ def _linear_parts(p: PointConfiguration, u: np.ndarray, affine: bool,
     lhs = p.ints.T
     if affine:
         lhs = np.hstack([lhs, linalg.array([[1]] * p.count, p.exact)])
-    return linalg.solve_parts(lhs, u.T, tol)
+    return linalg.solve_parts(lhs, u.T)
 
 
-def linear_motion_matrix(p: PointConfiguration, u: np.ndarray,
-                         tol: float | None = None):
+def linear_motion_matrix(p: PointConfiguration, u: np.ndarray):
     """Matrix m with u = m @ points, or None when no such m exists."""
-    parts = _linear_parts(p, u, False, tol)
+    parts = _linear_parts(p, u, False)
     return None if parts is None else linalg.over(p.den * parts[0].T, parts[1])
 
 
-def affine_motion_parts(p: PointConfiguration, u: np.ndarray,
-                        tol: float | None = None):
+def affine_motion_parts(p: PointConfiguration, u: np.ndarray):
     """Pair (m, b) with u_i = m p_i + b for every point, or None."""
-    parts = _linear_parts(p, u, True, tol)
+    parts = _linear_parts(p, u, True)
     if parts is None:
         return None
     x, d = parts
     return linalg.over(p.den * x[: p.dim].T, d), linalg.over(x[p.dim], d)
 
 
-def _ranks_mod_trivial(p: PointConfiguration, motions, tol: float | None = None,
+def _ranks_mod_trivial(p: PointConfiguration, motions,
                        blocks=(slice(None),)) -> list[int]:
     """dim(span S + T) - dim T for each row block S = motions[b] of the
     flattened motions, T the trivial motions of p.  At affine rank
@@ -241,32 +234,29 @@ def _ranks_mod_trivial(p: PointConfiguration, motions, tol: float | None = None,
         pairs = list(combinations(range(1, p.count + 1), 2))
         rows = strains(p, motions, pairs)
         return [linalg.rank(rows[b]) for b in blocks]
-    triv = trivial_motion_space(p, tol).subspace
-    return [linalg.rank(np.vstack([triv.basis, motions[b]]), tol) - triv.dim
+    triv = trivial_motion_space(p).subspace
+    return [linalg.rank(np.vstack([triv.basis, motions[b]])) - triv.dim
             for b in blocks]
 
 
-def p_equivalent(s1: MotionSpace, s2: MotionSpace,
-                 tol: float | None = None) -> bool:
+def p_equivalent(s1: MotionSpace, s2: MotionSpace) -> bool:
     """True when s1 and s2 have equal images modulo the trivial motions."""
     if s1.config != s2.config:
         raise ValueError("motion spaces live on different configurations")
     return s1.dim == s2.dim and same_mod_trivial(
-        s1.config, s1.subspace.basis, s2.subspace.basis, tol)
+        s1.config, s1.subspace.basis, s2.subspace.basis)
 
 
-def same_mod_trivial(p: PointConfiguration, b1, b2,
-                     tol: float | None = None) -> bool:
+def same_mod_trivial(p: PointConfiguration, b1, b2) -> bool:
     """True when two sets of flattened motions of p span equal images
     modulo the trivial motions."""
     k = len(b1)
-    r1, r2, r12 = _ranks_mod_trivial(p, np.vstack([b1, b2]), tol,
+    r1, r2, r12 = _ranks_mod_trivial(p, np.vstack([b1, b2]),
                                      (slice(k), slice(k, None), slice(None)))
     return r1 == r2 == r12
 
 
-def restricts_to_isometry(p: PointConfiguration, s: MotionSpace, subset,
-                          tol: float | None = None) -> bool:
+def restricts_to_isometry(p: PointConfiguration, s: MotionSpace, subset) -> bool:
     """True when every motion in s preserves distances within the subset:
     each basis motion in turn, up to the first that strains a pair."""
     ids = sorted(set(subset))
@@ -275,4 +265,4 @@ def restricts_to_isometry(p: PointConfiguration, s: MotionSpace, subset,
             raise ValueError(f"point index {i} out of range 1..{p.count}")
     if s.config != p:
         raise ValueError("motion space does not belong to this configuration")
-    return all(_preserves_distances(p, [u], ids, tol) for u in s.subspace.basis)
+    return all(_preserves_distances(p, [u], ids) for u in s.subspace.basis)

@@ -51,15 +51,15 @@ class PinContext:
         return PinContext(self.q, v, (self.ints, self.den, self.adj, self.det))
 
 
-def integer_block(ints: np.ndarray, den, tol: float | None = None) -> tuple:
+def integer_block(ints: np.ndarray, den) -> tuple:
     """(Q, kappa, A, delta) of the block q = ints/den, q^{-1} = A/delta,
     from linalg.adjugate of ints: (q, 1, q^{-1}, 1) on float64."""
-    adj, det = linalg.adjugate(ints, tol)
+    adj, det = linalg.adjugate(ints)
     return ints, den, adj * den, det
 
 
 def pin_stack(ctx: PinContext, vt: np.ndarray, x_int: np.ndarray, xi: np.ndarray,
-              shift: int = 1, tol: float | None = None) -> tuple:
+              shift: int = 1) -> tuple:
     """(usable, N, sigma) of ctx's block at the k positions X/xi (rows of
     x_int, xi of length k) for an m x n x n stack vt of V^T: N is
     k x n x m and sigma has length k.  A row is unusable where D is zero
@@ -71,11 +71,11 @@ def pin_stack(ctx: PinContext, vt: np.ndarray, x_int: np.ndarray, xi: np.ndarray
     r = (ctx.den * np.einsum("jic,kc->kij", vt, x_int)
          - (xi * shift)[:, None, None] * stress)
     gap = np.einsum("ki,kij->kj", a, r)[:, None] - d[:, None, None] * r
-    return (~linalg.zero_rows(d[:, None], tol, a), ctx.adj.T @ gap,
+    return (~linalg.zero_rows(d[:, None], a), ctx.adj.T @ gap,
             ctx.det * ctx.den * xi * d)
 
 
-def _one_position(ctx: PinContext, x: np.ndarray, shift: int, tol: float | None,
+def _one_position(ctx: PinContext, x: np.ndarray, shift: int,
                   error: type, message: str) -> np.ndarray:
     """pin_stack at x for ctx's own v = V/lambda, as N / (sigma lambda);
     an unusable x raises error(message)."""
@@ -84,31 +84,29 @@ def _one_position(ctx: PinContext, x: np.ndarray, shift: int, tol: float | None,
         raise ValueError("x must be a vector matching the pin block")
     (x_int, xi), (vt, lam) = linalg.cleared(x), linalg.cleared(ctx.v.T)
     usable, n, sigma = pin_stack(ctx, vt[None], x_int[None],
-                                 linalg.array([xi], linalg.is_exact(x)), shift, tol)
+                                 linalg.array([xi], linalg.is_exact(x)), shift)
     if not usable[0]:
         raise error(message)
     return linalg.over(n[0, :, 0], sigma[0] * lam)
 
 
-def pin_velocity(ctx: PinContext, x: np.ndarray,
-                 tol: float | None = None) -> np.ndarray:
+def pin_velocity(ctx: PinContext, x: np.ndarray) -> np.ndarray:
     """Velocity of a cone vertex at x extending the block motion to a flex.
 
     Solves (1 x^T - q^T) y = v^T x - diag(v^T q) by the rank-one update;
     x on the affine span of q's columns is rejected.
     """
-    return _one_position(ctx, x, 1, tol, OnAffineSpanError,
+    return _one_position(ctx, x, 1, OnAffineSpanError,
                          "x lies on the affine span of the columns of q")
 
 
-def limit_velocity(ctx: PinContext, x: np.ndarray,
-                   tol: float | None = None) -> np.ndarray:
+def limit_velocity(ctx: PinContext, x: np.ndarray) -> np.ndarray:
     """Limit of pin_velocity(t x)/t as t grows; always orthogonal to x.
 
     Defined only when x is not parallel to the affine span of the block,
     i.e. (q^{-1} x)^T 1 != 0.
     """
-    return _one_position(ctx, x, 0, tol, ParallelSpanError,
+    return _one_position(ctx, x, 0, ParallelSpanError,
                          "x is parallel to the affine span of q's columns")
 
 

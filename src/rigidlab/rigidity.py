@@ -113,19 +113,19 @@ def rigidity_matrix(fw: Framework) -> np.ndarray:
     return strains(p, np.eye(p.dim * p.count, dtype=int), fw.graph.sorted_edges()).T
 
 
-def flex_space(fw: Framework, tol: float | None = None) -> MotionSpace:
+def flex_space(fw: Framework) -> MotionSpace:
     """Nullspace of the rigidity matrix; always contains the trivial motions."""
-    basis = linalg.nullspace_rows(rigidity_matrix(fw), tol)
+    basis = linalg.nullspace_rows(rigidity_matrix(fw))
     sub = linalg.Subspace(fw.config.dim * fw.config.count, basis)
     return MotionSpace(fw.config, sub)
 
 
-def _trivial_dim(p: PointConfiguration, tol: float | None = None) -> int:
+def _trivial_dim(p: PointConfiguration) -> int:
     """Dimension of the trivial motions, n(n+1)/2 - (n-a)(n-a-1)/2, a the
     dimension of the points' affine span: rotations fixing the span move
     nothing.  Every strain row vanishes on them, so the rank of any stack
     of strain rows is at most n V minus this."""
-    n, a = p.dim, p.affine_rank(tol)
+    n, a = p.dim, p.affine_rank()
     return n * (n + 1) // 2 - (n - a) * (n - a - 1) // 2
 
 
@@ -145,7 +145,7 @@ def _unpinned(p: PointConfiguration) -> list[int]:
     return [c for c in range(p.dim, total) if c not in pinned]
 
 
-def analyze(fw: Framework, tol: float | None = None) -> RigidityReport:
+def analyze(fw: Framework) -> RigidityReport:
     """Flex dimension, trivial dimension, and isostaticity of a framework.
 
     Isostatic means rigid with every edge load-bearing, which holds
@@ -158,13 +158,13 @@ def analyze(fw: Framework, tol: float | None = None) -> RigidityReport:
     """
     p = fw.config
     total = p.dim * p.count
-    trivial_dim = _trivial_dim(p, tol)
+    trivial_dim = _trivial_dim(p)
     r = rigidity_matrix(fw)
     full = min(total - trivial_dim, r.shape[0])
     if p.exact and linalg.reaches_mod_p(r, full):
         base_rank = full
     else:
-        base_rank = linalg.rank(r[:, _unpinned(p)] if p.exact else r, tol)
+        base_rank = linalg.rank(r[:, _unpinned(p)] if p.exact else r)
     flex_dim = total - base_rank
     isostatic = flex_dim == trivial_dim and base_rank == r.shape[0]
     return RigidityReport(flex_dim=flex_dim, trivial_dim=trivial_dim,

@@ -19,7 +19,7 @@ from rigidlab.errors import (DegenerateConfigError, HypothesisViolatedError,
                              OnAffineSpanError, ParallelSpanError)
 from rigidlab.linalg import (cleared, exact_matrix, invert, nullspace_rows,
                              ones_vector, rank, sherman_morrison_inverse,
-                             to_float)
+                             to_float, tolerance)
 from rigidlab.motions import (MotionSpace, PointConfiguration, flatten_motion,
                               p_equivalent, take_points,
                               trivial_motion_space)
@@ -205,7 +205,7 @@ def test_one_dim_samples_are_the_scaled_velocity_gap():
             xs = [x if scale is None else to_float(x) * scale
                   for x in points + on_span]
             usable, m, sigmas = _stacked(
-                _mismatch_sampler(pc, [u_int], None, blocks), xs, pc.exact)
+                _mismatch_sampler(pc, [u_int], blocks), xs, pc.exact)
             assert m.shape == (len(xs), n, 1) and sigmas.shape == (len(xs), 1, 1)
             assert usable.tolist() == [True] * len(points) + [False] * len(on_span)
             for k, x in enumerate(xs[:len(points)]):
@@ -336,7 +336,7 @@ def test_mismatch_sampler_equals_scaled_map(idx):
     weights = (Fraction(1, 3), Fraction(-2, 5), Fraction(16, 15))
     on_span = [_affine_point(p, block, weights) for block in (BLOCK_145, BLOCK_123)]
     for s in _reference_spaces(p, idx):
-        usable, m, sigmas = _stacked(_mismatch_sampler(p, s.basis_motions(), None),
+        usable, m, sigmas = _stacked(_mismatch_sampler(p, s.basis_motions()),
                                      points + on_span, True)
         assert usable.tolist() == [True] * len(points) + [False] * len(on_span)
         lambdas = [cleared(u)[1] for u in s.basis_motions()]
@@ -353,7 +353,7 @@ def test_mismatch_sampler_equals_scaled_map(idx):
         for scale in (1e-6, 1.0, 1e6):
             pf, sf = _float_copy(p, s, scale)
             xs = [to_float(x) * scale for x in points + on_span]
-            usable_f, m_f, _ = _stacked(_mismatch_sampler(pf, sf.basis_motions(), None),
+            usable_f, m_f, _ = _stacked(_mismatch_sampler(pf, sf.basis_motions()),
                                         xs, False)
             assert usable_f.tolist() == usable.tolist()
             for k, xf in enumerate(xs[:len(points)]):
@@ -373,7 +373,7 @@ def test_mismatch_map_matches_the_matrix_reference(idx):
     rng = subrng(idx, "ref-x")
     points = [random_exact_vector(3, rng, 1000),
               random_rational_matrix(1, 3, rng, 1000, 50)[0]]
-    sides = admissibility._pin_blocks(p, None)
+    sides = admissibility._pin_blocks(p)
     for s in _reference_spaces(p, idx):
         for x in points:
             cols = []
@@ -438,9 +438,9 @@ def test_pin_blocks_are_inverted_once_per_query(monkeypatch):
     real = linalg.adjugate
     calls = []
 
-    def counting(m, tol=None):
+    def counting(m):
         calls.append(m.shape)
-        return real(m, tol)
+        return real(m)
 
     monkeypatch.setattr(linalg, "adjugate", counting)
     counts = []
@@ -527,7 +527,7 @@ def test_pin_samples_refill_skips_in_draw_order(monkeypatch, exact):
         monkeypatch.setattr(admissibility, name,
                             lambda n, key, *bound: planned(p, *key))
     xs, m, _ = _pin_samples(p, 6, 3, "refill", _mismatch_sampler(
-        p, space.basis_motions(), None))
+        p, space.basis_motions()))
     reference = _sequential_samples(
         p, 6, 3, "refill", lambda x: rank(pin_mismatch_map(p, space, x)), planned)
     assert sorted(draws) == draws == list(range(10))
@@ -543,7 +543,7 @@ def test_pin_samples_refill_skips_in_draw_order(monkeypatch, exact):
                         lambda n, key, *bound: planned(p, 0, "", 1))
     with pytest.raises(DegenerateConfigError):
         _pin_samples(p, 6, 3, "refill", _mismatch_sampler(
-            p, space.basis_motions(), None))
+            p, space.basis_motions()))
     assert draws == list(range(60))
 
 
@@ -554,9 +554,9 @@ def test_float_query_ranks_its_samples_in_one_call(monkeypatch):
     real = linalg.rank
     calls = []
 
-    def counting(m, tol=None):
+    def counting(m):
         calls.append(np.shape(m))
-        return real(m, tol)
+        return real(m)
 
     monkeypatch.setattr(linalg, "rank", counting)
     counts = []
@@ -584,7 +584,7 @@ def test_mismatch_rows_are_orthogonal_to_the_shared_bar(idx):
     for dim in (1, 2, 3):
         motions_ = [random_rational_matrix(3, 5, subrng(idx, f"shared-bar/{dim}"),
                                            50, 9) for _ in range(dim)]
-        usable, m, _ = _mismatch_sampler(p, motions_, None)(x_int, xi)
+        usable, m, _ = _mismatch_sampler(p, motions_)(x_int, xi)
         assert usable.all() and m.any()
         for k in range(len(xs)):
             assert not ((x_int[k] - xi[k] * p1) @ m[k]).any()
@@ -643,7 +643,7 @@ def _fraction_family(p: PointConfiguration, trials: int, seed: int):
     combination: Fraction kernel rows against the generators, Fraction
     coefficients against the reduced basis, summed from zeros, and the
     trivial intersection from the stacked trivial basis."""
-    sides = admissibility._pin_blocks(p, None)
+    sides = admissibility._pin_blocks(p)
     gens, gaps = [], []
     for a in range(3):
         for b in range(3):
@@ -692,18 +692,20 @@ def test_tol_reaches_every_pin_block_inversion():
     u = s.basis_motions()[0]
     x = np.array([0.3, -0.7, 1.1])
     four = PointConfiguration(p.points[:, :4])
-    calls = [lambda tol: check_admissibility(p, s, tol=tol),
-             lambda tol: sufficient_check(p, s, tol),
-             lambda tol: stress_matched_linear_space(p, tol),
-             lambda tol: pin_mismatch_map(p, s, x, tol),
-             lambda tol: projected_limit_mismatch(p, u, x, tol),
-             lambda tol: one_dim_space_inadmissible(four, np.eye(3, 4), tol=tol)]
+    calls = [lambda: check_admissibility(p, s),
+             lambda: sufficient_check(p, s),
+             lambda: stress_matched_linear_space(p),
+             lambda: pin_mismatch_map(p, s, x),
+             lambda: projected_limit_mismatch(p, u, x),
+             lambda: one_dim_space_inadmissible(four, np.eye(3, 4))]
     for call in calls:
-        with pytest.raises(DegenerateConfigError, match="pin block is singular"):
-            call(1e-3)
-        call(None)
-    with pytest.raises(HypothesisViolatedError, match="pin block is singular"):
-        classify_admissible(p, s, 1e-3)
+        with tolerance(1e-3), pytest.raises(DegenerateConfigError,
+                                            match="pin block is singular"):
+            call()
+        call()
+    with tolerance(1e-3), pytest.raises(HypothesisViolatedError,
+                                        match="pin block is singular"):
+        classify_admissible(p, s)
 
 
 def test_sufficient_check_of_a_family_member_builds_no_fraction(fraction_counter):

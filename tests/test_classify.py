@@ -144,8 +144,7 @@ def test_random_config_classifications_match_construction():
 
 # -- the Fraction classification as a reference ---------------------------
 
-def _reference_classification(p: PointConfiguration, s: MotionSpace,
-                              tol=None) -> Classification:
+def _reference_classification(p: PointConfiguration, s: MotionSpace) -> Classification:
     """classify_admissible as it ran on Fractions (both backends): block
     inverses, Fraction solves with halved symmetric-part rows, and the
     reconstructed space built as a MotionSpace."""
@@ -155,27 +154,27 @@ def _reference_classification(p: PointConfiguration, s: MotionSpace,
         raise ValueError("classification expects a 2-dimensional subspace")
     q, r = split_blocks(p.points)
     try:
-        q_inv = invert(q, tol)
-        r_inv = invert(r, tol)
+        q_inv = invert(q)
+        r_inv = invert(r)
     except SingularMatrixError as exc:
         raise HypothesisViolatedError(f"pin block is singular: {exc}") from exc
     exact = p.exact
     ones = ones_vector(3, exact)
     c = r_inv.T @ ones - q_inv.T @ ones
-    if is_zero(c, tol):
+    if is_zero(c):
         raise HypothesisViolatedError(
             "the two pin blocks have equal inverse-transpose row sums "
             "(coplanar configuration)")
 
     basis = s.basis_motions()
-    if all(affine_motion_parts(p, u, tol) is not None for u in basis):
+    if all(affine_motion_parts(p, u) is not None for u in basis):
         return Classification(ClassificationKind.ALL_AFFINE, None, None,
                               "every motion in the subspace is affine")
 
     q1 = q[:, 0]
     d = linalg.array([q1[1] * c[2] - q1[2] * c[1], q1[2] * c[0] - q1[0] * c[2],
                       q1[0] * c[1] - q1[1] * c[0]], exact)
-    if is_zero(d, tol):
+    if is_zero(d):
         raise HypothesisViolatedError("first point is zero or aligned with the "
                                       "row-sum gap; translate the configuration")
     cd = linalg.array([c, d], exact).T
@@ -185,7 +184,7 @@ def _reference_classification(p: PointConfiguration, s: MotionSpace,
     for u in basis:
         v, w = split_blocks(u)
         a_t = (w @ r_inv - v @ q_inv).T
-        coeffs = linalg.solve(cd, a_t, tol)
+        coeffs = linalg.solve(cd, a_t)
         if coeffs is None:
             return Classification(
                 ClassificationKind.ANOMALY, None, None,
@@ -193,7 +192,7 @@ def _reference_classification(p: PointConfiguration, s: MotionSpace,
         k_vecs.append(coeffs[1])
         w_shifted.append(w + np.outer(-coeffs[0], ones))
 
-    plane = Subspace.from_spanning(k_vecs, 3, tol)
+    plane = Subspace.from_spanning(k_vecs, 3)
     if plane.dim != 2:
         return Classification(
             ClassificationKind.ANOMALY, None, None,
@@ -214,7 +213,7 @@ def _reference_classification(p: PointConfiguration, s: MotionSpace,
                     coeff[b] = k_vec[a] * half
                     rhs.append((target[a, b] + target[b, a]) / 2)
                 rows.append(coeff)
-    lvec = linalg.solve(linalg.array(rows, exact), linalg.array(rhs, exact), tol)
+    lvec = linalg.solve(linalg.array(rows, exact), linalg.array(rhs, exact))
     if lvec is None:
         return Classification(
             ClassificationKind.ANOMALY, None, None,
@@ -223,7 +222,7 @@ def _reference_classification(p: PointConfiguration, s: MotionSpace,
     front = r.T @ lvec
     rear = q.T @ (lvec - d)
     weights = linalg.array([*front, *rear[1:]], exact)
-    if not is_zero(front[0] - rear[0], tol, np.array([front[0], rear[0]])):
+    if not is_zero(front[0] - rear[0], np.array([front[0], rear[0]])):
         return Classification(
             ClassificationKind.ANOMALY, None, None,
             "weight consistency across the shared point failed")
@@ -236,8 +235,8 @@ def _reference_classification(p: PointConfiguration, s: MotionSpace,
         if lead is not None:
             weights = weights / lead
     recon = MotionSpace.from_motions(
-        p, [np.outer(direction, weights) for direction in plane.basis], tol)
-    if recon.dim != 2 or not p_equivalent(s, recon, tol):
+        p, [np.outer(direction, weights) for direction in plane.basis])
+    if recon.dim != 2 or not p_equivalent(s, recon):
         return Classification(
             ClassificationKind.ANOMALY, plane, weights,
             "reconstructed rank-one space is not p-equivalent to the input")

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import rigidlab.cli as cli
+import rigidlab.linalg as linalg
 import rigidlab.verify as verify
 from rigidlab.cli import main
 from rigidlab.errors import (DegenerateConfigError, HypothesisViolatedError,
@@ -172,6 +173,43 @@ def test_tol_reaches_the_pin_blocks(tmp_path, capsys):
     assert main(argv + ["--tol", "1e-3"]) == 4
     assert "pin block is singular" in capsys.readouterr().err
     assert main(argv) == 1
+
+
+class _ToleranceSpy:
+    """linalg._TOL, recording each value read: zero_rows and _svd_rank
+    read it once per float decision, and no exact one reads it."""
+
+    def __init__(self, var):
+        self.var, self.seen = var, []
+
+    def get(self):
+        self.seen.append(self.var.get())
+        return self.seen[-1]
+
+    def set(self, value):
+        return self.var.set(value)
+
+    def reset(self, token):
+        self.var.reset(token)
+
+
+@pytest.mark.parametrize("argv", [
+    lambda d: ["analyze", _k5e(d)],
+    lambda d: ["admissible", "--subspace", _write(
+        d, "line.json", {"basis": [[[0] * 5, [0] * 5, [1, 0, 0, 0, 0]]]})],
+    lambda d: ["admissible", "--builtin", "example1"],
+    lambda d: ["admissible", "--builtin", "example2:3/7"],
+    lambda d: ["admissible", "--builtin", "constructed:1"],
+    lambda d: ["conic", "--probe", "triangle-and-path"],
+], ids=["analyze", "admissible-subspace", "admissible-example1",
+        "admissible-example2", "admissible-constructed", "conic"])
+def test_tol_reaches_every_float_decision(tmp_path, monkeypatch, capsys, argv):
+    # The seeded general-position draw and the builtin spaces included.
+    spy = _ToleranceSpy(linalg._TOL)
+    monkeypatch.setattr(linalg, "_TOL", spy)
+    assert main(argv(tmp_path) + ["--backend", "float", "--tol", "1e-4"]) in (0, 1)
+    capsys.readouterr()
+    assert spy.seen and set(spy.seen) == {1e-4}
 
 
 def test_admissible_bad_builtin_token(tmp_path, capsys):
@@ -467,6 +505,14 @@ FAILURES = {
         "parse error: unknown builtin"),
     "admissible-empty-subspace-path": (
         lambda d, mp: ["admissible", "--subspace", ""], 3, "parse error: : "),
+    # An empty configuration path is a path, not a request for the seeded draw.
+    "analyze-empty-config-path": (
+        lambda d, mp: ["analyze", _k5e(d), ""], 3, "parse error: : "),
+    "admissible-empty-config-path": (
+        lambda d, mp: ["admissible", "", "--builtin", "example1"], 3, "parse error: : "),
+    "conic-empty-config-path": (
+        lambda d, mp: ["conic", "", "--probe", "triangle-and-path"], 3,
+        "parse error: : "),
     "implied-pair-out-of-range": (
         lambda d, mp: ["implied", _k5e(d), "--pair", "1", "9"], 2,
         "usage error: vertex 9"),

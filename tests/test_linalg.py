@@ -1,3 +1,4 @@
+import ast
 import random
 from fractions import Fraction
 from math import gcd, isqrt
@@ -13,10 +14,10 @@ from fraction_reference import over_entry, reference_nullspace, reference_rref
 from rigidlab import linalg
 from rigidlab.errors import (DegenerateConfigError, OnAffineSpanError,
                              SingularMatrixError)
-from rigidlab.linalg import (Subspace, _rref_exact, exact_matrix, frac,
-                             identity, invert, is_zero, nullspace_rows,
-                             ones_vector, rank, sherman_morrison_inverse, solve,
-                             zeros)
+from rigidlab.linalg import (DEFAULT_RANK_TOL, Subspace, _rref_exact,
+                             exact_matrix, frac, identity, invert, is_zero,
+                             nullspace_rows, ones_vector, rank,
+                             sherman_morrison_inverse, solve, tolerance, zeros)
 from rigidlab.rigidity import (Framework, Graph, analyze, implied_pairs,
                                is_generically_rigid)
 from rigidlab.sampling import (random_config, random_exact_matrix,
@@ -188,8 +189,10 @@ def test_is_zero_float_values():
     assert is_zero(5e-10, scale=1e-3)
     assert is_zero(np.array([5e-10]), scale=np.array([1e-3]))
     assert not is_zero(2e-9, scale=1e-3)
-    assert is_zero(1e-6, tol=1e-5)
-    assert not is_zero(1e-6, tol=1e-7)
+    with tolerance(1e-5):
+        assert is_zero(1e-6)
+    with tolerance(1e-7):
+        assert not is_zero(1e-6)
 
 
 def _entries(max_den):
@@ -462,6 +465,32 @@ def test_zero_rule_lives_in_linalg():
     offenders = [path.name for path in sorted(src.glob("*.py"))
                  if path.name != "linalg.py" and "_tol" in path.read_text()]
     assert offenders == []
+
+
+def test_only_tolerance_takes_tol():
+    # The float tolerance is a context (linalg.tolerance), never a parameter.
+    src = Path(linalg.__file__).parent
+    takers = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                a = node.args
+                params = [*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg]
+                if any(arg is not None and arg.arg == "tol" for arg in params):
+                    takers.append(f"{path.stem}.{getattr(node, 'name', '<lambda>')}")
+    assert takers == ["linalg.tolerance"]
+    assert not hasattr(linalg, "_tol")
+
+
+def test_tolerance_is_scoped():
+    assert linalg._TOL.get() == DEFAULT_RANK_TOL
+    with tolerance(1e-3):
+        assert rank(np.diag([1.0, 1e-4])) == 1
+        with tolerance(None):
+            assert rank(np.diag([1.0, 1e-4])) == 2
+        assert is_zero(1e-4)
+    assert linalg._TOL.get() == DEFAULT_RANK_TOL
+    assert not is_zero(1e-4)
 
 
 def test_exact_kernel_lives_in_linalg():
