@@ -191,30 +191,31 @@ def proportional_pair_space(p: PointConfiguration, k) -> MotionSpace:
     return MotionSpace.from_motions(p, basis)
 
 
-def _stress_gap(sides: tuple[PinContext, PinContext], u: np.ndarray) -> np.ndarray:
-    """(q^T)^{-1} diag(v^T q) - (r^T)^{-1} diag(w^T r) for one motion u of
-    the two blocks, times delta_q delta_r kappa: integers for an integer
-    u, the gap itself on float64."""
-    side_q, side_r = sides
-    v, w = split_blocks(np.asarray(u))
-    left = side_q.adj.T @ (v * side_q.ints).sum(axis=0)
-    right = side_r.adj.T @ (w * side_r.ints).sum(axis=0)
-    return side_r.det * left - side_q.det * right
+def _stress_gaps(p: PointConfiguration, motions) -> np.ndarray:
+    """3 x len(motions): _mismatch_sampler at the origin X = 0, xi = 1,
+    where a = 0 and D = -delta on each side.  The column of an integer
+    motion u is then (kappa delta_q delta_r)^2 times its stress gap
+    (q^T)^{-1} diag(v^T q) - (r^T)^{-1} diag(w^T r), and on float64 the
+    gap itself: one nonzero scalar for every motion."""
+    return _mismatch_sampler(p, motions)(linalg.zeros((1, p.dim), p.exact),
+                                         ones_vector(1, p.exact))[1][0]
 
 
 def sufficient_check(p: PointConfiguration, s: MotionSpace) -> bool:
     """Sufficient (not necessary) admissibility test: trivial intersection
-    zero, every motion linear, and the stress gap vanishing on s."""
+    zero, every motion linear, and the stress gap, the pin mismatch at the
+    origin (_stress_gaps), vanishing on s."""
     _require_five_points(p, s)
     if _ranks_mod_trivial(p, s.subspace.basis)[0] < s.dim:
         return False
-    sides = _pin_blocks(p)
-    return all(_linear_parts(p, u, False) is not None
-               and is_zero(_stress_gap(sides, u), u) for u in s.basis_motions())
+    motions = s.basis_motions()
+    return all(_linear_parts(p, u, False) is not None and is_zero(gap, u)
+               for u, gap in zip(motions, _stress_gaps(p, motions).T))
 
 
 def stress_matched_linear_space(p: PointConfiguration) -> MotionSpace:
-    """Linear motions u = m p whose stress gap vanishes.
+    """Linear motions u = m p whose stress gap, the pin mismatch at the
+    origin (_stress_gaps), vanishes.
 
     The gap is a linear map on the nine-dimensional space of linear
     motions with rank at most two (its first block component cancels), so
@@ -222,16 +223,13 @@ def stress_matched_linear_space(p: PointConfiguration) -> MotionSpace:
     in the three-dimensional space of skew linear motions.
     """
     _require_five_points(p)
-    sides = _pin_blocks(p)
     gens = []
-    gaps = []
     for a in range(3):
         for b in range(3):
             u = linalg.array([[0] * 5] * 3, p.exact)
             u[a] = p.ints[b]
             gens.append(u)
-            gaps.append(_stress_gap(sides, u))
-    kernel = linalg.nullspace_rows(linalg.array(gaps, p.exact).T)
+    kernel = linalg.nullspace_rows(_stress_gaps(p, gens))
     motions = [sum(gen * c for c, gen in zip(coeffs, gens)) for coeffs in kernel]
     return MotionSpace.from_motions(p, motions)
 

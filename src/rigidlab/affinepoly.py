@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 
 from . import linalg
-from .linalg import exact_matrix, frac
+from .linalg import exact_matrix, frac, sym_outer_system
 
 
 class PolyDependence(Enum):
@@ -28,14 +28,13 @@ class PolyDependence(Enum):
 
 
 def _cleared_pair(l: np.ndarray, q, size: int):
-    """(l, q), entries anything frac accepts, scaled to ints by one factor,
-    as (l, S) with S = Q + Q^T: twice the part of Q that counts."""
+    """(l, Q), entries anything frac accepts, scaled to ints by one factor,
+    as integer object arrays."""
     q = np.asarray(q)
     if q.shape != (size, size):
         raise ValueError("quadratic coefficient matrix has the wrong shape")
-    ints, _ = linalg.cleared([*l, *q.flat])
-    return ints[:size], [[ints[size * (1 + a) + b] + ints[size * (1 + b) + a]
-                          for b in range(size)] for a in range(size)]
+    ints = linalg.array(linalg.cleared([*l, *q.flat])[0])
+    return ints[:size], ints[size:].reshape(size, size)
 
 
 def quadratic_value(q: np.ndarray, z) -> object:
@@ -58,20 +57,20 @@ def affine_poly_dependence(l1, q1, l2, q2) -> PolyDependence:
         raise ValueError("linear parts disagree on variable count")
     size = l1.size
     pairs = [_cleared_pair(l, q, size) for l, q in ((l1, q1), (l2, q2))]
+    # Per pair, the system Sym(m l^T) = Sym(Q) in an affine linear m (the
+    # common factor).  Its right-hand side is Q's symmetric upper triangle,
+    # the part of Q that counts, so it also stands for Q in the pair.
+    systems = [sym_outer_system(l, q) for l, q in pairs]
 
-    tri = [(a, b) for a in range(size) for b in range(a, size)]
-    longs = linalg.array([[*l, *(s[a][b] for a, b in tri)] for l, s in pairs])
+    longs = linalg.array([[*l, *rhs] for (l, _), (_, rhs) in zip(pairs, systems)])
     if linalg.rank(longs) <= 1:
         return PolyDependence.DEPENDENT_PAIR
 
     if not any(pairs[0][0]) and not any(pairs[1][0]):
         return PolyDependence.BOTH_LINEAR_ZERO
 
-    # Common factor: one affine linear m with m l_i^T + l_i m^T == S_i for
-    # both i, a linear system in m's coefficients: is its right-hand side
-    # in the span of its columns?
-    rows = [[l[b] * (c == a) + l[a] * (c == b) for c in range(size)] + [s[a][b]]
-            for l, s in pairs for a, b in tri]
+    # Common factor: does one m solve both systems?
+    rows = [[*row, v] for coeffs, rhs in systems for row, v in zip(coeffs, rhs)]
     if linalg.spanned_columns(linalg.array(rows), size)[0]:
         return PolyDependence.COMMON_LINEAR_FACTOR
     return PolyDependence.NONE

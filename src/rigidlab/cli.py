@@ -164,7 +164,7 @@ def load_config(path: str, exact: bool) -> PointConfiguration:
     return PointConfiguration(mat)
 
 
-def load_subspace(path: str, p: PointConfiguration, exact: bool) -> MotionSpace:
+def load_subspace(path: str, p: PointConfiguration) -> MotionSpace:
     data = _load_object(path)
     basis = data.get("basis")
     _expect(isinstance(basis, list) and basis, f"{path}: field 'basis' must be a non-empty list")
@@ -172,7 +172,7 @@ def load_subspace(path: str, p: PointConfiguration, exact: bool) -> MotionSpace:
     for b, rows in enumerate(basis):
         _expect(isinstance(rows, list) and len(rows) == p.dim,
                 f"{path}: basis[{b}] must have {p.dim} rows")
-        u = zeros((p.dim, p.count), exact)
+        u = zeros((p.dim, p.count), p.exact)
         for i, row in enumerate(rows):
             _expect(isinstance(row, list) and len(row) == p.count,
                     f"{path}: basis[{b}][{i}] must have {p.count} entries")
@@ -285,7 +285,7 @@ def cmd_henneberg(args):
 def cmd_admissible(args):
     p = _five_points(args, "cli-admissible")
     if args.subspace is not None:
-        space = load_subspace(args.subspace, p, p.exact)
+        space = load_subspace(args.subspace, p)
     else:
         space = builtin_space(args.builtin, p, args.seed)
     report = check_admissibility(p, space, samples=args.samples or 20, seed=args.seed)

@@ -31,8 +31,8 @@ Only this module names the array format of a backend: other modules
 build their matrices with array, zeros, identity, ones_vector or
 exact_matrix.  A float solve is consistent when its least-squares
 residual is zero by is_zero against |A||x| and |b|, entry by entry.
-sherman_morrison_inverse is the rank-one update as a whole matrix;
-pins.pin_stack applies it to stacks of vectors; both are fraction-free.
+rank_one_update is the one (Sherman-Morrison) update of an inverse:
+pins.pin_stack applies it to velocity blocks, sherman_morrison_inverse to I.
 """
 
 from __future__ import annotations
@@ -398,32 +398,36 @@ def sym_outer_system(vec: np.ndarray, target: np.ndarray):
     return rows, rhs
 
 
-def sherman_morrison_inverse(q: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Inverse of (1 x^T - q^T) computed from q^{-1} by a rank-one update.
+def rank_one_update(adj: np.ndarray, det, x_int: np.ndarray, xi: np.ndarray,
+                    r: np.ndarray, shift: int = 1) -> tuple:
+    """(usable, N, D): the Sherman-Morrison update of q^{-1} = A/delta (adj,
+    det), fraction-free, at the k positions X/xi (rows of x_int, xi length k)
+    applied to a k x n x m stack R.  With a = A X, D = 1^T a - s delta xi
+    and N = A^T (1 a^T R - D R), (1 x^T - q^T)^{-1} R = N / (delta D) at
+    s = 1; at s = 0 the constant 1 is dropped (the limit as x recedes).
+    A position is unusable where D is zero by the zero rule against a."""
+    a = x_int @ adj.T
+    d = a.sum(axis=1) - det * xi * shift
+    gap = np.einsum("ki,kij->kj", a, r)[:, None] - d[:, None, None] * r
+    return ~zero_rows(d[:, None], a), adj.T @ gap, d
 
-    1 is the all-ones column.  Requires q invertible and x off the affine
-    span of the columns of q (the update denominator 1 - (q^{-1}x)^T 1
-    must not vanish).  Fraction-free: with q^{-1} = A/delta (adjugate),
-    x = X/xi and D = delta xi - 1^T A X, the inverse is
-    -A^T (D I + 1 (A X)^T) / (delta D), one over; on float64 delta and
-    xi are 1.
-    """
-    q = np.asarray(q)
-    x = np.asarray(x)
-    n = q.shape[0]
+
+def sherman_morrison_inverse(q: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Inverse of (1 x^T - q^T), 1 the all-ones column: rank_one_update at
+    R = I, N / (delta D).  x on the affine span of q's columns (D zero)
+    raises OnAffineSpanError."""
+    q, x = np.asarray(q), np.asarray(x)
+    n, exact = q.shape[0], is_exact(q)
     if q.ndim != 2 or q.shape[1] != n:
         raise ValueError("sherman_morrison_inverse needs a square q")
     if x.shape != (n,):
         raise ValueError("x must be a vector matching q")
-    adj, det = adjugate(q)
-    x_int, xi = cleared(x)
-    ax = adj @ x_int
-    d = det * xi - ax.sum()
-    if is_zero(d, ax):
+    (adj, det), (x_int, xi) = adjugate(q), cleared(x)
+    usable, num, d = rank_one_update(adj, det, x_int[None], array([xi], exact),
+                                     identity(n, exact)[None])
+    if not usable[0]:
         raise OnAffineSpanError("x lies on the affine span of the columns of q")
-    update = np.tile(ax, (n, 1))  # 1 (A X)^T, then D I added
-    update[range(n), range(n)] += d
-    return over(-(adj.T @ update), det * d)
+    return over(num[0], det * d[0])
 
 
 class Subspace:

@@ -6,10 +6,11 @@ whose velocity block is v, must move with the velocity y solving
 the block.  The Sherman-Morrison rank-one update of q^{-1} gives y, and
 with the constant 1 dropped, its limit direction as x recedes on a ray.
 
-pin_stack is the one pin formula: that update, fraction-free and stacked
-over positions and velocity blocks.  With q^{-1} = A/delta, q = Q/kappa,
-x = X/xi and V integral (every denominator 1 on float64), a = A X,
-D = 1^T a - s delta xi, R = kappa V^T X - s xi diag(V^T Q),
+pin_stack is the one pin formula: linalg.rank_one_update, the one
+fraction-free update (sherman_morrison_inverse is its R = I case), on
+stacks of velocity blocks.  With q^{-1} = A/delta,
+q = Q/kappa, x = X/xi and V integral (every denominator 1 on float64),
+a = A X, D = 1^T a - s delta xi, R = kappa V^T X - s xi diag(V^T Q),
 N = A^T (1 a^T R - D R) and sigma = delta kappa xi D give y = N/sigma:
 the velocity at s = 1, its limit at s = 0.  pin_velocity, limit_velocity
 and scale_factor are its one-position case.
@@ -65,14 +66,11 @@ def pin_stack(ctx: PinContext, vt: np.ndarray, x_int: np.ndarray, xi: np.ndarray
     k x n x m and sigma has length k.  A row is unusable where D is zero
     by the zero rule against a: x on the block's affine span (s = 1) or
     parallel to it (s = 0)."""
-    a = x_int @ ctx.adj.T
-    d = a.sum(axis=1) - ctx.det * xi * shift
     stress = (vt * ctx.ints.T).sum(axis=2).T
     r = (ctx.den * np.einsum("jic,kc->kij", vt, x_int)
          - (xi * shift)[:, None, None] * stress)
-    gap = np.einsum("ki,kij->kj", a, r)[:, None] - d[:, None, None] * r
-    return (~linalg.zero_rows(d[:, None], a), ctx.adj.T @ gap,
-            ctx.det * ctx.den * xi * d)
+    usable, n, d = linalg.rank_one_update(ctx.adj, ctx.det, x_int, xi, r, shift)
+    return usable, n, ctx.det * ctx.den * xi * d
 
 
 def _one_position(ctx: PinContext, x: np.ndarray, shift: int,

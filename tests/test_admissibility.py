@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rigidlab import admissibility, linalg, motions
+from rigidlab import admissibility, linalg, motions, verify
 from rigidlab.admissibility import (BLOCK_123, BLOCK_145, ClassificationKind,
                                     _mismatch_sampler, _pin_samples,
                                     check_admissibility,
@@ -380,7 +380,8 @@ def test_mismatch_map_matches_the_matrix_reference(idx):
             for u in s.basis_motions():
                 vels = []
                 for side, block, v in zip(sides, split_blocks(p.points), split_blocks(u)):
-                    want = sherman_morrison_inverse(block, x) @ (v.T @ x - np.diag(v.T @ block))
+                    want = (invert(np.outer(ones_vector(3), x) - block.T)
+                            @ (v.T @ x - np.diag(v.T @ block)))
                     assert (pin_velocity(side.with_motion(v), x) == want).all()
                     vels.append(want)
                 cols.append(vels[0] - vels[1])
@@ -638,19 +639,25 @@ def test_principal_lattice_is_unisolvent():
     assert _rank_mod_p(rows[:-1] + [rows[0]], 2 ** 61 - 1) == 219
 
 
+def _fraction_stress_gap(p: PointConfiguration, u: np.ndarray) -> np.ndarray:
+    """(q^T)^{-1} diag(v^T q) - (r^T)^{-1} diag(w^T r) of the motion u, with
+    each block inverted as a matrix: Fractions when exact."""
+    (q, r), (v, w) = split_blocks(p.points), split_blocks(u)
+    return invert(q).T @ (v * q).sum(axis=0) - invert(r).T @ (w * r).sum(axis=0)
+
+
 def _fraction_family(p: PointConfiguration, trials: int, seed: int):
     """(stress-matched basis, member bases) formed as before the integer
     combination: Fraction kernel rows against the generators, Fraction
     coefficients against the reduced basis, summed from zeros, and the
     trivial intersection from the stacked trivial basis."""
-    sides = admissibility._pin_blocks(p)
     gens, gaps = [], []
     for a in range(3):
         for b in range(3):
             u = linalg.zeros((3, 5), p.exact)
             u[a] = p.points[b]
             gens.append(u)
-            gaps.append(admissibility._stress_gap(sides, u))
+            gaps.append(_fraction_stress_gap(p, u))
     kernel = nullspace_rows(linalg.array(gaps, p.exact).T)
     basis = MotionSpace.from_motions(
         p, [sum(g * c for c, g in zip(row, gens)) for row in kernel]).subspace.basis
@@ -679,6 +686,54 @@ def test_family_matches_the_fraction_combination(seed):
         got = construct_admissible_family(q, trials=20, seed=seed)
         assert len(got) == len(want) == 20
         assert all(np.array_equal(s.subspace.basis, w) for s, w in zip(got, want))
+
+
+@pytest.mark.parametrize("idx", [0, 1, 2])
+def test_stress_gap_is_the_pin_mismatch_at_the_origin(idx):
+    # At x = 0 each side's update has a = 0 and D = -delta, so the sampler's
+    # column is (kappa delta_q delta_r)^2 times the stress gap: integer and
+    # rational configurations, and their float64 copies (every factor 1).
+    p = _rational_config(idx)
+    rng = subrng(idx, "origin-gap")
+    motions = [random_exact_matrix(3, 5, rng, 100) for _ in range(4)]
+    for q in (p, PointConfiguration(to_float(p.points))):
+        us = motions if q.exact else [to_float(u) for u in motions]
+        side_q, side_r = admissibility._pin_blocks(q)
+        got = admissibility._stress_gaps(q, us)
+        assert got.shape == (3, len(us))
+        for col, u in zip(got.T, us):
+            want = (q.den * side_q.det * side_r.det) ** 2 * _fraction_stress_gap(q, u)
+            assert (col == want).all()
+
+
+def test_every_pin_formula_runs_the_one_update(monkeypatch):
+    # linalg.rank_one_update is the only Sherman-Morrison update: the matrix
+    # inverse of check 1, the pin velocities and every admissibility path
+    # that pins a vertex go through it.
+    real = linalg.rank_one_update
+    calls = []
+
+    def counting(*args):
+        calls.append(len(args[2]))
+        return real(*args)
+
+    monkeypatch.setattr(linalg, "rank_one_update", counting)
+    space = single_vertex_space(STANDARD)
+    ctx = PinContext(STANDARD.points[:, :3], STANDARD.points[:, 2:])
+    x = exact_matrix([2, -1, 3])
+    four = PointConfiguration(STANDARD.points[:, :4])
+    for call in (lambda: sherman_morrison_inverse(ctx.q, x),
+                 lambda: pin_velocity(ctx, x),
+                 lambda: limit_velocity(ctx, x),
+                 lambda: check_admissibility(STANDARD, space, samples=3),
+                 lambda: sufficient_check(STANDARD, space),
+                 lambda: stress_matched_linear_space(STANDARD),
+                 lambda: one_dim_space_inadmissible(four, exact_matrix(np.eye(3, 4, 1)),
+                                                    samples=3),
+                 lambda: verify.run_check("sherman-morrison-exact", 0, 2)):
+        calls.clear()
+        call()
+        assert calls
 
 
 # p3 is p1 + p2 up to 1e-5, so the block (1,2,3) is singular at tol 1e-3
