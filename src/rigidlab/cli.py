@@ -105,8 +105,8 @@ def _expect(condition: bool, message: str) -> None:
         raise ParseError(message)
 
 
-# At n = 3 and V = 200, rigidity_matrix builds a dense 600 x 600 matrix of
-# unit motions, and implied strains them on up to V(V-1)/2 = 19,900 pairs.
+# At n = 3 and V = 200, implied strains the 600 unit motions (a dense
+# 600 x 600 matrix) on up to V(V-1)/2 = 19,900 pairs.
 # -n/--dim is held to the same size: n V at most 3 * _MAX_VERTICES.
 _MAX_VERTICES = 200
 # check_admissibility holds the mismatch maps of all its pin samples at

@@ -1,10 +1,10 @@
 """Bar-joint frameworks: rigidity matrices, flexes, generic rank oracles.
 
-The rigidity matrix is motions.strains on the unit motions (Python ints
-at an integer configuration).  Generic properties are decided by exact
-arithmetic at random integer configurations: a rigidity witness at one
-sample certifies generic rigidity, while negative answers are only
-reported after two independent samples agree.
+The rigidity matrix is scattered from its edge rows on the cleared points
+(Python ints at an integer configuration).  Generic properties are
+decided by exact arithmetic at random integer configurations: a rigidity
+witness at one sample certifies generic rigidity, while negative answers
+are only reported after two independent samples agree.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ import numpy as np
 
 from . import linalg
 from .errors import BadSupportError
-from .motions import (MotionSpace, PointConfiguration, flatten_motion, strains,
-                      trivial_motions)
+from .motions import (MotionSpace, PointConfiguration, flatten_motion, pair_indices,
+                      strains, trivial_motions)
 from .sampling import random_int_vector, subrng
 
 
@@ -105,17 +105,30 @@ class RigidityReport:
         return self.flex_dim == self.trivial_dim
 
 
+def _edge_rows(p: PointConfiguration, pairs) -> np.ndarray:
+    """p's denominator times the rigidity rows of the 1-based pairs: row ab
+    holds p_a - p_b in block a and p_b - p_a in block b on the cleared
+    points, so a float zero is 0.0."""
+    i, j = pair_indices(pairs)
+    pts = p.ints.T
+    rows, at = linalg.zeros((len(i), p.count, p.dim), p.exact), np.arange(len(i))
+    rows[at, i] = pts[i] - pts[j]
+    rows[at, j] = pts[j] - pts[i]
+    return rows.reshape(len(i), p.count * p.dim)
+
+
 def rigidity_matrix(fw: Framework) -> np.ndarray:
-    """The strain map on the edges as a matrix: its row for edge ij holds
-    the strains of the unit motions on ij, (p_i - p_j)^T in block i and
-    its negative in block j (Python ints for an integer configuration)."""
+    """The strain map on the edges as a matrix: its row for edge ij is
+    (p_i - p_j)^T in block i and its negative in block j, the edge rows
+    over p's denominator (Python ints for an integer configuration)."""
     p = fw.config
-    return strains(p, np.eye(p.dim * p.count, dtype=int), fw.graph.sorted_edges()).T
+    rows = _edge_rows(p, fw.graph.sorted_edges())
+    return rows if p.den == 1 else linalg.over(rows, p.den)
 
 
 def flex_space(fw: Framework) -> MotionSpace:
     """Nullspace of the rigidity matrix; always contains the trivial motions."""
-    basis = linalg.nullspace_rows(rigidity_matrix(fw))
+    basis = linalg.nullspace_rows(_edge_rows(fw.config, fw.graph.sorted_edges()))
     sub = linalg.Subspace(fw.config.dim * fw.config.count, basis)
     return MotionSpace(fw.config, sub)
 
@@ -159,7 +172,7 @@ def analyze(fw: Framework) -> RigidityReport:
     p = fw.config
     total = p.dim * p.count
     trivial_dim = _trivial_dim(p)
-    r = rigidity_matrix(fw)
+    r = _edge_rows(p, fw.graph.sorted_edges())
     full = min(total - trivial_dim, r.shape[0])
     if p.exact and linalg.reaches_mod_p(r, full):
         base_rank = full
@@ -203,6 +216,9 @@ def _implied_pairs_at(g: Graph, p: PointConfiguration, candidates) -> set:
     exact elimination; otherwise that runs on the unpinned rows (_unpinned)."""
     pairs = [*g.sorted_edges(), *candidates]
     total = p.dim * p.count
+    # _edge_rows(p, pairs).T gives these columns times p.den, 14-15% more
+    # frameworks verdicts/s, but perfbench keeps a record per verdict: its
+    # peak RSS rose 4.4-4.5% in median (two 10-pair rounds), at its 5% bound.
     cols = strains(p, np.eye(total, dtype=int), pairs)
     if linalg.reaches_mod_p(cols, total - _trivial_dim(p), g.edge_count):
         return set(pairs[g.edge_count:])

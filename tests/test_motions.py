@@ -145,7 +145,8 @@ def _strain_cases(draw):
 def _scatter_rigidity_matrix(p: PointConfiguration, pairs) -> np.ndarray:
     """The rigidity matrix by scattering each chord p_a - p_b of p's points
     into block a and its negative into block b: the reference for strains
-    and for rigidity_matrix, which is strains on the unit motions."""
+    and for rigidity_matrix, which scatters the cleared points instead and
+    divides by their denominator."""
     i, j = motions.pair_indices(pairs)
     d = p.points.T[i] - p.points.T[j]
     r = zeros((len(d), p.dim * p.count), p.exact)
@@ -165,15 +166,27 @@ def _scatter_rigidity_matrix(p: PointConfiguration, pairs) -> np.ndarray:
                [[1, 2, 3, 4]], []))
 @example(case=(PointConfiguration(np.array([[0.5, -1.25, 3.0]])),
                [[1.5, -2.0, 0.25]], [(1, 2), (1, 3)]))
+@example(case=(PointConfiguration(np.array([[0.5, -1.25, 3.0]])),
+               [[1.5, -2.0, 0.25]], []))
+# Negative chords, one with a zero coordinate: -(p_1 - p_2) would put -0.0
+# in block 2, where strains on the unit motions sum to 0.0.
+@example(case=(PointConfiguration(np.array([[0.0, 1.0, 2.5], [0.0, 0.0, 4.0]])),
+               [[1.0, -2.0, 0.5, 3.0, -1.0, 2.0]], [(1, 2), (2, 3), (1, 3)]))
 def test_strains_are_the_rigidity_matrix_on_each_motion(case):
     # Exact motions arrive as lists of Python ints, as cleared gives them:
     # taken through np.asarray they would become int64 and overflow.
     p, motions, pairs = case
     fw = Framework(Graph.from_edges(p.count, pairs), p)
-    ref = _scatter_rigidity_matrix(p, fw.graph.sorted_edges())
+    edges = fw.graph.sorted_edges()
+    ref = _scatter_rigidity_matrix(p, edges)
+    on_units = strains(p, np.eye(p.dim * p.count, dtype=int), edges).T
     r = rigidity_matrix(fw)
-    assert r.shape == ref.shape == (len(pairs), p.dim * p.count)
-    assert r.dtype == ref.dtype and (r == ref).all()
+    assert r.shape == ref.shape == on_units.shape == (len(pairs), p.dim * p.count)
+    assert r.dtype == ref.dtype == on_units.dtype
+    assert (r == ref).all() and (r == on_units).all()
+    # Each block holds its own chord, so no zero is -0.0 unless p's is.
+    if not p.exact and not np.signbit(p.points[p.points == 0]).any():
+        assert (np.signbit(r) == np.signbit(on_units)).all()
     flat = exact_matrix(motions) if p.exact else np.array(motions)
     want = dict(zip(fw.graph.sorted_edges(), ref @ flat.T))
     as_set = set(pairs)

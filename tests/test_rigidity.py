@@ -21,6 +21,7 @@ from rigidlab.rigidity import (Framework, Graph, _implied_pairs_at,
                                implied_pairs, is_generically_rigid,
                                is_implied_edge, normalize_edge, rigidity_matrix)
 from rigidlab.sampling import random_config, subrng
+from test_output_hashes import CONFIGS
 
 
 def test_graph_validation_and_edges():
@@ -150,6 +151,18 @@ def test_analyze_of_an_integer_configuration_builds_no_fraction(fraction_counter
     before = fraction_counter()
     report = analyze(fw)
     assert report.is_rigid and not report.is_isostatic
+    assert fraction_counter() == before
+
+
+def test_rigidity_of_a_configuration_with_denominators_builds_no_fraction(
+        fraction_counter):
+    # rational.json's points are cleared once, over den 180,180; analyze
+    # and flex_space then rank and solve the integer edge rows.
+    p = PointConfiguration(exact_matrix(CONFIGS["rational.json"]).T)
+    fw = Framework(K5E, p)
+    before = fraction_counter()
+    report, flexes = analyze(fw), flex_space(fw)
+    assert report.is_isostatic and flexes.dim == report.trivial_dim == 6
     assert fraction_counter() == before
 
 
