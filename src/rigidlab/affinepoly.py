@@ -6,18 +6,20 @@ length m+1 (constant term first).  An affine quadratic is an
 zhat = (1, z_1, ..., z_m); only the symmetric part of Q matters.
 
 For h_i(z) = (l_i(z), q_i(z)), the pair values are linearly dependent at
-almost every z exactly when l1*q2 == l2*q1 identically, which splits
+almost every z exactly when l1*q2 == l2*q1 identically (a nonzero
+polynomial vanishes only on a set of measure zero), which splits
 into three mutually non-exclusive shapes decided here.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from functools import cache
 
 import numpy as np
 
 from . import linalg
-from .linalg import exact_matrix, frac, sym_outer_system
+from .linalg import exact_matrix, frac
 
 
 class PolyDependence(Enum):
@@ -27,14 +29,7 @@ class PolyDependence(Enum):
     NONE = "none"
 
 
-def _cleared_pair(l: np.ndarray, q, size: int):
-    """(l, Q), entries anything frac accepts, scaled to ints by one factor,
-    as integer object arrays."""
-    q = np.asarray(q)
-    if q.shape != (size, size):
-        raise ValueError("quadratic coefficient matrix has the wrong shape")
-    ints = linalg.array(linalg.cleared([*l, *q.flat])[0])
-    return ints[:size], ints[size:].reshape(size, size)
+_upper = cache(np.triu_indices)
 
 
 def quadratic_value(q: np.ndarray, z) -> object:
@@ -46,31 +41,41 @@ def affine_poly_dependence(l1, q1, l2, q2) -> PolyDependence:
     """Which structural case makes (l1,q1) and (l2,q2) pointwise dependent.
 
     Checks, in order: the two coefficient pairs are dependent over the
-    rationals; both linear parts vanish; the quadratics are a common
-    affine linear multiple of the linears.  Returns NONE when the values
-    are independent away from a measure-zero set.  Scaling one pair by a
-    nonzero number changes none of the three, so each pair is cleared to
-    ints (_cleared_pair) and every test is an integer elimination.
+    rationals; both linear parts vanish; l1*q2 == l2*q1.  Returns NONE
+    when the values are independent away from a measure-zero set.  Scaling
+    a pair by a nonzero number changes none of the three, so each pair is
+    cleared to ints by one factor first.
+
+    The third case is q_i = l_i*m with m affine linear: that gives
+    l1*q2 = l2*q1, and conversely, past the first two tests, l1 and l2 are
+    nonzero (l1 = 0 with l2 != 0 forces q1 = 0, a zero pair) and not
+    proportional (l2 = c*l1 gives q2 = c*q1), so coprime at degree <= 1:
+    l1 divides q1 = l1*m, q2 = l2*m, and deg m <= 1 as one l_i has degree
+    1.  With zhat = (1, z) and C = l1 (x) S2 - l2 (x) S1, symmetric in its
+    last two indices, 2*(l1*q2 - l2*q1) is the sum of C[a,b,c] zhat_a
+    zhat_b zhat_c, and each monomial's coefficient is a nonzero multiple
+    of C[a,b,c] + C[b,a,c] + C[c,a,b].
     """
     l1, l2 = np.ravel(l1), np.ravel(l2)
     if l1.size != l2.size:
         raise ValueError("linear parts disagree on variable count")
-    size = l1.size
-    pairs = [_cleared_pair(l, q, size) for l, q in ((l1, q1), (l2, q2))]
-    # Per pair, the system Sym(m l^T) = Sym(Q) in an affine linear m (the
-    # common factor).  Its right-hand side is Q's symmetric upper triangle,
-    # the part of Q that counts, so it also stands for Q in the pair.
-    systems = [sym_outer_system(l, q) for l, q in pairs]
-
-    longs = linalg.array([[*l, *rhs] for (l, _), (_, rhs) in zip(pairs, systems)])
-    if linalg.rank(longs) <= 1:
+    size, pairs = l1.size, []
+    for l, q in ((l1, q1), (l2, q2)):
+        if np.shape(q) != (size, size):
+            raise ValueError("quadratic coefficient matrix has the wrong shape")
+        ints = linalg.array(linalg.cleared([*l, *np.ravel(q)])[0])
+        q = ints[size:].reshape(size, size)
+        pairs.append((ints[:size], q + q.T))  # S = Q + Q^T: q is zhat^T S zhat / 2
+    (l1, s1), (l2, s2) = pairs
+    # S's upper triangle is the part of the quadratic that counts.
+    upper = _upper(size)
+    if linalg.rank(linalg.array([[*l1, *s1[upper]], [*l2, *s2[upper]]])) <= 1:
         return PolyDependence.DEPENDENT_PAIR
 
-    if not any(pairs[0][0]) and not any(pairs[1][0]):
+    if not any(l1) and not any(l2):
         return PolyDependence.BOTH_LINEAR_ZERO
 
-    # Common factor: does one m solve both systems?
-    rows = [[*row, v] for coeffs, rhs in systems for row, v in zip(coeffs, rhs)]
-    if linalg.spanned_columns(linalg.array(rows), size)[0]:
-        return PolyDependence.COMMON_LINEAR_FACTOR
-    return PolyDependence.NONE
+    c = np.multiply.outer(l1, s2) - np.multiply.outer(l2, s1)
+    if (c + c.transpose(1, 0, 2) + c.transpose(1, 2, 0)).any():
+        return PolyDependence.NONE
+    return PolyDependence.COMMON_LINEAR_FACTOR

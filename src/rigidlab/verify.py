@@ -30,9 +30,9 @@ from .motions import (MotionSpace, PointConfiguration, is_infinitesimal_isometry
 from .pins import PinContext, limit_velocity, pin_stack, pin_velocity
 from .rigidity import (Framework, Graph, analyze, double_banana,
                        generic_samples, is_implied_edge)
-from .sampling import (random_config, random_exact_matrix, random_float_matrix,
-                       random_float_vector, random_general_config,
-                       random_rational_matrix, subrng)
+from .sampling import (random_config, random_exact_matrix, random_exact_vector,
+                       random_float_matrix, random_float_vector,
+                       random_general_config, random_rational_matrix, subrng)
 
 # Keeps the rationals short in the pin-formula checks; genericity is not
 # at stake there.
@@ -317,65 +317,61 @@ def _check_extensions(seed: int, samples: int | None):
 
 def _random_affine_linear(rng) -> np.ndarray:
     while True:
-        vec = linalg.array([rng.randint(-9, 9) for _ in range(4)])
+        vec = random_exact_vector(4, rng, 9)
         if any(vec[1:]):
             return vec
 
 
-def _random_affine_quadratic(rng) -> np.ndarray:
-    """Raw integer coefficients; the part that counts is (raw + raw^T) / 2."""
-    return linalg.array([[rng.randint(-9, 9) for _ in range(4)] for _ in range(4)])
-
-
 def _poly_case_instance(case: PolyDependence, rng):
-    """Integer (l1, q1, l2, q2) of the case.  A dependent pair scales by
+    """Integer (l1, q1, l2, q2) of the case; a quadratic is the raw 4 x 4
+    draw (only its symmetric part counts).  A dependent pair scales by
     the numerator of a ratio drawn as randint(-9, 9) / randint(1, 9);
     scaling a pair changes neither the case nor the evaluation oracle."""
     if case is PolyDependence.DEPENDENT_PAIR:
         l1 = _random_affine_linear(rng)
-        q1 = _random_affine_quadratic(rng)
+        q1 = random_exact_matrix(4, 4, rng, 9)
         num = 0
         while num == 0:
             num, _ = rng.randint(-9, 9), rng.randint(1, 9)
         return l1, q1, l1 * num, q1 * num
     if case is PolyDependence.BOTH_LINEAR_ZERO:
         zero = linalg.array([0] * 4)
-        return zero, _random_affine_quadratic(rng), zero.copy(), _random_affine_quadratic(rng)
+        q1, q2 = (random_exact_matrix(4, 4, rng, 9) for _ in range(2))
+        return zero, q1, zero.copy(), q2
     if case is PolyDependence.COMMON_LINEAR_FACTOR:
         while True:
-            m = _random_affine_linear(rng)
-            l1 = _random_affine_linear(rng)
-            l2 = _random_affine_linear(rng)
+            m, l1, l2 = (_random_affine_linear(rng) for _ in range(3))
             if linalg.rank(linalg.array([l1, l2])) == 2:
                 return l1, np.outer(m, l1), l2, np.outer(m, l2)
     while True:
-        l1 = _random_affine_linear(rng)
-        l2 = _random_affine_linear(rng)
-        q1 = _random_affine_quadratic(rng)
-        q2 = _random_affine_quadratic(rng)
+        l1, l2 = (_random_affine_linear(rng) for _ in range(2))
+        q1, q2 = (random_exact_matrix(4, 4, rng, 9) for _ in range(2))
         if affine_poly_dependence(l1, q1, l2, q2) is PolyDependence.NONE:
             return l1, q1, l2, q2
 
 
-def _oracle_draws(rng, count: int):
-    """The next count values of rng.randint(-50, 50), drawn in blocks, and
-    the generator words used through each; rng comes back unchanged.  The
-    value is getrandbits(7), a word's top 7 bits, redrawn while 101 or more,
-    and getrandbits(32 k) is the next k words, the first least significant."""
-    state, top = rng.getstate(), np.empty(0, np.uint32)
-    while len(kept := np.flatnonzero(top < 101)) < count:
+def _oracle_draws(rng, count: int) -> np.ndarray:
+    """The next count values of rng.randint(-50, 50), drawn in blocks.  The
+    value is getrandbits(7), a word's top 7 bits, redrawn while 101 or
+    more, and getrandbits(32 k) is the next k words, the first least
+    significant."""
+    top = np.empty(0, np.uint32)
+    while len(kept := top[top < 101]) < count:
         block = rng.getrandbits(32 * 1024).to_bytes(4 * 1024, "little")
         top = np.append(top, np.frombuffer(block, "<u4") >> 25)
-    rng.setstate(state)
-    return top[kept[:count]].astype(np.int64) - 50, kept[:count] + 1
+    return kept[:count].astype(np.int64) - 50
+
+
+# Monomials of degree <= 2 as (1, x, y, w)[i] * (1, x, y, w)[j], i <= j.
+_I, _J = np.triu_indices(4)
 
 
 def _values_dependent(l1, q1, l2, q2, rng) -> bool:
-    """Whether l1*q2 - l2*q1 vanishes at 200 random integer points, with
-    the draws and final rng state of a loop that stops at the first nonzero
-    point.  Pair i scaled by the lcm d_i of its denominators scales
-    l1*q2 - l2*q1 by d1*d2: the same zeros, on ints, all points as one
-    array (int64 when a coefficient bound rules out overflow)."""
+    """Whether l1*q2 - l2*q1 vanishes at 200 points of three randint(-50,
+    50) draws each.  Pair i scaled by the lcm d_i of its denominators
+    scales l1*q2 - l2*q1 by d1*d2: the same zeros, on ints.  The l_i and
+    the q_i take one matrix product each, monomials times coefficients
+    (int64 when a coefficient bound rules out overflow)."""
     pairs = []
     for l, q in ((l1, q1), (l2, q2)):
         ints, _ = cleared([*l, *q.flat])
@@ -387,15 +383,11 @@ def _values_dependent(l1, q1, l2, q2, rng) -> bool:
     bounds = [2500 * sum(map(abs, c)) + 1 for c in pairs]
     coeffs = (np.array(pairs, np.int64) if bounds[0] * bounds[1] < 2 ** 63
               else linalg.array(pairs))
-    draws, used = _oracle_draws(rng, 600)
-    x, y, w = draws.reshape(-1, 3).T.astype(coeffs.dtype)
-    l0, lx, ly, lw, c, cx, cy, cw, cxx, cxy, cxw, cyy, cyw, cww = coeffs.T[:, :, None]
-    a = l0 + lx * x + ly * y + lw * w
-    b = (c + x * (cx + cxx * x + cxy * y + cxw * w)
-         + y * (cy + cyy * y + cyw * w) + w * (cw + cww * w))
-    nonzero = np.flatnonzero(a[0] * b[1] != a[1] * b[0])
-    rng.getrandbits(32 * int(used[3 * nonzero[0] + 2 if len(nonzero) else 599]))
-    return not len(nonzero)
+    zhat = np.ones((200, 4), coeffs.dtype)
+    zhat[:, 1:] = _oracle_draws(rng, 600).reshape(-1, 3)
+    a = zhat @ coeffs[:, :4].T
+    b = (zhat[:, _I] * zhat[:, _J]) @ coeffs[:, 4:].T
+    return bool((a[:, 0] * b[:, 1] == a[:, 1] * b[:, 0]).all())
 
 
 def _check_affine_poly(seed: int, samples: int | None):

@@ -2,10 +2,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rigidlab import linalg
 from rigidlab.affinepoly import (PolyDependence, affine_poly_dependence,
                                  quadratic_value)
-from rigidlab.linalg import exact_matrix, frac, rank
+from rigidlab.linalg import exact_matrix, frac, rank, sym_outer_system
 from rigidlab.sampling import subrng
 
 Z1 = (0, 1, 0)
@@ -163,3 +166,67 @@ def test_mismatched_variable_counts():
     q = linear_product_matrix(exact_matrix(Z1), exact_matrix(Z1))
     with pytest.raises(ValueError):
         affine_poly_dependence(Z1, q, (0, 1), exact_matrix([[1, 0], [0, 1]]))
+
+
+def _linear_system_dependence(l1, q1, l2, q2) -> PolyDependence:
+    """The decision as a linear system, the reference for the identity
+    l1*q2 == l2*q1: proportional pairs, zero linear parts, then whether one
+    affine linear m solves Sym(m l_i^T) = Sym(Q_i) for both cleared pairs
+    (the rows of sym_outer_system, stacked, decided by elimination)."""
+    l1, l2 = np.ravel(l1), np.ravel(l2)
+    size = l1.size
+    pairs = []
+    for l, q in ((l1, q1), (l2, q2)):
+        ints = linalg.array(linalg.cleared([*l, *np.asarray(q).flat])[0])
+        pairs.append((ints[:size], ints[size:].reshape(size, size)))
+    systems = [sym_outer_system(l, q) for l, q in pairs]
+    longs = linalg.array([[*l, *rhs] for (l, _), (_, rhs) in zip(pairs, systems)])
+    if rank(longs) <= 1:
+        return PolyDependence.DEPENDENT_PAIR
+    if not any(pairs[0][0]) and not any(pairs[1][0]):
+        return PolyDependence.BOTH_LINEAR_ZERO
+    rows = [[*row, v] for coeffs, rhs in systems for row, v in zip(coeffs, rhs)]
+    if linalg.spanned_columns(linalg.array(rows), size)[0]:
+        return PolyDependence.COMMON_LINEAR_FACTOR
+    return PolyDependence.NONE
+
+
+@st.composite
+def _coefficients(draw, count):
+    """count entries in [-3, 3] over a drawn denominator from 1 to 4:
+    Python ints at 1, Fractions otherwise."""
+    den = draw(st.integers(1, 4))
+    ints = draw(st.lists(st.integers(-3, 3), min_size=count, max_size=count))
+    return linalg.array([Fraction(v, den) if den > 1 else v for v in ints])
+
+
+@st.composite
+def _poly_pairs(draw):
+    """(l1, q1, l2, q2) in 1 to 3 variables, int or Fraction entries, of one
+    shape: unrelated, zero linear parts, a proportional pair, a common
+    factor m, or q_i = l_i*m_i with m1 and m2 drawn separately.  A raw
+    antisymmetric part is added to each built quadratic; only the
+    symmetric part counts."""
+    size = draw(st.integers(2, 4))
+    vec = _coefficients(size)
+    mat = _coefficients(size * size).map(lambda m: m.reshape(size, size))
+    l1, l2, m1, m2 = (draw(vec) for _ in range(4))
+    q1, q2 = draw(mat), draw(mat)
+    shape = draw(st.sampled_from(["unrelated", "zero-linear", "proportional",
+                                  "common-factor", "two-factors"]))
+    if shape == "zero-linear":
+        l1, l2 = l1 * draw(st.sampled_from([0, 1])), l2 * 0
+    elif shape == "proportional":
+        lam = draw(_coefficients(1))[0]
+        l2, q2 = l1 * lam, q1 * lam
+    elif shape != "unrelated":
+        m2 = m1 if shape == "common-factor" else m2
+        q1, q2 = (linear_product_matrix(m, l) + a - a.T
+                  for m, l, a in zip((m1, m2), (l1, l2), (q1, q2)))
+    return l1, q1, l2, q2
+
+
+@settings(max_examples=300, deadline=None)
+@given(_poly_pairs())
+def test_identity_decides_as_the_linear_system(pair):
+    assert affine_poly_dependence(*pair) is _linear_system_dependence(*pair)
